@@ -7,9 +7,13 @@ Conventions that the reproducibility contract depends on:
 * Disorder sample ``i`` of a run with seed ``s`` uses the independent stream
   ``numpy.random.default_rng((s, i))`` and always draws the Hamiltonian
   couplings first, then the deformation-field couplings.
-* Per-sample results land in preallocated slots and are reduced with exact
-  summation in index order, so estimates are bit-identical for any worker
-  count.
+* Samples are evaluated in chunks whose length follows from the model and
+  the number of deformation nodes (never from the worker count); per-sample
+  results land in preallocated slots and are reduced with exact summation in
+  index order, so estimates are bit-identical for any worker count.  Batched
+  arithmetic rounds differently from a one-sample-at-a-time evaluation, in
+  the last bits (about 1e-14 relative, magnified by finite-difference
+  stencils).
 * Whenever an identity compares two estimates, both sides are computed from
   the same draws within each sample (common random numbers).
 """
@@ -186,24 +190,16 @@ class DisorderSample:
     field_couplings: np.ndarray
 
 
-def _draw(model: ModelInstance, rng: np.random.Generator) -> DisorderSample:
-    # Draw order is part of the reproducibility contract.
-    return DisorderSample(
-        couplings=rng.standard_normal(model.coupling_shape),
-        field_couplings=rng.standard_normal(model.coupling_shape),
-    )
-
-
 def _neg_energy(model: ModelInstance, couplings: np.ndarray) -> np.ndarray:
+    """-H per configuration; leading axes of ``couplings`` are batch axes."""
     if model.kind == "sk":
-        return np.einsum("ci,ij,cj->c", model.spins, couplings, model.spins)
-    return model.bond_products @ couplings
+        return np.einsum("...ij,ci,cj->...c", couplings, model.spins, model.spins)
+    return couplings @ model.bond_products.T
 
 
 def _field_values(model: ModelInstance, field_couplings: np.ndarray) -> np.ndarray:
-    if model.kind == "sk":
-        return _neg_energy(model, field_couplings) / model.n_sites
-    return (model.bond_products @ field_couplings) / math.sqrt(len(model.bonds))
+    norm = model.n_sites if model.kind == "sk" else math.sqrt(len(model.bonds))
+    return _neg_energy(model, field_couplings) / norm
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -214,8 +210,11 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
+    """One Gibbs measure per row of the last axis, each checked like
+    :func:`_softmax`."""
     w = np.exp(x - x.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
+    assert np.all(np.isfinite(w)) and np.all(np.abs(w.sum(axis=-1) - 1.0) < 1e-14)
     return w
 
 
@@ -279,20 +278,15 @@ def _leg_free_polynomial(p) -> GraphPolynomial:
     return poly
 
 
-#: Terms whose joint configuration tensor has at most this many entries are
-#: materialized once at build time; per-sample evaluation then reduces to a
-#: chain of matrix-vector products.  Larger terms fall back to einsum.
-_DENSE_TENSOR_LIMIT = 2**19
-
-
 class _PolyMoments:
-    """Precompiled contractions for the terms of a leg-free polynomial.
+    """Contractions for the terms of a leg-free polynomial against batches of
+    Gibbs weights.
 
     Each term with support {1..R} is the contraction of R copies of the
-    weight vector against the fixed product of edge-overlap matrices.  That
-    fixed product is materialized as a dense R-axis tensor when small (the
-    common case here), so a sample evaluation is R dot products; otherwise
-    an einsum with a precomputed path is used.
+    weights against the fixed product of edge-overlap matrices, done as one
+    batched einsum over weights of shape (..., n_configs).  The greedy
+    contraction order is found once per weight shape and cached; it keeps
+    every intermediate at the size of the weights for the terms used here.
     """
 
     def __init__(self, model, poly, budget=None):
@@ -300,10 +294,8 @@ class _PolyMoments:
         nc = model.n_configs
         overlap = model.overlap
         powers: dict[int, np.ndarray] = {1: overlap}
-        self._nc = nc
-        self._dense = []  # (coeff, r, tensor reshaped (..., nc))
-        self._einsum = []  # (coeff, r, subs, ops, path)
-        self._grid = []  # (coeff, r, subs_grid, ops)
+        self._terms = []  # (coeff, r, operand subscripts, overlap powers)
+        self._paths: dict[tuple, list] = {}  # (term index, weight shape) -> path
         self._constant = 0.0
         for g, coeff in poly.items():
             r = len(g.support)
@@ -316,55 +308,53 @@ class _PolyMoments:
                 self._constant += float(coeff)
                 continue
             letters = [chr(ord("a") + t) for t in range(r)]
-            edge_subs = []
+            subs = ["..." + letter for letter in letters]
             ops = []
             for i, j, m in g.edges:
                 if m not in powers:
                     powers[m] = overlap**m
                 ops.append(powers[m])
-                edge_subs.append(letters[i - 1] + letters[j - 1])
-            subs_grid = (
-                ",".join("..." + letter for letter in letters)
-                + ","
-                + ",".join(edge_subs)
-                + "->..."
-            )
-            self._grid.append((float(coeff), r, subs_grid, tuple(ops)))
-            if nc**r <= _DENSE_TENSOR_LIMIT:
-                tensor = np.einsum(
-                    ",".join(edge_subs) + "->" + "".join(letters),
-                    *ops,
-                    optimize=True,
-                )
-                self._dense.append((float(coeff), r, np.ascontiguousarray(tensor)))
-            else:
-                subs = ",".join(letters) + "," + ",".join(edge_subs) + "->"
-                dummy = [np.empty(nc)] * r + ops
-                path = np.einsum_path(subs, *dummy, optimize="greedy")[0]
-                self._einsum.append((float(coeff), r, subs, tuple(ops), path))
-
-    def value(self, weights: np.ndarray) -> float:
-        total = self._constant
-        nc = self._nc
-        for coeff, r, tensor in self._dense:
-            v = tensor
-            for _ in range(r - 1):
-                v = v.reshape(-1, nc) @ weights
-            total += coeff * float(v @ weights)
-        for coeff, r, subs, ops, path in self._einsum:
-            total += coeff * float(
-                np.einsum(subs, *([weights] * r), *ops, optimize=path)
-            )
-        return total
+                subs.append(letters[i - 1] + letters[j - 1])
+            self._terms.append((float(coeff), r, tuple(subs), tuple(ops)))
 
     def value_grid(self, weights: np.ndarray) -> np.ndarray:
         """Batched evaluation: ``weights`` has shape (..., n_configs)."""
         total = np.full(weights.shape[:-1], self._constant)
-        for coeff, r, subs_grid, ops in self._grid:
-            total = total + coeff * np.einsum(
-                subs_grid, *([weights] * r), *ops, optimize=True
-            )
+        for k, (coeff, r, subs, ops) in enumerate(self._terms):
+            operands = [weights] * r + list(ops)
+            key = (k, weights.shape)
+            if key not in self._paths:
+                self._paths[key] = np.einsum_path(
+                    ",".join(subs) + "->...", *operands, optimize="greedy"
+                )[0][1:]
+            total = total + coeff * _contract(list(subs), operands, self._paths[key])
         return total
+
+
+def _contract(subs, operands, path) -> np.ndarray:
+    """Run an einsum path step by step, batch axes ``...`` first in every
+    intermediate, and a batch of vectors times an overlap matrix as one
+    matmul.  With numpy 2.4, ``np.einsum(..., optimize=path)`` took 15 ms per
+    chunk on the EA ring of 6 (transposed matmul operands) and einsum's own
+    loop is 10-15 times slower than matmul on the vector-matrix steps.
+    """
+    for step in path:
+        taken = sorted(step, reverse=True)
+        inputs = [subs.pop(k) for k in taken]
+        args = [operands.pop(k) for k in taken]
+        rest = "".join(subs)
+        kept = {c for s in inputs for c in s if c.isalpha() and c in rest}
+        out = "..." + "".join(sorted(kept))
+        subs.append(out)
+        vec, mat = (0, 1) if inputs[0].startswith("...") else (1, 0)
+        matvec = len(inputs) == 2 and len(out) == 4
+        if matvec and {inputs[vec][3:], out[3]} == set(inputs[mat]):
+            v = args[vec].reshape(-1, args[vec].shape[-1])
+            m = args[mat] if inputs[mat][1] == out[3] else args[mat].T
+            operands.append((v @ m).reshape(args[vec].shape))
+        else:
+            operands.append(np.einsum(",".join(inputs) + "->" + out, *args))
+    return operands[0]
 
 
 def replica_moment(model, couplings, lam, field_couplings, g, budget=None) -> float:
@@ -378,7 +368,8 @@ def replica_moment(model, couplings, lam, field_couplings, g, budget=None) -> fl
     if not gc.is_leg_free():
         raise ValueError("replica_moment expects a leg-free monomial")
     evaluator = _PolyMoments(model, GraphPolynomial.monomial(gc), budget)
-    return evaluator.value(gibbs_weights(model, couplings, lam, field_couplings))
+    weights = gibbs_weights(model, couplings, lam, field_couplings)
+    return float(evaluator.value_grid(weights[None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -401,24 +392,51 @@ class QuenchedEstimate:
     truncation: float | None = None
 
 
-def _mc_columns(seed, n_samples, workers, fn, width) -> np.ndarray:
+#: Floats in one chunk's widest per-sample block, the (samples, lambda
+#: nodes, 2^N) Gibbs weights for the models; the chunk length follows from
+#: it, so memory stays flat in the sample count.
+_CHUNK_FLOATS = 2**14
+
+
+def _mc_slots(seed, n_samples, workers, draw_shape, width, per_sample, fill):
+    """Per-sample result columns, shape (n_samples, width).
+
+    Samples run in chunks of ``_CHUNK_FLOATS // per_sample``.  For each chunk
+    the draws of sample i fill row i of a (samples, *draw_shape) array from
+    ``default_rng((seed, i))``, in C order, and ``fill(draws)`` returns that
+    chunk's (samples, width) rows.  Workers take whole chunks.
+    """
     if n_samples < 1:
         raise ValueError("need at least one disorder sample")
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     slots = np.empty((n_samples, width), dtype=np.float64)
+    chunk = max(1, _CHUNK_FLOATS // per_sample)
 
-    def run(i):
-        slots[i, :] = fn(np.random.default_rng((seed, i)))
+    def run(lo):
+        hi = min(lo + chunk, n_samples)
+        draws = np.empty((hi - lo, *draw_shape))
+        for i in range(lo, hi):
+            np.random.default_rng((seed, i)).standard_normal(out=draws[i - lo])
+        slots[lo:hi] = fill(draws)
 
+    starts = range(0, n_samples, chunk)
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n_samples)))
+            list(pool.map(run, starts))
     else:
-        for i in range(n_samples):
-            run(i)
+        for lo in starts:
+            run(lo)
     return slots
+
+
+def _gibbs_grid(model, draws, lams) -> np.ndarray:
+    """(samples, len(lams), 2^N) Gibbs weights for draws of shape (samples,
+    2, *coupling_shape): Hamiltonian couplings, then field couplings."""
+    x = model.beta * _neg_energy(model, draws[:, 0])
+    h = _field_values(model, draws[:, 1])
+    return _softmax_last(x[:, None, :] + np.asarray(lams)[:, None] * h[:, None, :])
 
 
 def _column_stats(col: np.ndarray) -> tuple[float, float]:
@@ -448,17 +466,15 @@ def deformed_expectation(
     bit-exactly, the estimator-level statement that expectations are even in
     the deformation strength.
     """
-    poly = _leg_free_polynomial(p)
-    evaluator = _PolyMoments(model, poly, budget)
-    beta = model.beta
+    evaluator = _PolyMoments(model, _leg_free_polynomial(p), budget)
 
-    def fn(rng):
-        s = _draw(model, rng)
-        h = -s.field_couplings if antithetic_h else s.field_couplings
-        x = beta * _neg_energy(model, s.couplings) + lam * _field_values(model, h)
-        return (evaluator.value(_softmax(x)),)
+    def fill(draws):
+        if antithetic_h:
+            draws[:, 1] *= -1.0
+        return evaluator.value_grid(_gibbs_grid(model, draws, [lam]))
 
-    slots = _mc_columns(seed, n_samples, workers, fn, 1)
+    slots = _mc_slots(seed, n_samples, workers, (2, *model.coupling_shape), 1,
+                      model.n_configs, fill)
     mean, err = _column_stats(slots[:, 0])
     return QuenchedEstimate(mean, err, n_samples, int(seed), "mc")
 
@@ -653,6 +669,13 @@ def _stencil_apply(coeffs, at_lambda, f_of_lambda) -> float:
     )
 
 
+def _stencil_rows(values, nodes, coeffs, at_lambda) -> np.ndarray:
+    """:func:`_stencil_apply` per sample, for values of shape (samples,
+    len(nodes)) taken at the sorted ``nodes``."""
+    c = np.array([coeffs.get(node, 0.0) for node in nodes])
+    return (values - values[:, [nodes.index(at_lambda)]]) @ c
+
+
 def fd_derivative(
     model,
     g,
@@ -703,22 +726,14 @@ def fd_derivative(
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
 
-    beta = model.beta
+    nodes = sorted(coeffs)
 
-    def fn(rng):
-        s = _draw(model, rng)
-        neg_e = _neg_energy(model, s.couplings)
-        fv = _field_values(model, s.field_couplings)
-        cache: dict[float, float] = {}
+    def fill(draws):
+        values = evaluator.value_grid(_gibbs_grid(model, draws, nodes))
+        return _stencil_rows(values, nodes, coeffs, at_lambda)[:, None]
 
-        def f(lam):
-            if lam not in cache:
-                cache[lam] = evaluator.value(_softmax(beta * neg_e + lam * fv))
-            return cache[lam]
-
-        return (_stencil_apply(coeffs, at_lambda, f),)
-
-    slots = _mc_columns(seed, n_samples, workers, fn, 1)
+    slots = _mc_slots(seed, n_samples, workers, (2, *model.coupling_shape), 1,
+                      len(nodes) * model.n_configs, fill)
     mean, err = _column_stats(slots[:, 0])
     return QuenchedEstimate(mean, err, n_samples, int(seed), "mc")
 
@@ -758,6 +773,14 @@ class IdentityReport:
 
 
 _MC_ABS_FLOOR = 1e-12  # roundoff guard when the CRN difference is exactly constant
+
+
+def _crn_columns(lhs, rhs) -> np.ndarray:
+    """Per-sample columns lhs, rhs, lhs - rhs of each identity row (the layout
+    :func:`_mc_row` reads), from one (samples,) array or constant per side."""
+    cols = np.broadcast_arrays(*lhs, *rhs)
+    left, right = np.stack(cols[: len(lhs)], axis=1), np.stack(cols[len(lhs):], axis=1)
+    return np.stack([left, right, left - right], axis=2).reshape(len(left), -1)
 
 
 def _mc_row(label, slots, base) -> IdentityRow:
@@ -849,44 +872,29 @@ def identity_check(
         ev_g = _PolyMoments(model, poly_g, budget)
         ev_d = _PolyMoments(model, dpoly, budget)
         coeffs = _stencil_nodes(config, 2 * n, 0.0)
-        coeffs_lem = (
-            _stencil_nodes(config, 1, float(lemma_lambda)) if include_lemma else None
-        )
-        beta = model.beta
-        width = 6 if include_lemma else 3
+        lam0 = float(lemma_lambda) if include_lemma else 0.0
+        coeffs_lem = _stencil_nodes(config, 1, lam0) if include_lemma else {}
+        nodes = sorted(coeffs.keys() | coeffs_lem.keys())
+        at = [nodes.index(x) for x in ([0.0, lam0] if include_lemma else [0.0])]
 
-        def fn(rng):
-            s = _draw(model, rng)
-            neg_e = _neg_energy(model, s.couplings)
-            fv = _field_values(model, s.field_couplings)
-            wcache: dict[float, np.ndarray] = {}
-
-            def w(lam):
-                if lam not in wcache:
-                    wcache[lam] = _softmax(beta * neg_e + lam * fv)
-                return wcache[lam]
-
-            def f(lam):
-                return ev_g.value(w(lam))
-
-            lhs = _stencil_apply(coeffs, 0.0, f)
-            rhs = const * ev_d.value(w(0.0))
-            out = [lhs, rhs, lhs - rhs]
+        def fill(draws):
+            weights = _gibbs_grid(model, draws, nodes)
+            f = ev_g.value_grid(weights)
+            d = ev_d.value_grid(weights[:, at])
+            lhs = [_stencil_rows(f, nodes, coeffs, 0.0)]
+            rhs = [const * d[:, 0]]
             if include_lemma:
-                lam0 = float(lemma_lambda)
-                lhs2 = _stencil_apply(coeffs_lem, lam0, f)
-                rhs2 = lam0 * ev_d.value(w(lam0))
-                out += [lhs2, rhs2, lhs2 - rhs2]
-            return out
+                lhs.append(_stencil_rows(f, nodes, coeffs_lem, lam0))
+                rhs.append(lam0 * d[:, 1])
+            return _crn_columns(lhs, rhs)
 
-        slots = _mc_columns(seed, n_samples, workers, fn, width)
+        slots = _mc_slots(seed, n_samples, workers, (2, *model.coupling_shape),
+                          6 if include_lemma else 3, len(nodes) * model.n_configs,
+                          fill)
         rows = [_mc_row(main_label, slots, 0)]
         if include_lemma:
             rows.append(
-                _mc_row(
-                    f"d/dlam at {float(lemma_lambda)} vs lam * E_lam(Delta g)",
-                    slots, 3,
-                )
+                _mc_row(f"d/dlam at {lam0} vs lam * E_lam(Delta g)", slots, 3)
             )
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -929,26 +937,17 @@ def wick_baseline_check(
     label_b = "Av(<h1><h1 h2><h2>) vs E({1,2}{2,3})"
 
     if method == "mc":
-        beta = model.beta
-        shape = model.coupling_shape
 
-        def fn(rng):
-            couplings = rng.standard_normal(shape)
-            h1 = rng.standard_normal(shape)
-            h2 = rng.standard_normal(shape)
-            w = _softmax(beta * _neg_energy(model, couplings))
-            hv1 = _field_values(model, h1)
-            hv2 = _field_values(model, h2)
-            b1 = float(w @ hv1)
-            b12 = float(w @ (hv1 * hv2))
-            b2 = float(w @ hv2)
-            lhs_a = b1 * b1
-            rhs_a = ev2.value(w)
-            lhs_b = b1 * b12 * b2
-            rhs_b = ev3.value(w)
-            return [lhs_a, rhs_a, lhs_a - rhs_a, lhs_b, rhs_b, lhs_b - rhs_b]
+        def fill(draws):
+            w = _softmax_last(model.beta * _neg_energy(model, draws[:, 0]))
+            hv = _field_values(model, draws[:, 1:])
+            b1, b2 = np.einsum("sc,skc->ks", w, hv)
+            b12 = np.einsum("sc,sc,sc->s", w, hv[:, 0], hv[:, 1])
+            return _crn_columns([b1 * b1, b1 * b12 * b2],
+                                [ev2.value_grid(w), ev3.value_grid(w)])
 
-        slots = _mc_columns(seed, n_samples, workers, fn, 6)
+        slots = _mc_slots(seed, n_samples, workers, (3, *model.coupling_shape), 6,
+                          2 * model.n_configs, fill)
         rows = (_mc_row(label_a, slots, 0), _mc_row(label_b, slots, 3))
         samples = n_samples
     elif method == "quadrature":
@@ -1012,8 +1011,8 @@ def gaussian_ibp_check(n_samples=20000, seed=0, *, workers=1) -> IdentityReport:
     lam = 0.3
 
     def ratio(h1, h2):
-        e1 = math.exp(lam * h1)
-        e2 = math.exp(lam * h2)
+        e1 = np.exp(lam * h1)
+        e2 = np.exp(lam * h2)
         d = 0.5 * (e1 + e2)
         f = e1 / d
         g2 = e2 / d
@@ -1026,18 +1025,18 @@ def gaussian_ibp_check(n_samples=20000, seed=0, *, workers=1) -> IdentityReport:
         ("f = exp ratio, l = 1", ratio, 0),
         ("f = exp ratio, l = 2", ratio, 1),
     )
+    width = 3 * len(family)
 
-    def fn(rng):
-        h = chol @ rng.standard_normal(2)
-        out = []
+    def fill(draws):
+        h = draws @ chol.T
+        lhs, rhs = [], []
         for _, func, l in family:
-            f, d1, d2 = func(h[0], h[1])
-            lhs = h[l] * f
-            rhs = cov[l, 0] * d1 + cov[l, 1] * d2
-            out += [lhs, rhs, lhs - rhs]
-        return out
+            f, d1, d2 = func(h[:, 0], h[:, 1])
+            lhs.append(h[:, l] * f)
+            rhs.append(cov[l, 0] * d1 + cov[l, 1] * d2)
+        return _crn_columns(lhs, rhs)
 
-    slots = _mc_columns(seed, n_samples, workers, fn, 3 * len(family))
+    slots = _mc_slots(seed, n_samples, workers, (2,), width, width, fill)
     rows = tuple(
         _mc_row(label, slots, 3 * pos) for pos, (label, _, _) in enumerate(family)
     )
