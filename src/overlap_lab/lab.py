@@ -283,10 +283,11 @@ class _PolyMoments:
     Gibbs weights.
 
     Each term with support {1..R} is the contraction of R copies of the
-    weights against the fixed product of edge-overlap matrices, done as one
-    batched einsum over weights of shape (..., n_configs).  The greedy
-    contraction order is found once per weight shape and cached; it keeps
-    every intermediate at the size of the weights for the terms used here.
+    weights against the fixed product of edge-overlap matrices.  Its greedy
+    contraction order is found once, on the shapes of a single sample, with
+    intermediates of at most three replica indices (the 4-cycle needs two,
+    K4 three).  That order then runs on weights of shape (..., n_configs), in
+    slices of rows whose largest intermediates stay within ``_CHUNK_FLOATS``.
     """
 
     def __init__(self, model, poly, budget=None):
@@ -294,8 +295,7 @@ class _PolyMoments:
         nc = model.n_configs
         overlap = model.overlap
         powers: dict[int, np.ndarray] = {1: overlap}
-        self._terms = []  # (coeff, r, operand subscripts, overlap powers)
-        self._paths: dict[tuple, list] = {}  # (term index, weight shape) -> path
+        self._terms = []  # (coeff, r, contraction steps, overlap powers, rows)
         self._constant = 0.0
         for g, coeff in poly.items():
             r = len(g.support)
@@ -308,53 +308,80 @@ class _PolyMoments:
                 self._constant += float(coeff)
                 continue
             letters = [chr(ord("a") + t) for t in range(r)]
-            subs = ["..." + letter for letter in letters]
+            subs = list(letters)
             ops = []
             for i, j, m in g.edges:
                 if m not in powers:
                     powers[m] = overlap**m
                 ops.append(powers[m])
                 subs.append(letters[i - 1] + letters[j - 1])
-            self._terms.append((float(coeff), r, tuple(subs), tuple(ops)))
+            path = np.einsum_path(
+                ",".join(subs) + "->",
+                *([np.empty(nc)] * r + ops),
+                optimize=("greedy", nc**3),
+            )[0][1:]
+            steps = _plan(["..." + x for x in letters] + subs[r:], path)
+            peak = max(nc ** (len(out) - 3) for _, _, out in steps)
+            rows = max(1, _CHUNK_FLOATS // max(peak, nc))
+            self._terms.append((float(coeff), r, steps, tuple(ops), rows))
 
     def value_grid(self, weights: np.ndarray) -> np.ndarray:
         """Batched evaluation: ``weights`` has shape (..., n_configs)."""
-        total = np.full(weights.shape[:-1], self._constant)
-        for k, (coeff, r, subs, ops) in enumerate(self._terms):
-            operands = [weights] * r + list(ops)
-            key = (k, weights.shape)
-            if key not in self._paths:
-                self._paths[key] = np.einsum_path(
-                    ",".join(subs) + "->...", *operands, optimize="greedy"
-                )[0][1:]
-            total = total + coeff * _contract(list(subs), operands, self._paths[key])
-        return total
+        flat = weights.reshape(-1, weights.shape[-1])
+        total = np.full(len(flat), self._constant)
+        for coeff, r, steps, ops, rows in self._terms:
+            for lo in range(0, len(flat), rows):
+                part = flat[lo:lo + rows]
+                total[lo:lo + rows] += coeff * _contract(steps, [part] * r + list(ops))
+        return total.reshape(weights.shape[:-1])
 
 
-def _contract(subs, operands, path) -> np.ndarray:
-    """Run an einsum path step by step, batch axes ``...`` first in every
-    intermediate, and a batch of vectors times an overlap matrix as one
-    matmul.  With numpy 2.4, ``np.einsum(..., optimize=path)`` took 15 ms per
-    chunk on the EA ring of 6 (transposed matmul operands) and einsum's own
-    loop is 10-15 times slower than matmul on the vector-matrix steps.
-    """
+def _plan(subs, path):
+    """Steps (operand positions, their subscripts, result subscripts) of an
+    einsum path over ``subs``; batch axes ``...`` come first in every
+    result."""
+    subs = list(subs)
+    steps = []
     for step in path:
         taken = sorted(step, reverse=True)
         inputs = [subs.pop(k) for k in taken]
-        args = [operands.pop(k) for k in taken]
         rest = "".join(subs)
         kept = {c for s in inputs for c in s if c.isalpha() and c in rest}
-        out = "..." + "".join(sorted(kept))
-        subs.append(out)
-        vec, mat = (0, 1) if inputs[0].startswith("...") else (1, 0)
-        matvec = len(inputs) == 2 and len(out) == 4
-        if matvec and {inputs[vec][3:], out[3]} == set(inputs[mat]):
-            v = args[vec].reshape(-1, args[vec].shape[-1])
-            m = args[mat] if inputs[mat][1] == out[3] else args[mat].T
-            operands.append((v @ m).reshape(args[vec].shape))
-        else:
-            operands.append(np.einsum(",".join(inputs) + "->" + out, *args))
+        subs.append("..." + "".join(sorted(kept)))
+        steps.append((taken, inputs, subs[-1]))
+    return steps
+
+
+def _contract(steps, operands) -> np.ndarray:
+    """Run the steps of :func:`_plan`.  A batched operand times an overlap
+    matrix over one shared index is one matmul: with numpy 2.4,
+    ``np.einsum(..., optimize=path)`` took 15 ms per chunk on the EA ring of
+    6 (transposed matmul operands), and einsum's own loop is 10-15 times
+    slower than matmul on these steps.
+    """
+    for taken, inputs, out in steps:
+        args = [operands.pop(k) for k in taken]
+        operands.append(_step(inputs, out, args))
     return operands[0]
+
+
+def _step(inputs, out, args) -> np.ndarray:
+    fixed = [k for k, sub in enumerate(inputs) if not sub.startswith("...")]
+    if len(inputs) == 2 and len(fixed) == 1:
+        m, b = inputs[fixed[0]], 1 - fixed[0]
+        x = inputs[b][3:]
+        shared = set(x) & set(m)
+        if len(shared) == 1:
+            (s,) = shared
+            t = m.replace(s, "")
+            if out[3:] == "".join(sorted(x.replace(s, "") + t)):
+                nb = args[b].ndim - len(x)
+                a = np.moveaxis(args[b], nb + x.index(s), -1)
+                mat = args[1 - b] if m[0] == s else args[1 - b].T
+                y = a.reshape(-1, a.shape[-1]) @ mat
+                y = y.reshape(a.shape[:-1] + mat.shape[1:])
+                return np.moveaxis(y, -1, nb + out[3:].index(t))
+    return np.einsum(",".join(inputs) + "->" + out, *args)
 
 
 def replica_moment(model, couplings, lam, field_couplings, g, budget=None) -> float:
@@ -393,7 +420,8 @@ class QuenchedEstimate:
 
 
 #: Floats in one chunk's widest per-sample block, the (samples, lambda
-#: nodes, 2^N) Gibbs weights for the models; the chunk length follows from
+#: nodes, 2^N) Gibbs weights for the models, and in one row slice of a
+#: replica contraction's intermediates; chunk and slice lengths follow from
 #: it, so memory stays flat in the sample count.
 _CHUNK_FLOATS = 2**14
 
@@ -662,16 +690,10 @@ def _stencil_nodes(config: DeformationConfig, order: int, at_lambda: float):
     return final
 
 
-def _stencil_apply(coeffs, at_lambda, f_of_lambda) -> float:
-    center = f_of_lambda(at_lambda)
-    return math.fsum(
-        c * (f_of_lambda(node) - center) for node, c in sorted(coeffs.items())
-    )
-
-
 def _stencil_rows(values, nodes, coeffs, at_lambda) -> np.ndarray:
-    """:func:`_stencil_apply` per sample, for values of shape (samples,
-    len(nodes)) taken at the sorted ``nodes``."""
+    """The stencil ``coeffs`` applied per row of ``values``, shape (rows,
+    len(nodes)), taken at the sorted ``nodes``: sum(c * (f(node) - f(center)))
+    per row."""
     c = np.array([coeffs.get(node, 0.0) for node in nodes])
     return (values - values[:, [nodes.index(at_lambda)]]) @ c
 
@@ -703,20 +725,15 @@ def fd_derivative(
     config = config or DeformationConfig()
     poly = _leg_free_polynomial(g)
     coeffs = _stencil_nodes(config, order, at_lambda)
+    nodes = sorted(coeffs)
     evaluator = _PolyMoments(model, poly, budget)
 
     if method == "quadrature":
         _require_sk2(model)
 
         def combined(nodes_per_dim):
-            cache: dict[float, float] = {}
-
-            def f(lam):
-                if lam not in cache:
-                    cache[lam] = _sk2_poly_value(model, evaluator, lam, nodes_per_dim)
-                return cache[lam]
-
-            return _stencil_apply(coeffs, at_lambda, f)
+            values = [_sk2_poly_value(model, evaluator, x, nodes_per_dim) for x in nodes]
+            return float(_stencil_rows(np.array([values]), nodes, coeffs, at_lambda)[0])
 
         value = combined(n_nodes)
         check = combined(2 * n_nodes)
@@ -725,8 +742,6 @@ def fd_derivative(
         )
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
-
-    nodes = sorted(coeffs)
 
     def fill(draws):
         values = evaluator.value_grid(_gibbs_grid(model, draws, nodes))
@@ -841,40 +856,28 @@ def identity_check(
     include_lemma = n == 1 and lemma_lambda is not None
     main_label = f"d^{2 * n}/dlam^{2 * n} at 0 vs {double_factorial(2 * n - 1)} * E(Delta^{n} g)"
 
+    lam0 = float(lemma_lambda) if include_lemma else 0.0
+    lemma_label = f"d/dlam at {lam0} vs lam * E_lam(Delta g)"
+    coeffs = _stencil_nodes(config, 2 * n, 0.0)
+    coeffs_lem = _stencil_nodes(config, 1, lam0) if include_lemma else {}
+    nodes = sorted(coeffs.keys() | coeffs_lem.keys())
+    ev_g = _PolyMoments(model, poly_g, budget)
+    ev_d = _PolyMoments(model, dpoly, budget)
+
     if method == "quadrature":
         _require_sk2(model)
-        ev_g = _PolyMoments(model, poly_g, budget)
-        ev_d = _PolyMoments(model, dpoly, budget)
-        coeffs = _stencil_nodes(config, 2 * n, 0.0)
-        lhs = _stencil_apply(
-            coeffs, 0.0, lambda lam: _sk2_poly_value(model, ev_g, lam, n_nodes)
-        )
-        rhs = const * _sk2_poly_value(model, ev_d, 0.0, n_nodes)
-        rows = [
-            IdentityRow(main_label, lhs, 0.0, rhs, 0.0, lhs - rhs, 0.0, tol,
-                        abs(lhs - rhs) <= tol)
-        ]
+        f = np.array([[_sk2_poly_value(model, ev_g, x, n_nodes) for x in nodes]])
+        sides = [(main_label, _stencil_rows(f, nodes, coeffs, 0.0)[0],
+                  const * _sk2_poly_value(model, ev_d, 0.0, n_nodes))]
         if include_lemma:
-            lam0 = float(lemma_lambda)
-            coeffs1 = _stencil_nodes(config, 1, lam0)
-            lhs2 = _stencil_apply(
-                coeffs1, lam0, lambda lam: _sk2_poly_value(model, ev_g, lam, n_nodes)
-            )
-            rhs2 = lam0 * _sk2_poly_value(model, ev_d, lam0, n_nodes)
-            rows.append(
-                IdentityRow(
-                    f"d/dlam at {lam0} vs lam * E_lam(Delta g)",
-                    lhs2, 0.0, rhs2, 0.0, lhs2 - rhs2, 0.0, tol,
-                    abs(lhs2 - rhs2) <= tol,
-                )
-            )
+            sides.append((lemma_label, _stencil_rows(f, nodes, coeffs_lem, lam0)[0],
+                          lam0 * _sk2_poly_value(model, ev_d, lam0, n_nodes)))
+        rows = [
+            IdentityRow(label, float(lhs), 0.0, rhs, 0.0, float(lhs - rhs), 0.0, tol,
+                        bool(abs(lhs - rhs) <= tol))
+            for label, lhs, rhs in sides
+        ]
     elif method == "mc":
-        ev_g = _PolyMoments(model, poly_g, budget)
-        ev_d = _PolyMoments(model, dpoly, budget)
-        coeffs = _stencil_nodes(config, 2 * n, 0.0)
-        lam0 = float(lemma_lambda) if include_lemma else 0.0
-        coeffs_lem = _stencil_nodes(config, 1, lam0) if include_lemma else {}
-        nodes = sorted(coeffs.keys() | coeffs_lem.keys())
         at = [nodes.index(x) for x in ([0.0, lam0] if include_lemma else [0.0])]
 
         def fill(draws):
@@ -893,9 +896,7 @@ def identity_check(
                           fill)
         rows = [_mc_row(main_label, slots, 0)]
         if include_lemma:
-            rows.append(
-                _mc_row(f"d/dlam at {lam0} vs lam * E_lam(Delta g)", slots, 3)
-            )
+            rows.append(_mc_row(lemma_label, slots, 3))
     else:
         raise ValueError(f"unknown method {method!r}")
 

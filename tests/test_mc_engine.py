@@ -11,6 +11,7 @@ import pytest
 
 from overlap_lab import (
     DeformationConfig,
+    GraphPolynomial,
     deformed_expectation,
     ea_model,
     gaussian_ibp_check,
@@ -20,7 +21,7 @@ from overlap_lab import (
     sk_model,
     wick_baseline_check,
 )
-from overlap_lab.lab import _CHUNK_FLOATS, _stencil_nodes
+from overlap_lab.lab import _CHUNK_FLOATS, _PolyMoments, _stencil_nodes
 
 C12 = parse_monomial("{1,2}")
 MODELS = [
@@ -201,3 +202,55 @@ def test_crn_stderr_is_calibrated():
         z.append(row.diff / row.diff_stderr)
     assert abs(statistics.fmean(z)) < 0.22
     assert 0.7 < statistics.variance(z) < 1.3
+
+
+# Terms that need two free replica indices in an intermediate: the 4-cycle
+# (pairwise through overlap-matrix-sized intermediates) and K4 (three-index
+# intermediates).
+CYCLIC = [
+    pytest.param("{1,3}{1,4}{2,3}{2,4}", 2, id="cycle4"),
+    pytest.param("{1,2}{1,3}{1,4}{2,3}{2,4}{3,4}", 3, id="K4"),
+]
+
+
+def replica_term(model, g, w):
+    q = model.overlap
+    ops = [w] * 4 + [q] * len(g.edges)
+    subs = ["a", "b", "c", "d"] + ["abcd"[i - 1] + "abcd"[j - 1] for i, j, _ in g.edges]
+    return np.einsum(",".join(subs) + "->", *ops, optimize=True)
+
+
+@pytest.mark.parametrize("text,order", CYCLIC)
+def test_cyclic_terms_match_scalar_reference(text, order):
+    model = sk_model(5, 0.5)
+    g = parse_monomial(text)
+    est = deformed_expectation(model, g, 0.3, 60, 13)
+    ref = []
+    for i in range(60):
+        j, h = draws(model, 13, i, 2)
+        ref.append(replica_term(model, g, gibbs_weights(model, j, 0.3, h)))
+    assert (est.mean, est.stderr) == pytest.approx(stats(ref), rel=REL)
+
+
+@pytest.mark.parametrize("text,order", CYCLIC)
+def test_cyclic_terms_contract_pairwise(text, order):
+    model = ea_model((6,), 0.5)
+    ev = _PolyMoments(model, GraphPolynomial.monomial(parse_monomial(text)))
+    ((_, _, steps, _, rows),) = ev._terms
+    assert all(len(inputs) <= 2 for _, inputs, _ in steps)
+    assert max(len(out) - 3 for _, _, out in steps) == order
+    assert rows == max(1, _CHUNK_FLOATS // model.n_configs**order)
+
+
+def test_cyclic_term_memory_is_sliced():
+    # One 200-sample chunk at full width would hold 200 x 64^2 floats (6.5 MB)
+    # per intermediate; row slices keep each within _CHUNK_FLOATS.
+    model = ea_model((6,), 0.5)
+    g = parse_monomial("{1,3}{1,4}{2,3}{2,4}")
+    tracemalloc.start()
+    try:
+        deformed_expectation(model, g, 0.3, 200, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
