@@ -57,7 +57,6 @@ from .exprio import (
 )
 from .lab import (
     DeformationConfig,
-    DisorderSample,
     IdentityReport,
     IdentityRow,
     ModelInstance,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -39,19 +38,19 @@ _DEFAULTS = {
     "counts": {"n": 1, "json": False, "out": None},
     "estimate": {
         "model": "sk", "N": 3, "lattice": "4", "beta": 0.5,
-        "lam": 0.0, "samples": 20000, "seed": 0, "workers": None,
+        "lam": 0.0, "samples": 20000, "seed": 0,
         "method": "mc", "nodes": 64, "json": False, "out": None,
         "lambda_grid": None, "curve_out": None,
     },
     "identity": {
         "model": "sk", "N": 3, "lattice": "4", "beta": 0.5,
-        "n": 1, "samples": 20000, "seed": 0, "workers": None,
+        "n": 1, "samples": 20000, "seed": 0,
         "method": "mc", "nodes": 64, "tol": 1e-6, "lemma_lambda": 0.2,
         "lambda_grid": None, "json": False, "out": None,
     },
     "baseline": {
         "model": "sk", "N": 3, "lattice": "4", "beta": 0.5,
-        "samples": 20000, "seed": 0, "workers": None,
+        "samples": 20000, "seed": 0,
         "method": "mc", "nodes": 64, "json": False, "out": None,
     },
 }
@@ -77,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float)
         p.add_argument("--samples", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int,
-                       help="thread count (default: OVERLAP_THREADS or 1)")
         p.add_argument("--method", choices=["mc", "quadrature"])
         p.add_argument("--nodes", type=int, help="quadrature nodes per dimension")
 
@@ -134,13 +131,13 @@ def _merge_options(args: argparse.Namespace) -> dict:
             raise ValueError("config file must hold a JSON object")
         for key, val in cfg.items():
             key = key.replace("-", "_")
+            if key not in ns or key in ("command", "config"):
+                raise ValueError(f"unknown config key {key!r} for {ns['command']}")
             if merged.get(key) is None:
                 merged[key] = val
     for key, val in _DEFAULTS[ns["command"]].items():
         if merged.get(key) is None:
             merged[key] = val
-    if merged.get("workers") is None:
-        merged["workers"] = int(os.environ.get("OVERLAP_THREADS", "1"))
     return merged
 
 
@@ -274,14 +271,14 @@ def _estimate_text(est: lab.QuenchedEstimate) -> str:
 def cmd_estimate(opts: dict) -> int:
     model = _build_model(opts)
     poly = exprio.parse_polynomial(opts["graph"])
+
+    def estimate(lam):
+        if opts["method"] == "quadrature":
+            return lab.quadrature_expectation(model, poly, lam, opts["nodes"])
+        return lab.deformed_expectation(model, poly, lam, opts["samples"], opts["seed"])
+
     t0 = time.perf_counter()
-    if opts["method"] == "quadrature":
-        est = lab.quadrature_expectation(model, poly, opts["lam"], opts["nodes"])
-    else:
-        est = lab.deformed_expectation(
-            model, poly, opts["lam"], opts["samples"], opts["seed"],
-            workers=opts["workers"],
-        )
+    est = estimate(opts["lam"])
     wall = time.perf_counter() - t0
     doc = exprio.as_jsonable(est)
     doc["payload"]["model"] = exprio._model_dict(model)
@@ -294,13 +291,7 @@ def cmd_estimate(opts: dict) -> int:
         with open(opts["curve_out"], "w", encoding="utf-8") as fh:
             fh.write("lambda,mean,stderr\n")
             for lam in grid:
-                if opts["method"] == "quadrature":
-                    row = lab.quadrature_expectation(model, poly, lam, opts["nodes"])
-                else:
-                    row = lab.deformed_expectation(
-                        model, poly, lam, opts["samples"], opts["seed"],
-                        workers=opts["workers"],
-                    )
+                row = estimate(lam)
                 fh.write(f"{lam!r},{row.mean!r},{row.stderr!r}\n")
         lines.append(f"curve written to {opts['curve_out']}")
     _emit(opts, lines, doc)
@@ -328,7 +319,7 @@ def cmd_identity(opts: dict) -> int:
     config = lab.DeformationConfig(lambda_grid=_parse_lambda_grid(opts["lambda_grid"]))
     report = lab.identity_check(
         model, graph, opts["n"], opts["samples"], opts["seed"],
-        config=config, workers=opts["workers"], method=opts["method"],
+        config=config, method=opts["method"],
         tol=opts["tol"], lemma_lambda=opts["lemma_lambda"], n_nodes=opts["nodes"],
     )
     _emit(opts, _identity_lines(report), exprio.as_jsonable(report))
@@ -339,7 +330,7 @@ def cmd_baseline(opts: dict) -> int:
     model = _build_model(opts)
     report = lab.wick_baseline_check(
         model, opts["samples"], opts["seed"],
-        workers=opts["workers"], method=opts["method"], n_nodes=opts["nodes"],
+        method=opts["method"], n_nodes=opts["nodes"],
     )
     _emit(opts, _identity_lines(report), exprio.as_jsonable(report))
     return EXIT_OK if report.passed else EXIT_VIOLATION

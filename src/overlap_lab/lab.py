@@ -7,13 +7,15 @@ Conventions that the reproducibility contract depends on:
 * Disorder sample ``i`` of a run with seed ``s`` uses the independent stream
   ``numpy.random.default_rng((s, i))`` and always draws the Hamiltonian
   couplings first, then the deformation-field couplings.
-* Samples are evaluated in chunks whose length follows from the model and
-  the number of deformation nodes (never from the worker count); per-sample
-  results land in preallocated slots and are reduced with exact summation in
-  index order, so estimates are bit-identical for any worker count.  Batched
-  arithmetic rounds differently from a one-sample-at-a-time evaluation, in
-  the last bits (about 1e-14 relative, magnified by finite-difference
-  stencils).
+* Every disorder average runs through one chunked evaluator.  A rule, Monte
+  Carlo draws or the Gauss-Hermite grid of the two-spin SK oracle, yields its
+  nodes in chunks whose length follows from the model and the number of
+  deformation nodes.  Per-node results land in preallocated slots; Monte
+  Carlo reduces them with exact summation in index order, quadrature with
+  one dot product against the node weights, so estimates are bit-identical
+  across reruns at a fixed chunk size.  Batched arithmetic rounds
+  differently from a one-sample-at-a-time evaluation, in the last bits
+  (about 1e-14 relative, magnified by finite-difference stencils).
 * Whenever an identity compares two estimates, both sides are computed from
   the same draws within each sample (common random numbers).
 """
@@ -22,21 +24,20 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
 
 from .graphs import GraphPolynomial, Multigraph, canonicalize
-from .operators import BudgetError, big_delta, double_factorial
+from .operators import BudgetError, _as_poly, big_delta, double_factorial
 
 __all__ = [
     "DEFAULT_REPLICA_BUDGET",
     "MAX_ENUMERATED_SITES",
+    "MAX_QUADRATURE_NODES",
     "ModelInstance",
-    "DisorderSample",
     "QuenchedEstimate",
     "DeformationConfig",
     "IdentityRow",
@@ -181,15 +182,6 @@ def _check_beta(beta: float):
         raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
 
 
-@dataclass(eq=False)
-class DisorderSample:
-    """One draw of the Hamiltonian couplings plus an independent set for the
-    deformation field (both standard normal, same shape)."""
-
-    couplings: np.ndarray
-    field_couplings: np.ndarray
-
-
 def _neg_energy(model: ModelInstance, couplings: np.ndarray) -> np.ndarray:
     """-H per configuration; leading axes of ``couplings`` are batch axes."""
     if model.kind == "sk":
@@ -262,16 +254,8 @@ def link_overlap_ea(sigma, sigma_prime, bonds) -> float:
 # Replica moments: contract a leg-free polynomial against per-replica Gibbs
 # weights by exact summation over the product configuration space.
 
-def _as_polynomial(p) -> GraphPolynomial:
-    if isinstance(p, GraphPolynomial):
-        return p
-    if isinstance(p, Multigraph):
-        return GraphPolynomial.monomial(p)
-    raise TypeError(f"expected GraphPolynomial or Multigraph, got {type(p).__name__}")
-
-
 def _leg_free_polynomial(p) -> GraphPolynomial:
-    poly = _as_polynomial(p)
+    poly = _as_poly(p)
     for g, _ in poly.items():
         if not g.is_leg_free():
             raise ValueError(f"expectations are defined for leg-free input, got {g!r}")
@@ -400,7 +384,10 @@ def replica_moment(model, couplings, lam, field_couplings, g, budget=None) -> fl
 
 
 # --------------------------------------------------------------------------
-# Monte Carlo over disorder.
+# Disorder averages.  A rule yields weighted disorder nodes, in chunks of
+# draws laid out as (nodes, slots, *coupling_shape): slot 0 holds the
+# Hamiltonian couplings, the next slots the field couplings.  One evaluator
+# runs every estimator over any rule.
 
 @dataclass(frozen=True)
 class QuenchedEstimate:
@@ -419,61 +406,171 @@ class QuenchedEstimate:
     truncation: float | None = None
 
 
-#: Floats in one chunk's widest per-sample block, the (samples, lambda
-#: nodes, 2^N) Gibbs weights for the models, and in one row slice of a
-#: replica contraction's intermediates; chunk and slice lengths follow from
-#: it, so memory stays flat in the sample count.
+#: Floats in one chunk's widest per-node block, the (nodes, lambda nodes,
+#: 2^N) Gibbs weights for the models, and in one row slice of a replica
+#: contraction's intermediates; chunk and slice lengths follow from it, so
+#: memory stays flat in the node count.
 _CHUNK_FLOATS = 2**14
 
+#: Most Gauss-Hermite nodes on one axis of a quadrature grid, the doubled
+#: grid of a truncation estimate included.  Above about 360 nodes numpy's
+#: ``hermgauss`` returns NaN weights (its smallest ones underflow).
+MAX_QUADRATURE_NODES = 256
 
-def _mc_slots(seed, n_samples, workers, draw_shape, width, per_sample, fill):
-    """Per-sample result columns, shape (n_samples, width).
+_MC_ABS_FLOOR = 1e-12  # roundoff guard when the CRN difference is exactly constant
 
-    Samples run in chunks of ``_CHUNK_FLOATS // per_sample``.  For each chunk
-    the draws of sample i fill row i of a (samples, *draw_shape) array from
-    ``default_rng((seed, i))``, in C order, and ``fill(draws)`` returns that
-    chunk's (samples, width) rows.  Workers take whole chunks.
-    """
-    if n_samples < 1:
-        raise ValueError("need at least one disorder sample")
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    slots = np.empty((n_samples, width), dtype=np.float64)
-    chunk = max(1, _CHUNK_FLOATS // per_sample)
 
-    def run(lo):
-        hi = min(lo + chunk, n_samples)
-        draws = np.empty((hi - lo, *draw_shape))
+class _MonteCarlo:
+    """Node i is disorder sample i, drawn from ``default_rng((seed, i))`` in
+    C order; equal weights, standard error from the spread over nodes."""
+
+    method = "mc"
+
+    def __init__(self, n_samples, seed):
+        if n_samples < 1:
+            raise ValueError("need at least one disorder sample")
+        self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        self.size = self.samples = n_samples
+
+    def draws(self, lo, hi, shape) -> np.ndarray:
+        out = np.empty((hi - lo, *shape))
         for i in range(lo, hi):
-            np.random.default_rng((seed, i)).standard_normal(out=draws[i - lo])
-        slots[lo:hi] = fill(draws)
+            np.random.default_rng((self.seed, i)).standard_normal(out=out[i - lo])
+        return out
 
-    starts = range(0, n_samples, chunk)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
+    def stats(self, col) -> tuple[float, float]:
+        m = len(col)
+        mean = math.fsum(col) / m
+        if m == 1:
+            return mean, 0.0
+        var = math.fsum((col - mean) ** 2) / (m - 1)
+        return mean, math.sqrt(var / m)
+
+    def tolerance(self, diff_err, tol) -> float:
+        return max(3.0 * diff_err, _MC_ABS_FLOOR)
+
+    def refined(self):
+        return None
+
+
+# With two SK spins, -H = J11 + J22 + u s and the field is (K + v s) / 2, where
+# s = sigma1 sigma2, u = J12 + J21, v = J'12 + J'21 and K = J'11 + J'22 are
+# all N(0, 2).  The grid puts u on J[0, 1], v on J'[0, 1] and, where it does
+# not cancel from the integrand, K on J'[0, 0]; other couplings are zero.
+
+def _deformation_axes(n):
+    """K shifts every configuration's field alike, so it cancels from each
+    deformed Gibbs measure."""
+    return {(0, 0, 1): n, (1, 0, 1): n}
+
+
+#: Nodes per field axis of the baselines: their integrands are quadratic in
+#: each of K and v, which two Gauss-Hermite nodes integrate exactly.
+_BASELINE_FIELD_NODES = 2
+
+
+def _baseline_axes(n):
+    k = _BASELINE_FIELD_NODES
+    return {(0, 0, 1): n, (1, 0, 0): k, (1, 0, 1): k, (2, 0, 0): k, (2, 0, 1): k}
+
+
+class _GaussHermite:
+    """Tensor Gauss-Hermite grid over the axes ``axes(n_nodes)``, a map from
+    coupling positions (slot, i, j) in a draw to node counts."""
+
+    method = "quadrature"
+
+    def __init__(self, axes, n_nodes, seed):
+        if n_nodes < 1:
+            raise ValueError(f"quadrature needs at least 1 node per axis, got {n_nodes}")
+        counts = axes(n_nodes)
+        self._shape = tuple(counts.values())
+        if max(self._shape) > MAX_QUADRATURE_NODES:
+            raise BudgetError(
+                f"a {'x'.join(map(str, self._shape))} quadrature grid exceeds "
+                f"the bound of {MAX_QUADRATURE_NODES} nodes per axis"
+            )
+        self.size = math.prod(self._shape)
+        self._axes, self.samples, self.seed = axes, n_nodes, int(seed)
+        self._positions = list(counts)
+        rules = {n: np.polynomial.hermite.hermgauss(n) for n in set(self._shape)}
+        self._values = [2.0 * rules[n][0] for n in self._shape]  # std sqrt(2)
+        axis_weights = [rules[n][1] / math.sqrt(math.pi) for n in self._shape]
+        self.weights = reduce(np.multiply.outer, axis_weights).ravel()
+
+    def draws(self, lo, hi, shape) -> np.ndarray:
+        out = np.zeros((hi - lo, *shape))
+        idx = np.unravel_index(np.arange(lo, hi), self._shape)
+        for pos, x, k in zip(self._positions, self._values, idx):
+            out[(slice(None), *pos)] = x[k]
+        return out
+
+    def stats(self, col) -> tuple[float, float]:
+        return float(self.weights @ col), 0.0
+
+    def tolerance(self, diff_err, tol) -> float:
+        return tol
+
+    def refined(self):
+        return _GaussHermite(self._axes, 2 * self.samples, self.seed)
+
+
+def _rule(method, model, n_samples, seed, n_nodes, axes=_deformation_axes):
+    if method == "mc":
+        return _MonteCarlo(n_samples, seed)
+    if method == "quadrature":
+        if model.kind != "sk" or model.n_sites != 2:
+            raise ValueError("the quadrature oracle requires an SK instance with N=2")
+        return _GaussHermite(axes, n_nodes, seed)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _evaluate(rule, draw_shape, width, per_node, fill) -> np.ndarray:
+    """Per-node result columns, shape (rule.size, width).
+
+    Nodes run in chunks of ``_CHUNK_FLOATS // per_node``; ``fill(draws)``
+    turns a chunk's (nodes, *draw_shape) draws into its (nodes, width) rows.
+    """
+    slots = np.empty((rule.size, width), dtype=np.float64)
+    chunk = max(1, _CHUNK_FLOATS // per_node)
+    for lo in range(0, rule.size, chunk):
+        hi = min(lo + chunk, rule.size)
+        slots[lo:hi] = fill(rule.draws(lo, hi, draw_shape))
     return slots
 
 
+def _estimate(model, rule, per_node, fill) -> QuenchedEstimate:
+    """The rule's average of the one column ``fill`` computes, with the
+    change under the doubled grid as truncation where the rule has one."""
+    check = rule.refined()  # built, or refused, before any work
+
+    def mean_err(r):
+        return r.stats(_evaluate(r, (2, *model.coupling_shape), 1, per_node, fill)[:, 0])
+
+    mean, err = mean_err(rule)
+    truncation = None if check is None else abs(mean - mean_err(check)[0])
+    return QuenchedEstimate(mean, err, rule.samples, rule.seed, rule.method, truncation)
+
+
 def _gibbs_grid(model, draws, lams) -> np.ndarray:
-    """(samples, len(lams), 2^N) Gibbs weights for draws of shape (samples,
-    2, *coupling_shape): Hamiltonian couplings, then field couplings."""
+    """(nodes, len(lams), 2^N) Gibbs weights for draws of shape (nodes, 2,
+    *coupling_shape): Hamiltonian couplings, then field couplings."""
     x = model.beta * _neg_energy(model, draws[:, 0])
     h = _field_values(model, draws[:, 1])
     return _softmax_last(x[:, None, :] + np.asarray(lams)[:, None] * h[:, None, :])
 
 
-def _column_stats(col: np.ndarray) -> tuple[float, float]:
-    m = len(col)
-    mean = math.fsum(col) / m
-    if m == 1:
-        return mean, 0.0
-    var = math.fsum((col - mean) ** 2) / (m - 1)
-    return mean, math.sqrt(var / m)
+def _deformed(model, p, lam, rule, antithetic_h, budget) -> QuenchedEstimate:
+    evaluator = _PolyMoments(model, _leg_free_polynomial(p), budget)
+
+    def fill(draws):
+        if antithetic_h:
+            draws[:, 1] *= -1.0
+        return evaluator.value_grid(_gibbs_grid(model, draws, [lam]))
+
+    return _estimate(model, rule, model.n_configs, fill)
 
 
 def deformed_expectation(
@@ -483,7 +580,6 @@ def deformed_expectation(
     n_samples,
     seed,
     *,
-    workers=1,
     antithetic_h=False,
     budget=None,
 ) -> QuenchedEstimate:
@@ -494,31 +590,22 @@ def deformed_expectation(
     bit-exactly, the estimator-level statement that expectations are even in
     the deformation strength.
     """
-    evaluator = _PolyMoments(model, _leg_free_polynomial(p), budget)
-
-    def fill(draws):
-        if antithetic_h:
-            draws[:, 1] *= -1.0
-        return evaluator.value_grid(_gibbs_grid(model, draws, [lam]))
-
-    slots = _mc_slots(seed, n_samples, workers, (2, *model.coupling_shape), 1,
-                      model.n_configs, fill)
-    mean, err = _column_stats(slots[:, 0])
-    return QuenchedEstimate(mean, err, n_samples, int(seed), "mc")
+    rule = _rule("mc", model, n_samples, seed, None)
+    return _deformed(model, p, lam, rule, antithetic_h, budget)
 
 
 def quenched_expectation(
-    model, p, n_samples, seed, *, workers=1, budget=None
+    model, p, n_samples, seed, *, budget=None
 ) -> QuenchedEstimate:
     """Undeformed quenched expectation; the lam=0 special case of
     :func:`deformed_expectation` (same code path, same random streams)."""
     return deformed_expectation(
-        model, p, 0.0, n_samples, seed, workers=workers, budget=budget
+        model, p, 0.0, n_samples, seed, budget=budget
     )
 
 
 def stability_deviation(
-    model, g, n_samples, seed, *, workers=1, budget=None
+    model, g, n_samples, seed, *, budget=None
 ) -> QuenchedEstimate:
     """Quenched average of the stability polynomial of ``g``.
 
@@ -527,70 +614,21 @@ def stability_deviation(
     to be zero.
     """
     return quenched_expectation(
-        model, big_delta(_as_polynomial(g)), n_samples, seed,
-        workers=workers, budget=budget,
+        model, big_delta(_as_poly(g)), n_samples, seed, budget=budget,
     )
-
-
-# --------------------------------------------------------------------------
-# Gauss-Hermite oracle for SK with two spins.
-#
-# With two spins every Gibbs ratio depends on the couplings only through
-# u = J12 + J21 (the diagonal terms are constant across configurations and
-# cancel), and the deformation ratio likewise only through v = J'12 + J'21.
-# Both are N(0, 2), leaving low-dimensional Gaussian integrals.
-
-def _require_sk2(model):
-    if model.kind != "sk" or model.n_sites != 2:
-        raise ValueError("the quadrature oracle requires an SK instance with N=2")
-
-
-def _gauss_hermite(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.hermite.hermgauss(n_nodes)
-    return x, w / math.sqrt(math.pi)
-
-
-def _sk2_weight_grid(model, lam, n_nodes):
-    """Weight vectors over the (u[, v]) quadrature grid plus grid weights."""
-    x, wq = _gauss_hermite(n_nodes)
-    u = 2.0 * x  # standard deviation sqrt(2) under Gauss-Hermite scaling
-    s = model.spins[:, 0] * model.spins[:, 1]
-    if lam == 0.0:
-        logits = (model.beta * u)[:, None] * s
-        return _softmax_last(logits), wq
-    v = 2.0 * x
-    t = model.beta * u[:, None] + (0.5 * lam) * v[None, :]
-    logits = t[..., None] * s
-    return _softmax_last(logits), np.multiply.outer(wq, wq)
-
-
-def _sk2_poly_value(model, evaluator, lam, n_nodes) -> float:
-    weights, wq = _sk2_weight_grid(model, lam, n_nodes)
-    return float(np.sum(wq * evaluator.value_grid(weights)))
 
 
 def quadrature_expectation(
     model, p, lam=0.0, n_nodes=64, budget=None
 ) -> QuenchedEstimate:
-    """Deterministic disorder average for SK with N=2 on a Gauss-Hermite grid.
+    """Deterministic disorder average for SK with N=2 on a Gauss-Hermite grid,
+    through the same evaluator as the Monte Carlo estimators.
 
     The reported truncation bound is the change under doubling the node
     count; stderr is zero by construction.
     """
-    _require_sk2(model)
-    poly = _leg_free_polynomial(p)
-    evaluator = _PolyMoments(model, poly, budget)
-    value = _sk2_poly_value(model, evaluator, lam, n_nodes)
-    check = _sk2_poly_value(model, evaluator, lam, 2 * n_nodes)
-    return QuenchedEstimate(
-        mean=value,
-        stderr=0.0,
-        samples=n_nodes,
-        seed=0,
-        method="quadrature",
-        truncation=abs(value - check),
-    )
-
+    rule = _rule("quadrature", model, None, 0, n_nodes)
+    return _deformed(model, p, lam, rule, False, budget)
 
 # --------------------------------------------------------------------------
 # Finite differences in the deformation strength.
@@ -707,7 +745,6 @@ def fd_derivative(
     seed=0,
     *,
     at_lambda=0.0,
-    workers=1,
     method="mc",
     n_nodes=64,
     budget=None,
@@ -716,41 +753,24 @@ def fd_derivative(
     respect to the deformation strength, evaluated at ``at_lambda``.
 
     Even orders 2 and 4 serve the identity checks; odd orders exist to
-    demonstrate that odd derivatives vanish.  Under MC the same disorder
-    draw is used at every grid node (common random numbers), and the stencil
-    is applied per sample so the standard error propagates through it.
+    demonstrate that odd derivatives vanish.  The same disorder node is used
+    at every grid node (common random numbers), and the stencil is applied
+    per node so the Monte Carlo standard error propagates through it.
     """
     if order not in _STENCILS:
         raise ValueError(f"derivative order must be one of {sorted(_STENCILS)}")
+    rule = _rule(method, model, n_samples, seed, n_nodes)
     config = config or DeformationConfig()
     poly = _leg_free_polynomial(g)
     coeffs = _stencil_nodes(config, order, at_lambda)
     nodes = sorted(coeffs)
     evaluator = _PolyMoments(model, poly, budget)
 
-    if method == "quadrature":
-        _require_sk2(model)
-
-        def combined(nodes_per_dim):
-            values = [_sk2_poly_value(model, evaluator, x, nodes_per_dim) for x in nodes]
-            return float(_stencil_rows(np.array([values]), nodes, coeffs, at_lambda)[0])
-
-        value = combined(n_nodes)
-        check = combined(2 * n_nodes)
-        return QuenchedEstimate(
-            value, 0.0, n_nodes, int(seed), "quadrature", truncation=abs(value - check)
-        )
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-
     def fill(draws):
         values = evaluator.value_grid(_gibbs_grid(model, draws, nodes))
         return _stencil_rows(values, nodes, coeffs, at_lambda)[:, None]
 
-    slots = _mc_slots(seed, n_samples, workers, (2, *model.coupling_shape), 1,
-                      len(nodes) * model.n_configs, fill)
-    mean, err = _column_stats(slots[:, 0])
-    return QuenchedEstimate(mean, err, n_samples, int(seed), "mc")
+    return _estimate(model, rule, len(nodes) * model.n_configs, fill)
 
 
 # --------------------------------------------------------------------------
@@ -787,22 +807,19 @@ class IdentityReport:
     wall_time_s: float
 
 
-_MC_ABS_FLOOR = 1e-12  # roundoff guard when the CRN difference is exactly constant
-
-
 def _crn_columns(lhs, rhs) -> np.ndarray:
-    """Per-sample columns lhs, rhs, lhs - rhs of each identity row (the layout
-    :func:`_mc_row` reads), from one (samples,) array or constant per side."""
+    """Per-node columns lhs, rhs, lhs - rhs of each identity row (the layout
+    :func:`_row` reads), from one (nodes,) array or constant per side."""
     cols = np.broadcast_arrays(*lhs, *rhs)
     left, right = np.stack(cols[: len(lhs)], axis=1), np.stack(cols[len(lhs):], axis=1)
     return np.stack([left, right, left - right], axis=2).reshape(len(left), -1)
 
 
-def _mc_row(label, slots, base) -> IdentityRow:
-    lhs, lhs_err = _column_stats(slots[:, base])
-    rhs, rhs_err = _column_stats(slots[:, base + 1])
-    diff, diff_err = _column_stats(slots[:, base + 2])
-    tol = max(3.0 * diff_err, _MC_ABS_FLOOR)
+def _row(label, rule, slots, base, tol=None) -> IdentityRow:
+    lhs, lhs_err = rule.stats(slots[:, base])
+    rhs, rhs_err = rule.stats(slots[:, base + 1])
+    diff, diff_err = rule.stats(slots[:, base + 2])
+    tol = rule.tolerance(diff_err, tol)
     return IdentityRow(
         label=label,
         lhs=lhs,
@@ -816,6 +833,23 @@ def _mc_row(label, slots, base) -> IdentityRow:
     )
 
 
+def _report(label, rule, rows, t0, model=None, graph=None, n=None, lambda_grid=()):
+    """An identity report with the rule's provenance, timed from ``t0``."""
+    return IdentityReport(
+        label=label,
+        model=model,
+        graph=graph,
+        n=n,
+        method=rule.method,
+        samples=rule.samples,
+        seed=rule.seed,
+        lambda_grid=lambda_grid,
+        rows=tuple(rows),
+        passed=all(r.passed for r in rows),
+        wall_time_s=time.perf_counter() - t0,
+    )
+
+
 def identity_check(
     model,
     g,
@@ -824,7 +858,6 @@ def identity_check(
     seed=0,
     *,
     config=None,
-    workers=1,
     method="mc",
     tol=1e-6,
     lemma_lambda=0.2,
@@ -846,6 +879,7 @@ def identity_check(
     t0 = time.perf_counter()
     if n < 1:
         raise ValueError("n must be >= 1")
+    rule = _rule(method, model, n_samples, seed, n_nodes)
     config = config or DeformationConfig()
     gc = canonicalize(g)
     poly_g = _leg_free_polynomial(gc)
@@ -863,56 +897,27 @@ def identity_check(
     nodes = sorted(coeffs.keys() | coeffs_lem.keys())
     ev_g = _PolyMoments(model, poly_g, budget)
     ev_d = _PolyMoments(model, dpoly, budget)
+    at = [nodes.index(x) for x in ([0.0, lam0] if include_lemma else [0.0])]
 
-    if method == "quadrature":
-        _require_sk2(model)
-        f = np.array([[_sk2_poly_value(model, ev_g, x, n_nodes) for x in nodes]])
-        sides = [(main_label, _stencil_rows(f, nodes, coeffs, 0.0)[0],
-                  const * _sk2_poly_value(model, ev_d, 0.0, n_nodes))]
+    def fill(draws):
+        weights = _gibbs_grid(model, draws, nodes)
+        f = ev_g.value_grid(weights)
+        d = ev_d.value_grid(weights[:, at])
+        lhs = [_stencil_rows(f, nodes, coeffs, 0.0)]
+        rhs = [const * d[:, 0]]
         if include_lemma:
-            sides.append((lemma_label, _stencil_rows(f, nodes, coeffs_lem, lam0)[0],
-                          lam0 * _sk2_poly_value(model, ev_d, lam0, n_nodes)))
-        rows = [
-            IdentityRow(label, float(lhs), 0.0, rhs, 0.0, float(lhs - rhs), 0.0, tol,
-                        bool(abs(lhs - rhs) <= tol))
-            for label, lhs, rhs in sides
-        ]
-    elif method == "mc":
-        at = [nodes.index(x) for x in ([0.0, lam0] if include_lemma else [0.0])]
+            lhs.append(_stencil_rows(f, nodes, coeffs_lem, lam0))
+            rhs.append(lam0 * d[:, 1])
+        return _crn_columns(lhs, rhs)
 
-        def fill(draws):
-            weights = _gibbs_grid(model, draws, nodes)
-            f = ev_g.value_grid(weights)
-            d = ev_d.value_grid(weights[:, at])
-            lhs = [_stencil_rows(f, nodes, coeffs, 0.0)]
-            rhs = [const * d[:, 0]]
-            if include_lemma:
-                lhs.append(_stencil_rows(f, nodes, coeffs_lem, lam0))
-                rhs.append(lam0 * d[:, 1])
-            return _crn_columns(lhs, rhs)
+    slots = _evaluate(rule, (2, *model.coupling_shape), 6 if include_lemma else 3,
+                      len(nodes) * model.n_configs, fill)
+    rows = [_row(main_label, rule, slots, 0, tol)]
+    if include_lemma:
+        rows.append(_row(lemma_label, rule, slots, 3, tol))
 
-        slots = _mc_slots(seed, n_samples, workers, (2, *model.coupling_shape),
-                          6 if include_lemma else 3, len(nodes) * model.n_configs,
-                          fill)
-        rows = [_mc_row(main_label, slots, 0)]
-        if include_lemma:
-            rows.append(_mc_row(lemma_label, slots, 3))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return IdentityReport(
-        label="stability-moment identity",
-        model=model,
-        graph=gc,
-        n=n,
-        method=method,
-        samples=n_samples if method == "mc" else n_nodes,
-        seed=int(seed),
-        lambda_grid=config.lambda_grid,
-        rows=tuple(rows),
-        passed=all(r.passed for r in rows),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return _report("stability-moment identity", rule, rows, t0, model=model, graph=gc,
+                   n=n, lambda_grid=config.lambda_grid)
 
 
 def wick_baseline_check(
@@ -920,7 +925,6 @@ def wick_baseline_check(
     n_samples=20000,
     seed=0,
     *,
-    workers=1,
     method="mc",
     tol=1e-8,
     n_nodes=64,
@@ -930,6 +934,7 @@ def wick_baseline_check(
     overlap moments: the squared first bracket against the two-replica
     overlap, and the three-bracket chain against the three-replica chain."""
     t0 = time.perf_counter()
+    rule = _rule(method, model, n_samples, seed, n_nodes, _baseline_axes)
     g12 = Multigraph(((1, 2, 1),), ())
     g12_23 = Multigraph(((1, 2, 1), (2, 3, 1)), ())
     ev2 = _PolyMoments(model, GraphPolynomial.monomial(g12), budget)
@@ -937,76 +942,26 @@ def wick_baseline_check(
     label_a = "Av(<h>^2) vs E({1,2})"
     label_b = "Av(<h1><h1 h2><h2>) vs E({1,2}{2,3})"
 
-    if method == "mc":
+    def fill(draws):
+        w = _softmax_last(model.beta * _neg_energy(model, draws[:, 0]))
+        hv = _field_values(model, draws[:, 1:])
+        b1, b2 = np.einsum("sc,skc->ks", w, hv)
+        b12 = np.einsum("sc,sc,sc->s", w, hv[:, 0], hv[:, 1])
+        return _crn_columns([b1 * b1, b1 * b12 * b2],
+                            [ev2.value_grid(w), ev3.value_grid(w)])
 
-        def fill(draws):
-            w = _softmax_last(model.beta * _neg_energy(model, draws[:, 0]))
-            hv = _field_values(model, draws[:, 1:])
-            b1, b2 = np.einsum("sc,skc->ks", w, hv)
-            b12 = np.einsum("sc,sc,sc->s", w, hv[:, 0], hv[:, 1])
-            return _crn_columns([b1 * b1, b1 * b12 * b2],
-                                [ev2.value_grid(w), ev3.value_grid(w)])
+    slots = _evaluate(rule, (3, *model.coupling_shape), 6, 2 * model.n_configs, fill)
+    rows = (_row(label_a, rule, slots, 0, tol), _row(label_b, rule, slots, 3, tol))
 
-        slots = _mc_slots(seed, n_samples, workers, (3, *model.coupling_shape), 6,
-                          2 * model.n_configs, fill)
-        rows = (_mc_row(label_a, slots, 0), _mc_row(label_b, slots, 3))
-        samples = n_samples
-    elif method == "quadrature":
-        _require_sk2(model)
-        weights, wq_u = _sk2_weight_grid(model, 0.0, n_nodes)
-        s = model.spins[:, 0] * model.spins[:, 1]
-        # Each field reduces to (K + v * s) / 2 with K, v independent N(0, 2);
-        # the integrands are quadratic per auxiliary axis, so few nodes are exact.
-        xa, wa = _gauss_hermite(8)
-        kk, vv = np.meshgrid(2.0 * xa, 2.0 * xa, indexing="ij")
-        hv_a = 0.5 * (kk.ravel()[:, None] + vv.ravel()[:, None] * s)  # (64, 4)
-        wq_a = np.multiply.outer(wa, wa).ravel()
-        bra = weights @ hv_a.T  # <h> per (u, aux) node
-        lhs_a = float(np.sum(wq_u[:, None] * wq_a[None, :] * bra**2))
-        rhs_a = float(np.sum(wq_u * ev2.value_grid(weights)))
-
-        xb, wb = _gauss_hermite(6)
-        kb, vb = np.meshgrid(2.0 * xb, 2.0 * xb, indexing="ij")
-        hv_1 = 0.5 * (kb.ravel()[:, None] + vb.ravel()[:, None] * s)
-        wq_b = np.multiply.outer(wb, wb).ravel()
-        bra1 = weights @ hv_1.T  # (nu, A)
-        bra2 = bra1  # same reduction for the second independent field
-        cross = np.einsum("us,as,bs->uab", weights, hv_1, hv_1, optimize=True)
-        prod = bra1[:, :, None] * cross * bra2[:, None, :]
-        lhs_b = float(
-            np.einsum("u,a,b,uab->", wq_u, wq_b, wq_b, prod, optimize=True)
-        )
-        rhs_b = float(np.sum(wq_u * ev3.value_grid(weights)))
-        rows = (
-            IdentityRow(label_a, lhs_a, 0.0, rhs_a, 0.0, lhs_a - rhs_a, 0.0, tol,
-                        abs(lhs_a - rhs_a) <= tol),
-            IdentityRow(label_b, lhs_b, 0.0, rhs_b, 0.0, lhs_b - rhs_b, 0.0, tol,
-                        abs(lhs_b - rhs_b) <= tol),
-        )
-        samples = n_nodes
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return IdentityReport(
-        label="wick baselines",
-        model=model,
-        graph=None,
-        n=None,
-        method=method,
-        samples=samples,
-        seed=int(seed),
-        lambda_grid=(),
-        rows=rows,
-        passed=all(r.passed for r in rows),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return _report("wick baselines", rule, rows, t0, model=model)
 
 
-def gaussian_ibp_check(n_samples=20000, seed=0, *, workers=1) -> IdentityReport:
+def gaussian_ibp_check(n_samples=20000, seed=0) -> IdentityReport:
     """Gaussian integration by parts on a fixed two-field test family:
     E(h_l f) = sum_m c_{l,m} E(df/dh_m), with prescribed covariance and both
     sides estimated from the same draws."""
     t0 = time.perf_counter()
+    rule = _MonteCarlo(n_samples, seed)
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     chol = np.linalg.cholesky(cov)
     lam = 0.3
@@ -1037,20 +992,7 @@ def gaussian_ibp_check(n_samples=20000, seed=0, *, workers=1) -> IdentityReport:
             rhs.append(cov[l, 0] * d1 + cov[l, 1] * d2)
         return _crn_columns(lhs, rhs)
 
-    slots = _mc_slots(seed, n_samples, workers, (2,), width, width, fill)
-    rows = tuple(
-        _mc_row(label, slots, 3 * pos) for pos, (label, _, _) in enumerate(family)
-    )
-    return IdentityReport(
-        label="gaussian integration by parts",
-        model=None,
-        graph=None,
-        n=None,
-        method="mc",
-        samples=n_samples,
-        seed=int(seed),
-        lambda_grid=(),
-        rows=rows,
-        passed=all(r.passed for r in rows),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    slots = _evaluate(rule, (2,), width, width, fill)
+    rows = [_row(label, rule, slots, 3 * pos)
+            for pos, (label, _, _) in enumerate(family)]
+    return _report("gaussian integration by parts", rule, rows, t0)

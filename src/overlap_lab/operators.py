@@ -94,6 +94,20 @@ def _as_poly(p) -> GraphPolynomial:
     raise TypeError(f"expected GraphPolynomial or Multigraph, got {type(p).__name__}")
 
 
+def _extend(term_map, p) -> GraphPolynomial:
+    """Linear extension of ``term_map``, a map from one canonical monomial to
+    a polynomial, over the terms of ``p``."""
+    acc: dict[Multigraph, int] = {}
+    for g, c in _as_poly(p).items():
+        for h, c2 in term_map(g).items():
+            tot = acc.get(h, 0) + c * c2
+            if tot:
+                acc[h] = tot
+            else:
+                acc.pop(h, None)
+    return GraphPolynomial._from_canonical(acc)
+
+
 def delta_v_plus(g: Multigraph, v: int) -> GraphPolynomial:
     """Add a leg at support vertex ``v`` (single term, coefficient +1)."""
     if v not in g.support:
@@ -132,16 +146,7 @@ def delta(p) -> GraphPolynomial:
 
     Each graded term (m, l) maps to terms of grading (m, l+1).
     """
-    p = _as_poly(p)
-    acc: dict[Multigraph, int] = {}
-    for g, c in p.items():
-        for h, c2 in _delta_term(g).items():
-            tot = acc.get(h, 0) + c * c2
-            if tot:
-                acc[h] = tot
-            else:
-                acc.pop(h, None)
-    return GraphPolynomial._from_canonical(acc)
+    return _extend(_delta_term, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,16 +179,7 @@ def wick_contract(p) -> GraphPolynomial:
 
     Terms with an odd number of legs (counted with multiplicity) vanish.
     """
-    p = _as_poly(p)
-    acc: dict[Multigraph, int] = {}
-    for g, c in p.items():
-        for h, c2 in _wick_term(g).items():
-            tot = acc.get(h, 0) + c * c2
-            if tot:
-                acc[h] = tot
-            else:
-                acc.pop(h, None)
-    return GraphPolynomial._from_canonical(acc)
+    return _extend(_wick_term, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,16 +193,7 @@ def big_delta(p) -> GraphPolynomial:
     Intended for leg-free input, where the result is again leg-free; terms
     with legs are accepted and handled by plain composition.
     """
-    p = _as_poly(p)
-    acc: dict[Multigraph, int] = {}
-    for g, c in p.items():
-        for h, c2 in _big_delta_term(g).items():
-            tot = acc.get(h, 0) + c * c2
-            if tot:
-                acc[h] = tot
-            else:
-                acc.pop(h, None)
-    return GraphPolynomial._from_canonical(acc)
+    return _extend(_big_delta_term, p)
 
 
 def delta_formula_direct(g: Multigraph) -> GraphPolynomial:

@@ -1,9 +1,12 @@
 """CLI harness: golden output, exit codes, JSON payload stability, config."""
 
 import json
+import tracemalloc
+
+import pytest
 
 from overlap_lab import GraphPolynomial, edge, make_multigraph, parse_polynomial
-from overlap_lab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _merge_options, main
+from overlap_lab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
 def run(capsys, *argv):
@@ -214,13 +217,42 @@ class TestConfigPrecedence:
         )
         assert "n: 1" in out
 
-    def test_workers_default_from_env(self, monkeypatch):
-        import argparse
-
-        monkeypatch.setenv("OVERLAP_THREADS", "4")
-        ns = argparse.Namespace(
-            command="baseline", config=None, json=None, out=None, model=None,
-            N=None, lattice=None, beta=None, samples=None, seed=None,
-            workers=None, method=None, nodes=None,
+    def test_workers_flag_is_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "baseline", "--model", "sk", "--N", "3", "--samples", "10",
+            "--workers", "2",
         )
-        assert _merge_options(ns)["workers"] == 4
+        assert code == EXIT_USAGE and "--workers" in err
+
+    @pytest.mark.parametrize("key", ["sampels", "workers"])
+    def test_unknown_config_key_refused(self, capsys, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 50}))
+        code, _, err = run(
+            capsys, "identity", "--graph", "{1,2}", "--config", str(cfg)
+        )
+        assert code == EXIT_USAGE and repr(key) in err
+
+
+class TestQuadratureNodes:
+    def test_zero_nodes_refused(self, capsys):
+        code, _, err = run(
+            capsys, "estimate", "--model", "sk", "--N", "2", "--graph", "{1,2}",
+            "--method", "quadrature", "--nodes", "0",
+        )
+        assert code == EXIT_USAGE and "at least 1 node" in err
+
+    # 129 nodes pass on their own, but the truncation estimate doubles them
+    @pytest.mark.parametrize("nodes", ["8192", "129"])
+    def test_oversized_grid_refused_before_allocating(self, capsys, nodes):
+        tracemalloc.start()
+        try:
+            code, _, err = run(
+                capsys, "estimate", "--model", "sk", "--N", "2", "--graph", "{1,2}",
+                "--method", "quadrature", "--nodes", nodes,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and err.startswith("refused:")
+        assert peak < 2**20, peak

@@ -18,6 +18,7 @@ from overlap_lab import (
     gaussian_ibp_check,
     gibbs_weights,
     identity_check,
+    lab,
     link_overlap_ea,
     make_multigraph,
     overlap_sk,
@@ -260,12 +261,9 @@ class TestDeformedExpectation:
         ratio = (f2 - f0) / (f1 - f0)
         assert 3.5 < ratio < 4.5  # doubling lambda quadruples the shift
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_reruns(self):
         model = ea_model((4,), 0.5)
-        runs = [
-            deformed_expectation(model, C12, 0.2, 300, 21, workers=w)
-            for w in (1, 2, 8)
-        ]
+        runs = [deformed_expectation(model, C12, 0.2, 300, 21) for _ in range(3)]
         assert len({(r.mean, r.stderr) for r in runs}) == 1
 
 
@@ -382,11 +380,10 @@ class TestIdentityCheck:
         rep = identity_check(model, C12, 1, n_samples=20000, seed=55)
         assert rep.passed
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_reruns(self):
         model = sk_model(3, 0.5)
         reps = [
-            identity_check(model, C12, 1, n_samples=300, seed=4, workers=w)
-            for w in (1, 2, 8)
+            identity_check(model, C12, 1, n_samples=300, seed=4) for _ in range(3)
         ]
         assert len({(r.rows[0].lhs, r.rows[0].rhs, r.rows[0].diff) for r in reps}) == 1
 
@@ -420,6 +417,16 @@ class TestWickBaselines:
         assert rep.passed
         for row in rep.rows:
             assert abs(row.diff) <= 1e-8
+
+    def test_two_field_nodes_are_exact(self, monkeypatch):
+        # the brackets are quadratic per field axis, so 2 Gauss-Hermite nodes
+        # on each give the same integral as 4
+        model = sk_model(2, 0.7)
+        two = wick_baseline_check(model, method="quadrature")
+        monkeypatch.setattr(lab, "_BASELINE_FIELD_NODES", 4)
+        four = wick_baseline_check(model, method="quadrature")
+        for a, b in zip(two.rows, four.rows):
+            assert (a.lhs, a.rhs) == pytest.approx((b.lhs, b.rhs), rel=1e-14, abs=0)
 
 
 class TestGaussianIbp:
