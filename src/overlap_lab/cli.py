@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import exprio, lab
-from .graphs import GraphPolynomial
+from .graphs import GraphPolynomial, work_counts
 from .operators import (
     DELTA,
     WICK,
@@ -196,9 +196,15 @@ def _emit(opts: dict, text_lines: list[str], doc: dict | None) -> None:
         sys.stdout.write(output)
 
 
+def _work_since(before: dict) -> dict:
+    """Work counters (see ``graphs.work_counts``) accrued since ``before``."""
+    return {key: n - before[key] for key, n in work_counts().items()}
+
+
 def cmd_expand(opts: dict) -> int:
     word = _parse_word(opts["word"] or "")
     graph = exprio.parse_monomial(opts["graph"])
+    before = work_counts()
     t0 = time.perf_counter()
     result = apply_word(word, GraphPolynomial.monomial(graph))
     wall = time.perf_counter() - t0
@@ -210,7 +216,7 @@ def cmd_expand(opts: dict) -> int:
             "word": opts["word"] or "",
             "result_polynomial": text,
         },
-        "timings": {"wall_s": wall},
+        "timings": {"wall_s": wall, **_work_since(before)},
     }
     _emit(opts, [text], doc)
     return EXIT_OK
@@ -218,8 +224,10 @@ def cmd_expand(opts: dict) -> int:
 
 def cmd_verify(opts: dict) -> int:
     graph = exprio.parse_monomial(opts["graph"])
+    before = work_counts()
     report = theorem_verify(graph, opts["n"])
     doc = exprio.as_jsonable(report)
+    doc["timings"].update(_work_since(before))
     lines = [
         f"graph: {exprio.format_monomial(report.graph)}",
         f"n: {report.n}",

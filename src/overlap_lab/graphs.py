@@ -13,18 +13,32 @@ with individualization, run independently on each edge-connected component.
 The candidate set is itself an isomorphism invariant, which makes the minimum
 a complete invariant while keeping the search tiny for the sparse graphs that
 occur here (at most ~10 vertices).
+
+The canonical form of a multigraph is the sorted concatenation of its
+components' encodings.  Each component's encoding is memoized, keyed by its
+labelled legs and edges, so the many graphs the operators build that share a
+component search it once; a lone vertex carrying only legs is encoded
+directly.  The search prunes by automorphisms (McKay & Piperno, *Practical
+graph isomorphism II*, 2014): two leaves with equal encodings give an
+automorphism, and a child whose orbit, under the automorphisms found so far
+that fix the vertices individualized above it, meets a searched sibling is
+skipped, or abandoned once such an automorphism turns up.  Its subtree holds
+the same encodings as the sibling's, so the minimum is the one the full
+search finds.  K_k then takes k leaves instead of k!.  A search that needs
+more than ``MAX_SEARCH_NODES`` tree nodes raises :class:`BudgetError`.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 from typing import Iterable, Mapping
 
 __all__ = [
+    "BudgetError",
     "Multigraph",
     "CanonicalMultigraph",
     "Pairing",
@@ -36,6 +50,8 @@ __all__ = [
     "compose",
     "relabel",
     "canonicalize",
+    "work_counts",
+    "MAX_SEARCH_NODES",
     "sort_key",
     "enumerate_pairings",
     "poly_add",
@@ -191,43 +207,49 @@ def sort_key(g: Multigraph) -> tuple:
     return (len(g.support), g.legs, g.edges)
 
 
-def _components(g: Multigraph) -> list[frozenset[int]]:
-    adj: dict[int, set[int]] = defaultdict(set)
-    for i, j, _ in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen: set[int] = set()
-    comps = []
-    for start in g.support:
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v] - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+#: Bound on the nodes of one component's canonical search tree.
+MAX_SEARCH_NODES = 100_000
+
+#: Running totals of work done in this process, under the keys
+#: ``search_leaves`` (canonical-search leaves visited) and
+#: ``pair_count_matrices`` (Wick pair-count matrices enumerated).  Readers
+#: take differences of :func:`work_counts` snapshots.
+work: Counter[str] = Counter()
 
 
-def _canonical_component(g: Multigraph, comp: frozenset[int]):
-    """Minimal encoding (k, legs, edges) of one edge-connected component."""
-    legs = {v: n for v, n in g.legs if v in comp}
-    comp_edges = [(i, j, m) for i, j, m in g.edges if i in comp]
+class BudgetError(RuntimeError):
+    """Raised when a requested computation exceeds its configured resource
+    bound.  Callers get an explicit refusal, never a silent truncation."""
+
+
+def work_counts() -> dict[str, int]:
+    """Running totals: component encodings computed (memo misses) and reused
+    (memo hits), canonical-search leaves, Wick pair-count matrices."""
+    info = _component_encoding.cache_info()
+    return {
+        "component_encodings_computed": info.misses,
+        "component_encodings_reused": info.hits,
+        "search_leaves": work["search_leaves"],
+        "pair_count_matrices": work["pair_count_matrices"],
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _component_encoding(legs: tuple, edges: tuple) -> tuple:
+    """Minimal encoding ``(k, legs, edges)`` of one edge-connected component,
+    given by its labelled, sorted legs and edges."""
     adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i, j, m in comp_edges:
+    for i, j, m in edges:
         adj[i].append((j, m))
         adj[j].append((i, m))
-    k = len(comp)
+    leg_at = dict(legs)
+    k = len(adj)
 
     def initial_cells():
         groups = defaultdict(list)
-        for v in comp:
-            mults = tuple(sorted((m for _, m in adj[v]), reverse=True))
-            groups[(legs.get(v, 0), sum(mults), mults)].append(v)
+        for v, nbrs in adj.items():
+            mults = tuple(sorted((m for _, m in nbrs), reverse=True))
+            groups[(leg_at.get(v, 0), sum(mults), mults)].append(v)
         return [sorted(groups[s]) for s in sorted(groups, reverse=True)]
 
     def refine(cells):
@@ -251,35 +273,143 @@ def _canonical_component(g: Multigraph, comp: frozenset[int]):
                 return out
             cells = out
 
-    def encode(cells):
-        label = {cell[0]: pos + 1 for pos, cell in enumerate(cells)}
-        enc_legs = tuple(sorted((label[v], n) for v, n in legs.items()))
+    def encode(order):
+        label = {v: pos for pos, v in enumerate(order, 1)}
+        enc_legs = tuple(sorted((label[v], n) for v, n in legs))
         enc_edges = tuple(
             sorted(
                 (min(label[i], label[j]), max(label[i], label[j]), m)
-                for i, j, m in comp_edges
+                for i, j, m in edges
             )
         )
         return (k, enc_legs, enc_edges)
 
     best = None
+    first_leaf: dict[tuple, list[int]] = {}  # encoding -> first leaf's order
+    automorphisms: list[dict[int, int]] = []
+    path: list[int] = []  # vertices individualized on the way to this node
+    explored: list[list[int]] = []  # per level of path: children searched
+    nodes = leaves = 0
+    abandon = None  # level whose current child repeats a searched sibling
+
+    def in_orbit(v, targets, level):
+        # Orbit of v under the automorphisms found so far that fix
+        # path[:level] pointwise; such an automorphism maps the subtree of
+        # one child onto the subtree of another, leaf encodings included.
+        fixed = path[:level]
+        usable = [a for a in automorphisms if all(a[u] == u for u in fixed)]
+        orbit, frontier = {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for a in usable:
+                w = a[u]
+                if w not in orbit:
+                    orbit.add(w)
+                    frontier.append(w)
+        return not orbit.isdisjoint(targets)
+
+    def leaf(order):
+        nonlocal best, leaves, abandon
+        leaves += 1
+        enc = encode(order)
+        if best is None or enc < best:
+            best = enc
+        first = first_leaf.setdefault(enc, order)
+        if first is order:
+            return
+        # Equal encodings: mapping this leaf's order onto the first one's is
+        # an automorphism.  Abandon the shallowest subtree on the current
+        # path that it shows to repeat one already searched.
+        gamma = dict(zip(order, first))
+        automorphisms.append(gamma)
+        for level, v in enumerate(path):
+            if explored[level] and in_orbit(v, explored[level], level):
+                abandon = level
+                return
+            if gamma[v] != v:
+                return
 
     def search(cells):
-        nonlocal best
+        nonlocal nodes, abandon
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise BudgetError(
+                f"canonical search of a {k}-vertex component exceeds "
+                f"{MAX_SEARCH_NODES} nodes"
+            )
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
-            enc = encode(cells)
-            if best is None or enc < best:
-                best = enc
+            leaf([cell[0] for cell in cells])
             return
-        for v in cells[idx]:
-            rest = [u for u in cells[idx] if u != v]
+        level = len(path)
+        done: list[int] = []
+        explored.append(done)
+        for v in cell:
+            if done and in_orbit(v, done, level):
+                continue
+            path.append(v)
+            rest = [u for u in cell if u != v]
             search(refine(cells[:idx] + [[v], rest] + cells[idx + 1 :]))
+            path.pop()
+            if abandon is not None:
+                if abandon < level:
+                    break
+                abandon = None
+            done.append(v)
+        explored.pop()
 
     search(refine(initial_cells()))
+    work["search_leaves"] += leaves
     return best
+
+
+def _canonical_form(edges, legs) -> Multigraph:
+    """Canonical representative of the multigraph with these ``(i, j, m)``
+    edges and ``(v, n)`` legs, each sorted with distinct pairs/vertices.
+
+    It is the concatenation of its components' encodings in sorted order.
+    A component with edges is looked up in the component memo; a lone
+    vertex with legs needs no search.
+    """
+    comp: dict[int, set[int]] = {}
+    for i, j, _ in edges:
+        ci, cj = comp.get(i), comp.get(j)
+        if ci is None:
+            ci = comp[i] = {i}
+        if cj is None:
+            cj = comp[j] = {j}
+        if ci is not cj:
+            if len(ci) < len(cj):
+                ci, cj = cj, ci
+            ci |= cj
+            for v in cj:
+                comp[v] = ci
+    parts: dict[int, tuple[list, list]] = {}
+    for e in edges:
+        parts.setdefault(id(comp[e[0]]), ([], []))[1].append(e)
+    encodings = []
+    for v, n in legs:
+        c = comp.get(v)
+        if c is None:
+            encodings.append((1, ((1, n),), ()))
+        else:
+            parts[id(c)][0].append((v, n))
+    encodings.extend(
+        _component_encoding(tuple(part_legs), tuple(part_edges))
+        for part_legs, part_edges in parts.values()
+    )
+    if len(encodings) == 1:
+        _, enc_legs, enc_edges = encodings[0]
+        return Multigraph(enc_edges, enc_legs)
+    encodings.sort()
+    out_edges, out_legs, offset = [], [], 0
+    for k, enc_legs, enc_edges in encodings:
+        out_legs.extend((v + offset, n) for v, n in enc_legs)
+        out_edges.extend((i + offset, j + offset, m) for i, j, m in enc_edges)
+        offset += k
+    return Multigraph(tuple(out_edges), tuple(out_legs))
 
 
 @functools.lru_cache(maxsize=None)
@@ -293,13 +423,7 @@ def canonicalize(g: Multigraph) -> Multigraph:
     """
     if not g.edges and not g.legs:
         return g
-    encodings = sorted(_canonical_component(g, comp) for comp in _components(g))
-    edges, legs, offset = [], [], 0
-    for k, enc_legs, enc_edges in encodings:
-        legs.extend((v + offset, n) for v, n in enc_legs)
-        edges.extend((i + offset, j + offset, m) for i, j, m in enc_edges)
-        offset += k
-    return Multigraph(tuple(sorted(edges)), tuple(sorted(legs)))
+    return _canonical_form(g.edges, g.legs)
 
 
 def enumerate_pairings(labels: Iterable[int]) -> list[Pairing]:

@@ -7,9 +7,19 @@ multiplicity R = |support|, a leg on the first vertex label not in the
 support.  ``wick_contract`` sums over all pairings of the legs of each term:
 a pair landing on two distinct vertices becomes an overlap edge, a pair
 landing on a single vertex contributes the factor one (the diagonal overlap
-is normalized to one).  ``big_delta`` is wick_contract after delta twice;
-on leg-free input it produces the leg-free polynomial whose quenched average
-measures the deviation from stochastic stability.
+is normalized to one).  A pairing's outcome depends only on its pair counts:
+the symmetric matrix k with k_uv pairs between vertices u != v and k_vv
+pairs within v.  With n_v legs at v, Isserlis' theorem gives
+
+    prod_v n_v! / (prod_{u<v} k_uv! * prod_v k_vv! 2^k_vv)
+
+labelled pairings per matrix, so the contraction enumerates matrices, not
+the (2m-1)!! pairings, and refuses with :class:`BudgetError` a term that
+has more than ``MAX_PAIR_COUNT_MATRICES`` of them.
+
+``big_delta`` is wick_contract after delta twice; on leg-free input it
+produces the leg-free polynomial whose quenched average measures the
+deviation from stochastic stability.
 
 ``theorem_verify`` checks, by exact polynomial arithmetic on canonical
 classes, that contracting 2n derivations equals (2n-1)!! applications of
@@ -19,18 +29,22 @@ classes, that contracting 2n derivations equals (2n-1)!! applications of
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .graphs import (
+    BudgetError,
     GraphPolynomial,
     Multigraph,
+    _canonical_form,
     canonicalize,
     compose,
     edge,
-    enumerate_pairings,
     leg,
+    work,
 )
 
 __all__ = [
@@ -52,6 +66,7 @@ __all__ = [
     "term_count_report",
     "DEFAULT_MAX_N",
     "DEFAULT_MAX_VERTICES",
+    "MAX_PAIR_COUNT_MATRICES",
 ]
 
 DELTA = "delta"
@@ -59,11 +74,8 @@ WICK = "wick"
 
 DEFAULT_MAX_N = 3
 DEFAULT_MAX_VERTICES = 10
-
-
-class BudgetError(RuntimeError):
-    """Raised when a requested computation exceeds its configured resource
-    bound.  Callers get an explicit refusal, never a silent truncation."""
+#: Bound on the pair-count matrices one term's Wick contraction may enumerate.
+MAX_PAIR_COUNT_MATRICES = 50_000
 
 
 def double_factorial(k: int) -> int:
@@ -128,11 +140,18 @@ def _delta_term(g: Multigraph) -> GraphPolynomial:
     support = g.support
     if not support:
         return GraphPolynomial.zero()
+    legs = g.leg_dict()
+
+    def with_leg(v):
+        out = dict(legs)
+        out[v] = out.get(v, 0) + 1
+        return _canonical_form(g.edges, sorted(out.items()))
+
     acc: dict[Multigraph, int] = {}
     for v in support:
-        key = canonicalize(compose(g, leg(v)))
+        key = with_leg(v)
         acc[key] = acc.get(key, 0) + 1
-    fresh_key = canonicalize(compose(g, leg(fresh_vertex(g))))
+    fresh_key = with_leg(fresh_vertex(g))
     tot = acc.get(fresh_key, 0) - len(support)
     if tot:
         acc[fresh_key] = tot
@@ -149,29 +168,79 @@ def delta(p) -> GraphPolynomial:
     return _extend(_delta_term, p)
 
 
+def _pair_count_matrices(degrees: list[int], visit) -> int:
+    """Call ``visit(off_diagonal, denominator)`` once for every symmetric
+    matrix k of nonnegative integers with 2 k_vv + sum_{u != v} k_uv =
+    degrees[v]; return how many there are.
+
+    ``off_diagonal`` lists ``(u, v, k_uv)`` for u < v and k_uv > 0 (valid
+    only during the call), and ``denominator`` is
+    prod_{u<v} k_uv! * prod_v k_vv! 2^k_vv.
+    """
+    rem = list(degrees)
+    last = len(rem) - 1
+    off: list[tuple[int, int, int]] = []
+    count = 0
+
+    def rec(a, b, denom):
+        nonlocal count
+        if a > last:
+            count += 1
+            visit(off, denom)
+        elif b > last:  # row a is full; its remaining legs pair among themselves
+            r = rem[a]
+            if r % 2 == 0:
+                rec(a + 1, a + 2, denom * (math.factorial(r // 2) << (r // 2)))
+        else:
+            ra, rb = rem[a], rem[b]
+            for k in range(min(ra, rb) + 1):
+                rem[a], rem[b] = ra - k, rb - k
+                if k:
+                    off.append((a, b, k))
+                rec(a, b + 1, denom * math.factorial(k))
+                if k:
+                    off.pop()
+            rem[a], rem[b] = ra, rb
+
+    rec(0, 1, 1)
+    return count
+
+
 @functools.lru_cache(maxsize=None)
 def _wick_term(g: Multigraph) -> GraphPolynomial:
-    instances: list[int] = []
-    for v, n in g.legs:
-        instances.extend([v] * n)
-    if len(instances) % 2:
+    verts = [v for v, _ in g.legs]
+    degrees = [n for _, n in g.legs]
+    total = sum(degrees)
+    if total % 2:
         return GraphPolynomial.zero()
-    base_edges = g.edge_dict()
+    if double_factorial(total - 1) > MAX_PAIR_COUNT_MATRICES:
+        # More pairings than the bound: count the matrices before building
+        # any outcome.
+        counted = itertools.count(1)
+
+        def refuse_past_bound(off, denom):
+            if next(counted) > MAX_PAIR_COUNT_MATRICES:
+                raise BudgetError(
+                    f"contracting {total} legs on {len(verts)} vertices needs "
+                    f"more than {MAX_PAIR_COUNT_MATRICES} pair-count matrices"
+                )
+
+        _pair_count_matrices(degrees, refuse_past_bound)
+    base = g.edge_dict()
+    numerator = math.prod(math.factorial(n) for n in degrees)
     acc: dict[Multigraph, int] = {}
-    for pairing in enumerate_pairings(range(len(instances))):
-        counts = dict(base_edges)
-        for a, b in pairing:
-            u, w = instances[a], instances[b]
-            if u == w:
-                continue  # self-pair: diagonal overlap, factor one
-            key = (u, w) if u < w else (w, u)
-            counts[key] = counts.get(key, 0) + 1
-        contracted = Multigraph(
-            tuple((i, j, m) for (i, j), m in sorted(counts.items())), ()
-        )
-        key = canonicalize(contracted)
-        acc[key] = acc.get(key, 0) + 1
-    return GraphPolynomial._from_canonical({g: c for g, c in acc.items() if c})
+
+    def add(off, denom):
+        counts = dict(base)
+        for a, b, k in off:
+            key = (verts[a], verts[b])
+            counts[key] = counts.get(key, 0) + k
+        edges = sorted((i, j, m) for (i, j), m in counts.items())
+        key = _canonical_form(edges, ())
+        acc[key] = acc.get(key, 0) + numerator // denom
+
+    work["pair_count_matrices"] += _pair_count_matrices(degrees, add)
+    return GraphPolynomial._from_canonical(acc)
 
 
 def wick_contract(p) -> GraphPolynomial:

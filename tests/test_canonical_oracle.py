@@ -1,0 +1,180 @@
+"""Canonical labeling against an independent isomorphism test.
+
+On vertex-transitive and highly symmetric multigraphs (cycles, complete
+graphs, K4,4, the Petersen graph, the 3-cube, and copies with doubled edges
+and with legs), two multigraphs get the same canonical form exactly when
+``networkx.is_isomorphic`` says they are isomorphic, edge multiplicity and
+leg count carried as attributes.  The search itself is checked by the
+leaves it visits, not by wall time.
+"""
+
+import random
+from itertools import combinations
+
+import networkx as nx
+import pytest
+
+from overlap_lab import canonicalize, graphs, make_multigraph
+
+
+def cycle(k):
+    return [(i, i % k + 1) for i in range(1, k + 1)]
+
+
+def complete(k):
+    return list(combinations(range(1, k + 1), 2))
+
+
+def k44():
+    return [(i, j) for i in range(1, 5) for j in range(5, 9)]
+
+
+def petersen():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(6 + i, 6 + (i + 2) % 5) for i in range(5)]
+    return outer + spokes + inner
+
+
+def cube():
+    return [(a + 1, (a | 1 << b) + 1) for a in range(8) for b in range(3)
+            if not a & 1 << b]
+
+
+FAMILIES = {
+    **{f"C{k}": cycle(k) for k in range(3, 9)},
+    **{f"K{k}": complete(k) for k in range(2, 9)},
+    "K4,4": k44(),
+    "Petersen": petersen(),
+    "cube": cube(),
+}
+
+
+def variants(pairs):
+    """The plain graph, all edges doubled, one edge doubled, one leg on
+    every vertex, and two legs on one vertex."""
+    verts = sorted({v for e in pairs for v in e})
+    plain = [(i, j, 1) for i, j in pairs]
+    return {
+        "plain": (plain, []),
+        "doubled": ([(i, j, 2) for i, j in pairs], []),
+        "one doubled": ([(i, j, 2 if k == 0 else 1) for k, (i, j) in enumerate(pairs)], []),
+        "legs": (plain, [(v, 1) for v in verts]),
+        "one leg": (plain, [(verts[0], 2)]),
+    }
+
+
+def relabeled(rnd, edges, legs):
+    verts = sorted({v for i, j, _ in edges for v in (i, j)} | {v for v, _ in legs})
+    image = dict(zip(verts, rnd.sample(range(1, 3 * len(verts) + 1), len(verts))))
+    return make_multigraph(
+        [(image[i], image[j], m) for i, j, m in edges],
+        [(image[v], n) for v, n in legs],
+    )
+
+
+def perturbed(rnd, edges, legs):
+    """One edge removed, added or changed in multiplicity, or one leg moved."""
+    edges, legs = list(edges), list(legs)
+    verts = sorted({v for i, j, _ in edges for v in (i, j)})
+    kind = rnd.choice(("drop", "add", "bump", "leg"))
+    if kind == "drop" and len(edges) > 1:
+        edges.pop(rnd.randrange(len(edges)))
+    elif kind == "add":
+        i, j = rnd.sample(verts, 2)
+        edges.append((i, j, 1))
+    elif kind == "leg" and legs:
+        v, n = legs.pop(rnd.randrange(len(legs)))
+        legs.append((rnd.choice(verts), n))
+    else:
+        i, j, m = edges.pop(rnd.randrange(len(edges)))
+        edges.append((i, j, m + 1))
+    return edges, legs
+
+
+def to_networkx(g):
+    """Edge multiplicity and leg count as attributes.  Each node also carries
+    its total edge multiplicity: isomorphisms preserve it, so matching on it
+    changes no answer and spares VF2 dead ends on dense graphs."""
+    out = nx.Graph()
+    out.add_nodes_from(g.support, legs=0, load=0)
+    for v, n in g.legs:
+        out.nodes[v]["legs"] = n
+    for i, j, m in g.edges:
+        out.add_edge(i, j, mult=m)
+        out.nodes[i]["load"] += m
+        out.nodes[j]["load"] += m
+    return out
+
+
+def isomorphic(a, b):
+    ga, gb = to_networkx(a), to_networkx(b)
+
+    def node_labels(g):
+        return sorted((d["legs"], d["load"]) for _, d in g.nodes(data=True))
+
+    # VF2 does not compare label counts up front and would search K8 against
+    # K8 with one doubled edge for seconds before failing.
+    if node_labels(ga) != node_labels(gb):
+        return False
+    return nx.is_isomorphic(
+        ga, gb,
+        node_match=lambda x, y: x == y,
+        edge_match=lambda x, y: x["mult"] == y["mult"],
+    )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_canonical_form_is_a_complete_invariant(family):
+    rnd = random.Random(family)
+    for name, (edges, legs) in variants(FAMILIES[family]).items():
+        base = make_multigraph(edges, legs)
+        for _ in range(4):
+            copy = relabeled(rnd, edges, legs)
+            assert canonicalize(copy) == canonicalize(base), (family, name)
+        graphs_ = [base] + [relabeled(rnd, *perturbed(rnd, edges, legs)) for _ in range(6)]
+        for a, b in combinations(graphs_, 2):
+            same = canonicalize(a) == canonicalize(b)
+            assert same == isomorphic(a, b), (family, name, a, b)
+
+
+def search_leaves(edges, legs=()):
+    """Leaves one uncached canonical search visits."""
+    before = graphs.work_counts()["search_leaves"]
+    graphs._component_encoding.__wrapped__(tuple(legs), tuple(edges))
+    return graphs.work_counts()["search_leaves"] - before
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("mult,leg", [(1, 0), (2, 1)])
+def test_search_on_complete_graphs_visits_quadratically_many_leaves(k, mult, leg):
+    # Without orbit pruning the search visits all k! labelings.
+    edges = [(i, j, mult) for i, j in complete(k)]
+    legs = [(v, leg) for v in range(1, k + 1)] if leg else []
+    assert search_leaves(edges, legs) <= k * k
+
+
+@pytest.mark.parametrize("family", ["K4,4", "Petersen", "cube", "C8"])
+def test_search_on_symmetric_graphs_stays_small(family):
+    edges = sorted((min(i, j), max(i, j), 1) for i, j in FAMILIES[family])
+    k = len({v for e in FAMILIES[family] for v in e})
+    assert search_leaves(edges) <= k * k
+
+
+def test_rook_and_shrikhande_graphs_differ():
+    # Both are strongly regular with parameters (16, 6, 2, 2), so refinement
+    # alone never tells them apart; only the search does.
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    label = {c: n for n, c in enumerate(cells, 1)}
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    rook = make_multigraph([(label[u], label[v], 1) for u, v in combinations(cells, 2)
+                            if u[0] == v[0] or u[1] == v[1]])
+    shrikhande = make_multigraph([
+        (label[u], label[v], 1) for u, v in combinations(cells, 2)
+        if ((v[0] - u[0]) % 4, (v[1] - u[1]) % 4) in steps
+    ])
+    assert not isomorphic(rook, shrikhande)
+    assert canonicalize(rook) != canonicalize(shrikhande)
+    rnd = random.Random(16)
+    for g in (rook, shrikhande):
+        assert canonicalize(relabeled(rnd, g.edges, g.legs)) == canonicalize(g)

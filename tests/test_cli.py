@@ -2,10 +2,19 @@
 
 import json
 import tracemalloc
+from math import comb, factorial
 
 import pytest
 
-from overlap_lab import GraphPolynomial, edge, make_multigraph, parse_polynomial
+from overlap_lab import (
+    EMPTY,
+    GraphPolynomial,
+    double_factorial,
+    edge,
+    graphs,
+    make_multigraph,
+    parse_polynomial,
+)
 from overlap_lab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -54,6 +63,60 @@ class TestExpand:
     def test_parse_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "expand", "--graph", "{1,1}")
         assert code == EXIT_USAGE and "offset" in err
+
+
+class TestSymbolicBudgets:
+    def test_twenty_legs_on_two_vertices_exact(self, capsys):
+        code, out, _ = run(capsys, "expand", "--graph", "{1}^10{2}^10", "--word", "C")
+        assert code == EXIT_OK
+        # j legs of each vertex pair across, the others pair at home.
+        expected = GraphPolynomial(
+            (edge(1, 2, j) if j else EMPTY,
+             comb(10, j) ** 2 * factorial(j) * double_factorial(9 - j) ** 2)
+            for j in range(0, 11, 2)
+        )
+        assert parse_polynomial(out.strip()) == expected
+        assert expected.coefficient_sum() == double_factorial(19)
+
+    def test_wick_over_budget_refused_before_enumerating(self, capsys):
+        # 20 legs on 10 vertices: about 1.4e6 pair-count matrices.
+        graph = "".join(f"{{{v}}}^2" for v in range(1, 11))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "expand", "--graph", graph, "--word", "C")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and err.startswith("refused:")
+        assert "pair-count matrices" in err
+        assert peak < 2**20, peak
+
+    def test_canonical_search_over_budget_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 3)
+        k5 = "".join(f"{{{i},{j}}}" for i in range(301, 306) for j in range(i + 1, 306))
+        code, _, err = run(capsys, "expand", "--graph", k5)
+        assert code == EXIT_USAGE and "canonical search" in err
+
+
+COUNTERS = ("component_encodings_computed", "component_encodings_reused",
+            "search_leaves", "pair_count_matrices")
+
+
+class TestWorkCounters:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--graph", "{1,2}^5{2,3}^4{3,4}^3{1,4}^7", "--n", "1"),
+        ("expand", "--graph", "{1,2}^6{2,3}^5{3,1}^4", "--word", "C d d"),
+    ])
+    def test_counters_in_timings_leave_payload_sha(self, capsys, argv):
+        docs = [json.loads(run(capsys, *argv, "--json")[1]) for _ in range(2)]
+        for doc in docs:
+            assert not set(COUNTERS) & set(doc["payload"])
+            assert all(doc["timings"][key] >= 0 for key in COUNTERS)
+        cold, warm = (doc["timings"] for doc in docs)
+        assert cold["component_encodings_computed"] > 0
+        assert cold["pair_count_matrices"] > 0 and cold["search_leaves"] > 0
+        assert warm["component_encodings_computed"] == warm["pair_count_matrices"] == 0
+        assert docs[0]["payload_sha256"] == docs[1]["payload_sha256"]
 
 
 class TestVerify:

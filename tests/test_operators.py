@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import leg_free_multigraphs, multigraphs
 from overlap_lab import (
@@ -23,6 +24,7 @@ from overlap_lab import (
     delta_v_plus,
     double_factorial,
     edge,
+    enumerate_pairings,
     fresh_vertex,
     leg,
     make_multigraph,
@@ -164,6 +166,47 @@ class TestWick:
                 assert h.is_leg_free()
                 # each self-pair drops one potential edge
                 assert h.grading[0] <= m + l // 2
+
+
+def wick_by_pairings(g):
+    """Reference contraction: list every labelled pairing of the legs and
+    canonicalize each outcome."""
+    instances = [v for v, n in g.legs for _ in range(n)]
+    terms = []
+    for pairing in enumerate_pairings(range(len(instances))):
+        edges = list(g.edges) + [
+            (instances[a], instances[b], 1)
+            for a, b in pairing
+            if instances[a] != instances[b]
+        ]
+        terms.append((canonicalize(make_multigraph(edges)), 1))
+    return GraphPolynomial(terms)
+
+
+@st.composite
+def leg_multisets(draw):
+    """Up to 12 legs over up to 5 vertices, on random base edges."""
+    verts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True))
+    legs = draw(st.lists(st.sampled_from(verts), max_size=12))
+    edges = []
+    if len(verts) > 1:
+        pairs = st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True)
+        for i, j in draw(st.lists(pairs, max_size=4)):
+            edges.append((i, j, draw(st.integers(1, 2))))
+    return make_multigraph(edges, [(v, 1) for v in legs])
+
+
+class TestWickAgainstPairings:
+    @given(leg_multisets())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_counts_equal_pairing_enumeration(self, g):
+        assert wick_contract(mono(g)) == wick_by_pairings(g)
+
+    def test_twelve_legs_on_three_vertices(self):
+        g = make_multigraph([(1, 2, 1)], [(1, 6), (2, 4), (3, 2)])
+        p = wick_contract(mono(g))
+        assert p == wick_by_pairings(g)
+        assert p.coefficient_sum() == double_factorial(11)
 
 
 class TestBigDelta:
