@@ -3,8 +3,9 @@ and quenched estimates.
 
 Exit codes: 0 success (and identity/theorem holds), 1 identity or theorem
 violation beyond tolerance, 2 usage, parse, or budget errors.  Option
-precedence: command-line flags override the JSON config file, which
-overrides built-in defaults.  JSON output carries a ``payload`` section
+precedence: command-line flags override the JSON config file, whose values
+are converted and checked like the flags they name, which overrides the
+defaults declared on the parser.  JSON output carries a ``payload`` section
 whose sha256 is stable across reruns; wall times live under ``timings``.
 """
 
@@ -32,29 +33,6 @@ EXIT_USAGE = 2
 
 _WORD_TOKENS = {"d": (DELTA,), "C": (WICK,), "D": (WICK, DELTA, DELTA)}
 
-_DEFAULTS = {
-    "expand": {"word": "", "json": False, "out": None},
-    "verify": {"n": 1, "json": False, "out": None},
-    "counts": {"n": 1, "json": False, "out": None},
-    "estimate": {
-        "model": "sk", "N": 3, "lattice": "4", "beta": 0.5,
-        "lam": 0.0, "samples": 20000, "seed": 0,
-        "method": "mc", "nodes": 64, "json": False, "out": None,
-        "lambda_grid": None, "curve_out": None,
-    },
-    "identity": {
-        "model": "sk", "N": 3, "lattice": "4", "beta": 0.5,
-        "n": 1, "samples": 20000, "seed": 0,
-        "method": "mc", "nodes": 64, "tol": 1e-6, "lemma_lambda": 0.2,
-        "lambda_grid": None, "json": False, "out": None,
-    },
-    "baseline": {
-        "model": "sk", "N": 3, "lattice": "4", "beta": 0.5,
-        "samples": 20000, "seed": 0,
-        "method": "mc", "nodes": 64, "json": False, "out": None,
-    },
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,38 +43,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--json", action="store_const", const=True, default=None,
+        p.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of text")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     def add_model(p):
-        p.add_argument("--model", choices=["sk", "ea"])
-        p.add_argument("--N", type=int, help="SK spin count")
-        p.add_argument("--lattice", help="EA lattice sides, e.g. 4 or 3x3")
-        p.add_argument("--beta", type=float)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--method", choices=["mc", "quadrature"])
-        p.add_argument("--nodes", type=int, help="quadrature nodes per dimension")
+        p.add_argument("--model", choices=["sk", "ea"], default="sk")
+        p.add_argument("--N", type=int, default=3, help="SK spin count")
+        p.add_argument("--lattice", default="4", help="EA lattice sides, e.g. 4 or 3x3")
+        p.add_argument("--beta", type=float, default=0.5)
+        p.add_argument("--samples", type=int, default=20000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--method", choices=["mc", "quadrature"], default="mc")
+        p.add_argument("--nodes", type=int, default=64,
+                       help="quadrature nodes per dimension")
 
     p = sub.add_parser("expand", help="apply an operator word to a monomial")
     p.add_argument("--graph", required=True)
-    p.add_argument("--word", help="tokens: d (derivation), C (contraction), D (C d d)")
+    p.add_argument("--word", default="",
+                   help="tokens: d (derivation), C (contraction), D (C d d)")
     add_common(p)
 
     p = sub.add_parser("verify", help="check the contraction-power identity")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=1)
     add_common(p)
 
     p = sub.add_parser("counts", help="term counts for the identity's two sides")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=1)
     add_common(p)
 
     p = sub.add_parser("estimate", help="quenched/deformed expectation of a polynomial")
     p.add_argument("--graph", required=True)
-    p.add_argument("--lam", type=float, help="deformation strength")
+    p.add_argument("--lam", type=float, default=0.0, help="deformation strength")
     p.add_argument("--lambda-grid", dest="lambda_grid",
                    help="comma-separated magnitudes for --curve-out")
     p.add_argument("--curve-out", dest="curve_out",
@@ -106,9 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="derivative vs stability-moment identity")
     p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--tol", type=float, help="absolute tolerance (quadrature rows)")
-    p.add_argument("--lemma-lambda", dest="lemma_lambda", type=float)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="absolute tolerance (quadrature rows)")
+    p.add_argument("--lemma-lambda", dest="lemma_lambda", type=float, default=0.2)
     p.add_argument("--lambda-grid", dest="lambda_grid",
                    help="comma-separated symmetric grid magnitudes")
     add_model(p)
@@ -121,24 +102,50 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    ns = vars(args)
-    merged = dict(ns)
-    if ns.get("config"):
-        with open(ns["config"], "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, val in cfg.items():
-            key = key.replace("-", "_")
-            if key not in ns or key in ("command", "config"):
-                raise ValueError(f"unknown config key {key!r} for {ns['command']}")
-            if merged.get(key) is None:
-                merged[key] = val
-    for key, val in _DEFAULTS[ns["command"]].items():
-        if merged.get(key) is None:
-            merged[key] = val
-    return merged
+#: Separators that join a config file's JSON list into the flag's text.
+_LIST_SEPARATORS = {"lattice": "x", "lambda_grid": ","}
+
+
+def _config_argv(path: str, opts: dict) -> list[str]:
+    """The settings of a config file as ``--option=value`` tokens, so each
+    value goes through the conversion and choices check of its flag."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    argv = []
+    for key, val in cfg.items():
+        dest = key.replace("-", "_")
+        if dest not in opts or dest in ("command", "config"):
+            raise ValueError(f"unknown config key {key!r} for {opts['command']}")
+        flag = "--" + dest.replace("_", "-")
+        if val is None:  # null leaves the default
+            continue
+        if isinstance(opts[dest], bool):  # an on/off flag
+            if not isinstance(val, bool):
+                raise ValueError(f"config key {key!r} must be true or false")
+            argv += [flag] if val else []
+            continue
+        items = val if isinstance(val, list) and dest in _LIST_SEPARATORS else [val]
+        if not all(isinstance(x, (str, int, float)) and not isinstance(x, bool)
+                   for x in items):
+            raise ValueError(f"config key {key!r} cannot take {json.dumps(val)}")
+        text = _LIST_SEPARATORS.get(dest, "").join(
+            x if isinstance(x, str) else repr(x) for x in items)
+        argv.append(f"{flag}={text}")
+    return argv
+
+
+def _options(argv: list[str]) -> dict:
+    """Parsed options: flags override the config file, which overrides the
+    defaults declared on the parser."""
+    parser = _build_parser()
+    opts = vars(parser.parse_args(argv))
+    if opts["config"]:
+        # The command is the first token; flags come after the config's.
+        argv = [argv[0], *_config_argv(opts["config"], opts), *argv[1:]]
+        opts = vars(parser.parse_args(argv))
+    return opts
 
 
 def _parse_word(text: str) -> list[str]:
@@ -152,25 +159,17 @@ def _parse_word(text: str) -> list[str]:
     return word
 
 
-def _parse_lattice(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
-    return tuple(int(part) for part in str(text).lower().split("x"))
-
-
 def _build_model(opts: dict) -> lab.ModelInstance:
     if opts["model"] == "sk":
         return lab.sk_model(opts["N"], opts["beta"])
-    return lab.ea_model(_parse_lattice(opts["lattice"]), opts["beta"])
+    dims = tuple(int(side) for side in opts["lattice"].lower().split("x"))
+    return lab.ea_model(dims, opts["beta"])
 
 
-def _parse_lambda_grid(value) -> tuple[float, ...]:
-    if value is None:
+def _parse_lambda_grid(text: str | None) -> tuple[float, ...]:
+    if text is None:
         return lab.DeformationConfig().lambda_grid
-    if isinstance(value, str):
-        parts = [float(x) for x in value.split(",") if x.strip()]
-    else:
-        parts = [float(x) for x in value]
+    parts = [float(x) for x in text.split(",") if x.strip()]
     if all(x > 0 for x in parts):
         parts = [s * x for x in parts for s in (1.0, -1.0)]
     return tuple(parts)
@@ -202,7 +201,7 @@ def _work_since(before: dict) -> dict:
 
 
 def cmd_expand(opts: dict) -> int:
-    word = _parse_word(opts["word"] or "")
+    word = _parse_word(opts["word"])
     graph = exprio.parse_monomial(opts["graph"])
     before = work_counts()
     t0 = time.perf_counter()
@@ -213,7 +212,7 @@ def cmd_expand(opts: dict) -> int:
         "type": "expansion",
         "payload": {
             "input": opts["graph"],
-            "word": opts["word"] or "",
+            "word": opts["word"],
             "result_polynomial": text,
         },
         "timings": {"wall_s": wall, **_work_since(before)},
@@ -245,18 +244,10 @@ def cmd_verify(opts: dict) -> int:
 def cmd_counts(opts: dict) -> int:
     graph = exprio.parse_monomial(opts["graph"])
     report = theorem_verify(graph, opts["n"])
-    doc = {
-        "type": "term_counts",
-        "payload": {
-            "graph": exprio.format_monomial(report.graph),
-            "n": report.n,
-            "raw_lhs_terms": report.raw_lhs_terms,
-            "raw_rhs_terms": report.raw_rhs_terms,
-            "canonical_lhs_terms": report.canonical_lhs_terms,
-            "canonical_rhs_terms": report.canonical_rhs_terms,
-        },
-        "timings": {"wall_s": report.wall_time_s},
-    }
+    doc = exprio.as_jsonable(report)
+    doc["type"] = "term_counts"
+    for key in ("lhs", "rhs", "equal"):
+        del doc["payload"][key]
     lines = [
         f"raw_lhs={report.raw_lhs_terms} raw_rhs={report.raw_rhs_terms} "
         f"canonical_lhs={report.canonical_lhs_terms} "
@@ -294,8 +285,8 @@ def cmd_estimate(opts: dict) -> int:
     doc["payload"]["lambda"] = opts["lam"]
     doc["timings"]["wall_s"] = wall
     lines = [_estimate_text(est)]
-    if opts.get("curve_out"):
-        grid = sorted(set(_parse_lambda_grid(opts.get("lambda_grid"))) | {0.0})
+    if opts["curve_out"]:
+        grid = sorted(set(_parse_lambda_grid(opts["lambda_grid"])) | {0.0})
         with open(opts["curve_out"], "w", encoding="utf-8") as fh:
             fh.write("lambda,mean,stderr\n")
             for lam in grid:
@@ -355,17 +346,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        opts = _merge_options(args)
+        opts = _options(sys.argv[1:] if argv is None else list(argv))
         return _COMMANDS[opts["command"]](opts)
-    except (exprio.ExpressionParseError, exprio.JsonSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # argparse has printed its message
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,15 +12,24 @@ Grammar (ASCII only, whitespace ignored):
 preceding factor and must be positive; vertex labels are positive integers.
 Repeated factors accumulate their multiplicities.  Parse errors carry the
 byte offset of the offending character.
+
+A JSON report is ``{"type", "payload", "timings"}``.  The payload holds the
+fields of the report dataclass (``TheoremReport``, ``QuenchedEstimate``,
+``IdentityReport`` with its ``IdentityRow``s), except ``wall_time_s``, which
+goes to ``timings.wall_s``; :func:`from_json` reads the same fields back,
+checked against their type hints.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Any
+import types
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .graphs import (
     EMPTY,
+    BudgetError,
     GraphPolynomial,
     Multigraph,
     make_multigraph,
@@ -222,72 +231,16 @@ def format_polynomial(p: GraphPolynomial) -> str:
 
 
 # --------------------------------------------------------------------------
-# JSON report serialization.  Exact coefficients travel inside polynomial
-# text (decimal strings); floats rely on repr round-tripping.
+# JSON report serialization: a report dataclass is its own schema.  Exact
+# coefficients travel inside polynomial text (decimal strings); floats rely
+# on repr round-tripping.
 
-def as_jsonable(obj) -> dict[str, Any]:
-    """Convert a report object to a JSON-ready dict with a ``type`` tag and
-    a ``payload``/``timings`` split (timestamps stay out of the payload)."""
-    if isinstance(obj, _ops.TheoremReport):
-        return {
-            "type": "theorem_report",
-            "payload": {
-                "graph": format_monomial(obj.graph),
-                "n": obj.n,
-                "lhs": format_polynomial(obj.lhs),
-                "rhs": format_polynomial(obj.rhs),
-                "equal": obj.equal,
-                "raw_lhs_terms": obj.raw_lhs_terms,
-                "raw_rhs_terms": obj.raw_rhs_terms,
-                "canonical_lhs_terms": obj.canonical_lhs_terms,
-                "canonical_rhs_terms": obj.canonical_rhs_terms,
-            },
-            "timings": {"wall_s": obj.wall_time_s},
-        }
-    if isinstance(obj, _lab.QuenchedEstimate):
-        return {
-            "type": "quenched_estimate",
-            "payload": {
-                "mean": obj.mean,
-                "stderr": obj.stderr,
-                "samples": obj.samples,
-                "seed": obj.seed,
-                "method": obj.method,
-                "truncation": obj.truncation,
-            },
-            "timings": {},
-        }
-    if isinstance(obj, _lab.IdentityReport):
-        return {
-            "type": "identity_report",
-            "payload": {
-                "label": obj.label,
-                "model": _model_dict(obj.model) if obj.model is not None else None,
-                "graph": format_monomial(obj.graph) if obj.graph is not None else None,
-                "n": obj.n,
-                "method": obj.method,
-                "samples": obj.samples,
-                "seed": obj.seed,
-                "lambda_grid": list(obj.lambda_grid),
-                "rows": [
-                    {
-                        "label": r.label,
-                        "lhs": r.lhs,
-                        "lhs_stderr": r.lhs_stderr,
-                        "rhs": r.rhs,
-                        "rhs_stderr": r.rhs_stderr,
-                        "diff": r.diff,
-                        "diff_stderr": r.diff_stderr,
-                        "tolerance": r.tolerance,
-                        "passed": r.passed,
-                    }
-                    for r in obj.rows
-                ],
-                "passed": obj.passed,
-            },
-            "timings": {"wall_s": obj.wall_time_s},
-        }
-    raise TypeError(f"no JSON form for {type(obj).__name__}")
+_REPORTS = {
+    "theorem_report": _ops.TheoremReport,
+    "quenched_estimate": _lab.QuenchedEstimate,
+    "identity_report": _lab.IdentityReport,
+}
+_TAGS = {cls: tag for tag, cls in _REPORTS.items()}
 
 
 def _model_dict(model) -> dict[str, Any]:
@@ -299,94 +252,104 @@ def _model_dict(model) -> dict[str, Any]:
     return out
 
 
+def _model_from_dict(d: dict):
+    kind = _need(d, "kind", str)
+    if kind == "sk":
+        return _lab.sk_model(_need(d, "n_spins", int), _need(d, "beta", float))
+    if kind == "ea":
+        return _lab.ea_model(_need(d, "dims", tuple[int, ...]), _need(d, "beta", float))
+    raise JsonSchemaError(f"unknown model kind {kind!r}")
+
+
+#: Values that are not JSON types: (writer, JSON type, reader).
+_CODECS = {
+    Multigraph: (format_monomial, str, parse_monomial),
+    GraphPolynomial: (format_polynomial, str, parse_polynomial),
+    _lab.ModelInstance: (_model_dict, dict, _model_from_dict),
+}
+
+
+def _encode(value):
+    if type(value) in _CODECS:
+        return _CODECS[type(value)][0](value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+def as_jsonable(obj) -> dict[str, Any]:
+    """Convert a report object to a JSON-ready dict with a ``type`` tag and
+    a ``payload``/``timings`` split (timestamps stay out of the payload)."""
+    if type(obj) not in _TAGS:
+        raise TypeError(f"no JSON form for {type(obj).__name__}")
+    payload = _encode(obj)
+    timings = {"wall_s": payload.pop("wall_time_s")} if "wall_time_s" in payload else {}
+    return {"type": _TAGS[type(obj)], "payload": payload, "timings": timings}
+
+
 def to_json(obj) -> str:
     return json.dumps(as_jsonable(obj), sort_keys=True, indent=2)
 
 
-def _need(d: dict, key: str, kinds) -> Any:
-    if key not in d:
-        raise JsonSchemaError(f"missing field {key!r}")
-    val = d[key]
-    if kinds is not None and not isinstance(val, kinds):
-        raise JsonSchemaError(f"field {key!r} has wrong type {type(val).__name__}")
-    return val
+def _decode(hint, value, where: str):
+    """``value`` read as type ``hint``; a JSON boolean is no number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _decode(args[0], value, where)
+    if origin is tuple:  # tuple[X, ...]
+        if isinstance(value, list):
+            return tuple(_decode(args[0], v, f"{where}[{k}]") for k, v in enumerate(value))
+    elif hint in _CODECS:
+        _, kind, read = _CODECS[hint]
+        if isinstance(value, kind):
+            try:
+                return read(value)
+            except (ValueError, BudgetError) as exc:
+                raise JsonSchemaError(f"field {where!r}: {exc}") from exc
+    elif dataclasses.is_dataclass(hint):
+        if isinstance(value, dict):
+            return _decode_fields(hint, value, where + ".")
+    elif hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    elif isinstance(value, hint) and isinstance(value, bool) == (hint is bool):
+        return value
+    raise JsonSchemaError(f"field {where!r} has wrong type {type(value).__name__}")
 
 
-def _model_from_dict(d: dict):
-    kind = _need(d, "kind", str)
-    beta = float(_need(d, "beta", (int, float)))
-    if kind == "sk":
-        return _lab.sk_model(_need(d, "n_spins", int), beta)
-    if kind == "ea":
-        return _lab.ea_model(tuple(_need(d, "dims", list)), beta)
-    raise JsonSchemaError(f"unknown model kind {kind!r}")
+def _need(d: dict, key: str, hint, prefix: str = ""):
+    """Field ``key`` of ``d`` as type ``hint``; only a field that may be
+    None may be missing."""
+    if key in d:
+        return _decode(hint, d[key], prefix + key)
+    if type(None) in get_args(hint):
+        return None
+    raise JsonSchemaError(f"missing field {prefix + key!r}")
+
+
+def _decode_fields(cls, d: dict, prefix: str):
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _need(d, f.name, hints[f.name], prefix)
+                  for f in dataclasses.fields(cls)})
 
 
 def from_json(text: str):
-    """Rebuild a report object from its JSON form; schema violations raise
-    :class:`JsonSchemaError`."""
+    """Rebuild a report object from its JSON form; a malformed document
+    raises :class:`JsonSchemaError` and nothing else."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise JsonSchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise JsonSchemaError("top level must be an object")
     tag = _need(doc, "type", str)
-    payload = _need(doc, "payload", dict)
-    timings = doc.get("timings", {})
-    if tag == "theorem_report":
-        return _ops.TheoremReport(
-            graph=parse_monomial(_need(payload, "graph", str)),
-            n=_need(payload, "n", int),
-            lhs=parse_polynomial(_need(payload, "lhs", str)),
-            rhs=parse_polynomial(_need(payload, "rhs", str)),
-            equal=_need(payload, "equal", bool),
-            raw_lhs_terms=_need(payload, "raw_lhs_terms", int),
-            raw_rhs_terms=_need(payload, "raw_rhs_terms", int),
-            canonical_lhs_terms=_need(payload, "canonical_lhs_terms", int),
-            canonical_rhs_terms=_need(payload, "canonical_rhs_terms", int),
-            wall_time_s=float(timings.get("wall_s", 0.0)),
-        )
-    if tag == "quenched_estimate":
-        trunc = payload.get("truncation")
-        return _lab.QuenchedEstimate(
-            mean=float(_need(payload, "mean", (int, float))),
-            stderr=float(_need(payload, "stderr", (int, float))),
-            samples=_need(payload, "samples", int),
-            seed=_need(payload, "seed", int),
-            method=_need(payload, "method", str),
-            truncation=None if trunc is None else float(trunc),
-        )
-    if tag == "identity_report":
-        model = payload.get("model")
-        graph = payload.get("graph")
-        rows = tuple(
-            _lab.IdentityRow(
-                label=_need(r, "label", str),
-                lhs=float(_need(r, "lhs", (int, float))),
-                lhs_stderr=float(_need(r, "lhs_stderr", (int, float))),
-                rhs=float(_need(r, "rhs", (int, float))),
-                rhs_stderr=float(_need(r, "rhs_stderr", (int, float))),
-                diff=float(_need(r, "diff", (int, float))),
-                diff_stderr=float(_need(r, "diff_stderr", (int, float))),
-                tolerance=float(_need(r, "tolerance", (int, float))),
-                passed=_need(r, "passed", bool),
-            )
-            for r in _need(payload, "rows", list)
-        )
-        return _lab.IdentityReport(
-            label=_need(payload, "label", str),
-            model=_model_from_dict(model) if model is not None else None,
-            graph=parse_monomial(graph) if graph is not None else None,
-            n=payload.get("n"),
-            method=_need(payload, "method", str),
-            samples=_need(payload, "samples", int),
-            seed=_need(payload, "seed", int),
-            lambda_grid=tuple(
-                float(x) for x in _need(payload, "lambda_grid", list)
-            ),
-            rows=rows,
-            passed=_need(payload, "passed", bool),
-            wall_time_s=float(timings.get("wall_s", 0.0)),
-        )
-    raise JsonSchemaError(f"unknown report type {tag!r}")
+    if tag not in _REPORTS:
+        raise JsonSchemaError(f"unknown report type {tag!r}")
+    payload = dict(_need(doc, "payload", dict))
+    if "wall_time_s" in {f.name for f in dataclasses.fields(_REPORTS[tag])}:
+        payload["wall_time_s"] = (_need(doc, "timings", dict | None) or {}).get("wall_s", 0.0)
+    return _decode_fields(_REPORTS[tag], payload, "")

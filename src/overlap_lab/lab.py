@@ -194,20 +194,17 @@ def _field_values(model: ModelInstance, field_couplings: np.ndarray) -> np.ndarr
     return _neg_energy(model, field_couplings) / norm
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    w = np.exp(x - x.max())
-    w /= w.sum()
-    assert np.all(np.isfinite(w)) and abs(w.sum() - 1.0) < 1e-14
-    return w
-
-
 def _softmax_last(x: np.ndarray) -> np.ndarray:
-    """One Gibbs measure per row of the last axis, each checked like
-    :func:`_softmax`."""
+    """One Gibbs measure per row of the last axis, each finite and summing
+    to one within 1e-14."""
     w = np.exp(x - x.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     assert np.all(np.isfinite(w)) and np.all(np.abs(w.sum(axis=-1) - 1.0) < 1e-14)
     return w
+
+
+# perfbench/tracer.py wraps this name to count Gibbs measures.
+_softmax = _softmax_last
 
 
 def gibbs_weights(model, couplings, lam=0.0, field_couplings=None) -> np.ndarray:
@@ -222,7 +219,7 @@ def gibbs_weights(model, couplings, lam=0.0, field_couplings=None) -> np.ndarray
         x = x + lam * _field_values(model, field_couplings)
     elif lam != 0.0:
         raise ValueError("a deformed measure needs field couplings")
-    return _softmax(x)
+    return _softmax_last(x)
 
 
 def overlap_sk(sigma, sigma_prime, n_spins: int) -> float:
@@ -274,8 +271,7 @@ class _PolyMoments:
     slices of rows whose largest intermediates stay within ``_CHUNK_FLOATS``.
     """
 
-    def __init__(self, model, poly, budget=None):
-        budget = DEFAULT_REPLICA_BUDGET if budget is None else budget
+    def __init__(self, model, poly):
         nc = model.n_configs
         overlap = model.overlap
         powers: dict[int, np.ndarray] = {1: overlap}
@@ -283,10 +279,10 @@ class _PolyMoments:
         self._constant = 0.0
         for g, coeff in poly.items():
             r = len(g.support)
-            if nc**r > budget:
+            if nc**r > DEFAULT_REPLICA_BUDGET:
                 raise BudgetError(
                     f"term {g!r} needs {nc}^{r} = {nc**r} joint Gibbs states, "
-                    f"over the replica budget {budget}"
+                    f"over the replica budget {DEFAULT_REPLICA_BUDGET}"
                 )
             if r == 0:
                 self._constant += float(coeff)
@@ -368,7 +364,7 @@ def _step(inputs, out, args) -> np.ndarray:
     return np.einsum(",".join(inputs) + "->" + out, *args)
 
 
-def replica_moment(model, couplings, lam, field_couplings, g, budget=None) -> float:
+def replica_moment(model, couplings, lam, field_couplings, g) -> float:
     """Thermal replica average of one leg-free monomial under the (possibly
     deformed) Gibbs measure for a single disorder realization.
 
@@ -378,7 +374,7 @@ def replica_moment(model, couplings, lam, field_couplings, g, budget=None) -> fl
     gc = canonicalize(g)
     if not gc.is_leg_free():
         raise ValueError("replica_moment expects a leg-free monomial")
-    evaluator = _PolyMoments(model, GraphPolynomial.monomial(gc), budget)
+    evaluator = _PolyMoments(model, GraphPolynomial.monomial(gc))
     weights = gibbs_weights(model, couplings, lam, field_couplings)
     return float(evaluator.value_grid(weights[None])[0])
 
@@ -464,6 +460,11 @@ def _deformation_axes(n):
     """K shifts every configuration's field alike, so it cancels from each
     deformed Gibbs measure."""
     return {(0, 0, 1): n, (1, 0, 1): n}
+
+
+def _undeformed_axes(n):
+    """At lam = 0 the field, v included, cancels as well."""
+    return {(0, 0, 1): n}
 
 
 #: Nodes per field axis of the baselines: their integrands are quadratic in
@@ -562,8 +563,8 @@ def _gibbs_grid(model, draws, lams) -> np.ndarray:
     return _softmax_last(x[:, None, :] + np.asarray(lams)[:, None] * h[:, None, :])
 
 
-def _deformed(model, p, lam, rule, antithetic_h, budget) -> QuenchedEstimate:
-    evaluator = _PolyMoments(model, _leg_free_polynomial(p), budget)
+def _deformed(model, p, lam, rule, antithetic_h) -> QuenchedEstimate:
+    evaluator = _PolyMoments(model, _leg_free_polynomial(p))
 
     def fill(draws):
         if antithetic_h:
@@ -581,7 +582,6 @@ def deformed_expectation(
     seed,
     *,
     antithetic_h=False,
-    budget=None,
 ) -> QuenchedEstimate:
     """Monte Carlo estimate of the deformed quenched expectation of ``p``.
 
@@ -591,44 +591,36 @@ def deformed_expectation(
     the deformation strength.
     """
     rule = _rule("mc", model, n_samples, seed, None)
-    return _deformed(model, p, lam, rule, antithetic_h, budget)
+    return _deformed(model, p, lam, rule, antithetic_h)
 
 
-def quenched_expectation(
-    model, p, n_samples, seed, *, budget=None
-) -> QuenchedEstimate:
+def quenched_expectation(model, p, n_samples, seed) -> QuenchedEstimate:
     """Undeformed quenched expectation; the lam=0 special case of
     :func:`deformed_expectation` (same code path, same random streams)."""
-    return deformed_expectation(
-        model, p, 0.0, n_samples, seed, budget=budget
-    )
+    return deformed_expectation(model, p, 0.0, n_samples, seed)
 
 
-def stability_deviation(
-    model, g, n_samples, seed, *, budget=None
-) -> QuenchedEstimate:
+def stability_deviation(model, g, n_samples, seed) -> QuenchedEstimate:
     """Quenched average of the stability polynomial of ``g``.
 
     This is the quantity whose exact vanishing characterizes stochastic
     stability; at finite size it is reported as a deviation, never asserted
     to be zero.
     """
-    return quenched_expectation(
-        model, big_delta(_as_poly(g)), n_samples, seed, budget=budget,
-    )
+    return quenched_expectation(model, big_delta(_as_poly(g)), n_samples, seed)
 
 
-def quadrature_expectation(
-    model, p, lam=0.0, n_nodes=64, budget=None
-) -> QuenchedEstimate:
+def quadrature_expectation(model, p, lam=0.0, n_nodes=64) -> QuenchedEstimate:
     """Deterministic disorder average for SK with N=2 on a Gauss-Hermite grid,
-    through the same evaluator as the Monte Carlo estimators.
+    through the same evaluator as the Monte Carlo estimators.  At ``lam=0``
+    the grid has the coupling axis only.
 
     The reported truncation bound is the change under doubling the node
     count; stderr is zero by construction.
     """
-    rule = _rule("quadrature", model, None, 0, n_nodes)
-    return _deformed(model, p, lam, rule, False, budget)
+    axes = _deformation_axes if lam else _undeformed_axes
+    rule = _rule("quadrature", model, None, 0, n_nodes, axes)
+    return _deformed(model, p, lam, rule, False)
 
 # --------------------------------------------------------------------------
 # Finite differences in the deformation strength.
@@ -747,7 +739,6 @@ def fd_derivative(
     at_lambda=0.0,
     method="mc",
     n_nodes=64,
-    budget=None,
 ) -> QuenchedEstimate:
     """Finite-difference derivative of the deformed expectation of ``g`` with
     respect to the deformation strength, evaluated at ``at_lambda``.
@@ -764,7 +755,7 @@ def fd_derivative(
     poly = _leg_free_polynomial(g)
     coeffs = _stencil_nodes(config, order, at_lambda)
     nodes = sorted(coeffs)
-    evaluator = _PolyMoments(model, poly, budget)
+    evaluator = _PolyMoments(model, poly)
 
     def fill(draws):
         values = evaluator.value_grid(_gibbs_grid(model, draws, nodes))
@@ -862,7 +853,6 @@ def identity_check(
     tol=1e-6,
     lemma_lambda=0.2,
     n_nodes=64,
-    budget=None,
 ) -> IdentityReport:
     """Check that the order-2n derivative of the deformed expectation of ``g``
     at zero deformation equals (2n-1)!! times the quenched average of the
@@ -895,8 +885,8 @@ def identity_check(
     coeffs = _stencil_nodes(config, 2 * n, 0.0)
     coeffs_lem = _stencil_nodes(config, 1, lam0) if include_lemma else {}
     nodes = sorted(coeffs.keys() | coeffs_lem.keys())
-    ev_g = _PolyMoments(model, poly_g, budget)
-    ev_d = _PolyMoments(model, dpoly, budget)
+    ev_g = _PolyMoments(model, poly_g)
+    ev_d = _PolyMoments(model, dpoly)
     at = [nodes.index(x) for x in ([0.0, lam0] if include_lemma else [0.0])]
 
     def fill(draws):
@@ -928,7 +918,6 @@ def wick_baseline_check(
     method="mc",
     tol=1e-8,
     n_nodes=64,
-    budget=None,
 ) -> IdentityReport:
     """Check the two pairing baselines that tie Gaussian field moments to
     overlap moments: the squared first bracket against the two-replica
@@ -937,8 +926,8 @@ def wick_baseline_check(
     rule = _rule(method, model, n_samples, seed, n_nodes, _baseline_axes)
     g12 = Multigraph(((1, 2, 1),), ())
     g12_23 = Multigraph(((1, 2, 1), (2, 3, 1)), ())
-    ev2 = _PolyMoments(model, GraphPolynomial.monomial(g12), budget)
-    ev3 = _PolyMoments(model, GraphPolynomial.monomial(g12_23), budget)
+    ev2 = _PolyMoments(model, GraphPolynomial.monomial(g12))
+    ev3 = _PolyMoments(model, GraphPolynomial.monomial(g12_23))
     label_a = "Av(<h>^2) vs E({1,2})"
     label_b = "Av(<h1><h1 h2><h2>) vs E({1,2}{2,3})"
 

@@ -1,5 +1,6 @@
 """CLI harness: golden output, exit codes, JSON payload stability, config."""
 
+import hashlib
 import json
 import tracemalloc
 from math import comb, factorial
@@ -150,6 +151,15 @@ class TestCounts:
         assert doc["payload"]["raw_rhs_terms"] == 4
         assert doc["payload"]["canonical_lhs_terms"] == 3
 
+    def test_pinned_payload_sha(self, capsys):
+        # the counts payload is the theorem payload without lhs, rhs, equal
+        _, out, _ = run(capsys, "counts", "--graph", "{1,2}", "--n", "2", "--json")
+        doc = json.loads(out)
+        assert doc["type"] == "term_counts"
+        canon = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canon.encode()).hexdigest() == doc["payload_sha256"] == (
+            "2344f97fb91f6e86ec48d4df7207f5854f28f88140c85e894729f762ca9a23f3")
+
 
 class TestEstimate:
     def test_beta_zero_mean(self, capsys):
@@ -295,6 +305,74 @@ class TestConfigPrecedence:
             capsys, "identity", "--graph", "{1,2}", "--config", str(cfg)
         )
         assert code == EXIT_USAGE and repr(key) in err
+
+
+class TestConfigValues:
+    """A config value is converted and checked like the flag it names."""
+
+    def run_config(self, capsys, tmp_path, cfg, *argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run(capsys, *argv, "--config", str(path))
+
+    def test_string_n_like_flag(self, capsys, tmp_path):
+        via_cfg = self.run_config(capsys, tmp_path, {"n": "2"}, "verify", "--graph", "{1,2}")
+        via_flags = run(capsys, "verify", "--graph", "{1,2}", "--n", "2")
+        assert via_cfg[0] == EXIT_OK and via_cfg[1] == via_flags[1]
+
+    def test_json_switch(self, capsys, tmp_path):
+        code, out, _ = self.run_config(capsys, tmp_path, {"json": True},
+                                       "verify", "--graph", "{1,2}")
+        assert code == EXIT_OK and json.loads(out)["type"] == "theorem_report"
+        code, out, _ = self.run_config(capsys, tmp_path, {"json": False},
+                                       "verify", "--graph", "{1,2}")
+        assert code == EXIT_OK and out.startswith("graph: {1,2}")
+
+    @pytest.mark.parametrize("cfg, flags", [
+        ({"N": "2", "beta": "0.25"}, ["--N", "2", "--beta", "0.25"]),
+        ({"model": "ea", "lattice": [2, 2]}, ["--model", "ea", "--lattice", "2x2"]),
+        ({"model": "ea", "lattice": "2x2", "beta": 0.7}, ["--model", "ea", "--lattice", "2x2",
+                                                         "--beta", "0.7"]),
+    ])
+    def test_estimate_like_flags(self, capsys, tmp_path, cfg, flags):
+        argv = ["estimate", "--graph", "{1,2}", "--samples", "40", "--seed", "3", "--json"]
+        via_cfg = self.run_config(capsys, tmp_path, cfg, *argv)
+        via_flags = run(capsys, *argv, *flags)
+        assert via_cfg[0] == EXIT_OK
+        assert json.loads(via_cfg[1])["payload"] == json.loads(via_flags[1])["payload"]
+
+    @pytest.mark.parametrize("grid", [[0.1, 0.05], "0.1,0.05"])
+    def test_lambda_grid_list_like_flag(self, capsys, tmp_path, grid):
+        argv = ["identity", "--N", "2", "--graph", "{1,2}", "--method", "quadrature",
+                "--nodes", "16", "--json"]
+        via_cfg = self.run_config(capsys, tmp_path, {"lambda_grid": grid}, *argv)
+        via_flags = run(capsys, *argv, "--lambda-grid", "0.1,0.05")
+        doc = json.loads(via_cfg[1])
+        assert doc["payload"]["lambda_grid"] == [0.1, -0.1, 0.05, -0.05]
+        assert doc["payload"] == json.loads(via_flags[1])["payload"]
+
+    def test_flags_override_checked_config(self, capsys, tmp_path):
+        code, out, _ = self.run_config(capsys, tmp_path, {"n": "2"},
+                                       "verify", "--graph", "{1,2}", "--n", "1")
+        assert code == EXIT_OK and "n: 1" in out
+
+    @pytest.mark.parametrize("cfg, named", [
+        ({"model": "foo"}, "--model"),
+        ({"method": "exact"}, "--method"),
+        ({"json": "no"}, "'json'"),
+        ({"json": 1}, "'json'"),
+        ({"n": "zz"}, "--n"),
+        ({"n": True}, "'n'"),
+        ({"N": 2.5}, "--N"),
+        ({"beta": "warm"}, "--beta"),
+        ({"samples": [10]}, "'samples'"),
+        ({"seed": {"a": 1}}, "'seed'"),
+    ])
+    def test_bad_value_exits_two_naming_key(self, capsys, tmp_path, cfg, named):
+        code, out, err = self.run_config(capsys, tmp_path, cfg, "identity", "--graph",
+                                         "{1,2}", "--samples", "10")
+        assert code == EXIT_USAGE and out == ""
+        assert named in err
 
 
 class TestQuadratureNodes:

@@ -1,5 +1,7 @@
 """Text round trips, parse errors with offsets, JSON report serialization."""
 
+import copy
+import dataclasses
 import json
 import random
 
@@ -22,13 +24,16 @@ from overlap_lab import (
     format_polynomial,
     from_json,
     identity_check,
+    lab,
     make_multigraph,
     parse_monomial,
     parse_polynomial,
     sk_model,
     theorem_verify,
     to_json,
+    wick_baseline_check,
 )
+from overlap_lab.exprio import as_jsonable
 
 
 class TestParseMonomial:
@@ -200,3 +205,136 @@ class TestJson:
     def test_schema_violations_rejected(self, doc):
         with pytest.raises(JsonSchemaError):
             from_json(doc)
+
+
+# One real report of each kind, with and without optional values.
+REPORTS = (
+    theorem_verify(parse_monomial("{1,2}{2,3}"), 1),
+    QuenchedEstimate(0.25, 0.0, 64, 0, "quadrature", truncation=1e-12),
+    QuenchedEstimate(0.5, 0.01, 100, 3, "mc"),
+    identity_check(sk_model(2, 0.5), parse_monomial("{1,2}"), 1, method="quadrature",
+                   n_nodes=8),
+    wick_baseline_check(lab.ea_model((2, 2), 0.5), 30, 1),
+)
+DOCS = [json.loads(to_json(rep)) for rep in REPORTS]
+
+
+def _replace(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value``, or
+    deleted when ``value`` is the ``DELETE`` marker."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return None if value is DELETE else value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from _paths(child, path + (k,))
+
+
+DELETE = object()
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet="{},^-+x0123456789 ab", max_size=12) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _decodes_or_refuses(doc):
+    try:
+        rep = from_json(json.dumps(doc))
+    except JsonSchemaError:
+        return
+    assert type(rep) in {type(r) for r in REPORTS}
+
+
+class TestJsonSchema:
+    def test_payload_fields_are_the_dataclass_fields(self):
+        for rep, doc in zip(REPORTS, DOCS):
+            names = {f.name for f in dataclasses.fields(rep)} - {"wall_time_s"}
+            assert set(doc["payload"]) == names
+            assert ("wall_s" in doc["timings"]) == hasattr(rep, "wall_time_s")
+
+    def test_real_reports_round_trip(self):
+        for rep in REPORTS:
+            assert from_json(to_json(rep)) == rep
+
+    def test_as_jsonable_refuses_other_objects(self):
+        with pytest.raises(TypeError):
+            as_jsonable(sk_model(2, 0.5))
+
+    @pytest.mark.parametrize("kind, path, value", [
+        (3, ("payload", "rows"), [1]),
+        (3, ("payload", "model"), 3),
+        (3, ("payload", "lambda_grid"), ["a"]),
+        (3, ("payload", "n"), "zz"),
+        (3, ("payload", "samples"), True),
+        (1, ("payload", "samples"), True),
+        (1, ("payload", "mean"), True),
+        (1, ("payload", "mean"), 10**400),
+        (1, ("payload", "truncation"), "0.1"),
+        (0, ("payload", "n"), True),
+        (0, ("payload", "equal"), 1),
+        (0, ("payload", "graph"), "{1,1}"),
+        (0, ("payload", "lhs"), "2{1,2} +"),
+        (0, ("timings",), []),
+        (0, ("timings", "wall_s"), "fast"),
+        (3, ("payload", "rows", 0, "passed"), "yes"),
+        (3, ("payload", "rows", 0, "lhs"), DELETE),
+        (3, ("payload", "model", "kind"), "xy"),
+        (3, ("payload", "model", "n_spins"), 9),
+        (3, ("payload", "model", "beta"), -1),
+        (3, ("payload", "model"), {"kind": "ea", "beta": 0.5, "dims": [2, 2.5]}),
+        (3, ("payload", "model"), {"kind": "ea", "beta": 0.5, "dims": [100]}),
+        (4, ("payload", "model", "dims"), DELETE),
+        (4, ("payload", "passed"), None),
+        (2, ("payload", "method"), None),
+        (2, ("type",), "theorem_report"),
+    ])
+    def test_malformed_values_refused(self, kind, path, value):
+        doc = _replace(DOCS[kind], path, value)
+        with pytest.raises(JsonSchemaError):
+            from_json(json.dumps(doc))
+
+    def test_optional_fields_may_be_missing(self):
+        doc = _replace(DOCS[4], ("payload", "graph"), DELETE)
+        assert from_json(json.dumps(doc)).graph is None
+        doc = _replace(DOCS[1], ("timings",), DELETE)
+        assert from_json(json.dumps(doc)).truncation == 1e-12
+
+    @pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000, '{"type": 1}'])
+    def test_unreadable_documents_refused(self, text):
+        with pytest.raises(JsonSchemaError):
+            from_json(text)
+
+    @given(st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_mutated_reports_decode_or_refuse(self, data):
+        doc = DOCS[data.draw(st.integers(0, len(DOCS) - 1))]
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        value = data.draw(st.just(DELETE) | JSON | st.sampled_from(
+            [DOCS[3]["payload"]["rows"][0], DOCS[3]["payload"]["model"],
+             DOCS[4]["payload"]["model"]]))
+        _decodes_or_refuses(_replace(doc, path, value))
+
+    @given(JSON, st.sampled_from(["theorem_report", "quenched_estimate",
+                                  "identity_report", None]))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_json_decodes_or_refuses(self, value, tag):
+        _decodes_or_refuses(value if tag is None else {"type": tag, "payload": value})

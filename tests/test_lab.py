@@ -160,6 +160,16 @@ class TestGibbsWeights:
         with pytest.raises(ValueError):
             gibbs_weights(model, np.zeros((2, 2)), 0.3, None)
 
+    def test_one_measure_is_a_row_of_the_batched_softmax(self):
+        # 1-D input: the same max, sum and normalisation as a single row
+        model = sk_model(4, 0.7)
+        j, jp = np.random.default_rng(3).standard_normal((2, 4, 4))
+        w = gibbs_weights(model, j, 0.3, jp)
+        x = model.beta * lab._neg_energy(model, j) + 0.3 * lab._field_values(model, jp)
+        e = np.exp(x - x.max())
+        assert np.array_equal(w, e / e.sum())
+        assert lab._softmax is lab._softmax_last
+
 
 class TestReplicaMoment:
     def test_empty_monomial_gives_one(self):
@@ -288,6 +298,26 @@ class TestQuadrature:
         model = sk_model(2, 0.5)
         mc = deformed_expectation(model, C12, 0.3, 20000, 17)
         assert abs(mc.mean - GOLDEN_SK2_QUAD_B05_L03) <= 3 * mc.stderr
+
+    def test_lambda_zero_integrates_the_coupling_axis_only(self, monkeypatch):
+        # at lam = 0 the field cancels, so the v axis of the deformed grid
+        # only multiplies the integral by its weights' sum
+        model = sk_model(2, 0.7)
+        poly = big_delta(GraphPolynomial.monomial(C12))
+        two_axes = lab._deformed(
+            model, poly, 0.0, lab._rule("quadrature", model, None, 0, 64), False)
+        sizes = []
+        evaluate = lab._evaluate
+
+        def recording(rule, *args):
+            sizes.append(rule.size)
+            return evaluate(rule, *args)
+
+        monkeypatch.setattr(lab, "_evaluate", recording)
+        est = quadrature_expectation(model, poly)
+        assert sizes == [64, 128]  # the grid, then its doubling for truncation
+        assert est.mean == pytest.approx(two_axes.mean, rel=0, abs=1e-14)
+        assert est.truncation == pytest.approx(two_axes.truncation, rel=0, abs=1e-14)
 
     def test_non_reducible_models_rejected(self):
         with pytest.raises(ValueError):
