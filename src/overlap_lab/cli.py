@@ -12,6 +12,7 @@ whose sha256 is stable across reruns; wall times live under ``timings``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -34,6 +35,21 @@ EXIT_USAGE = 2
 _WORD_TOKENS = {"d": (DELTA,), "C": (WICK,), "D": (WICK, DELTA, DELTA)}
 
 
+def lattice(text: str) -> tuple[int, ...]:
+    """EA lattice sides from text like ``4`` or ``3x3``."""
+    return tuple(int(side) for side in text.lower().split("x"))
+
+
+def lambda_grid(text: str) -> tuple[float, ...]:
+    """Deformation grid from comma-separated values; all-positive magnitudes
+    are mirrored about 0."""
+    parts = [float(x) for x in text.split(",") if x.strip()]
+    if all(x > 0 for x in parts):
+        parts = [s * x for x in parts for s in (1.0, -1.0)]
+    return tuple(parts)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overlap",
@@ -50,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_model(p):
         p.add_argument("--model", choices=["sk", "ea"], default="sk")
         p.add_argument("--N", type=int, default=3, help="SK spin count")
-        p.add_argument("--lattice", default="4", help="EA lattice sides, e.g. 4 or 3x3")
+        p.add_argument("--lattice", type=lattice, default="4",
+                       help="EA lattice sides, e.g. 4 or 3x3")
         p.add_argument("--beta", type=float, default=0.5)
         p.add_argument("--samples", type=int, default=20000)
         p.add_argument("--seed", type=int, default=0)
@@ -77,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="quenched/deformed expectation of a polynomial")
     p.add_argument("--graph", required=True)
     p.add_argument("--lam", type=float, default=0.0, help="deformation strength")
-    p.add_argument("--lambda-grid", dest="lambda_grid",
+    p.add_argument("--lambda-grid", dest="lambda_grid", type=lambda_grid,
+                   default=lab.DeformationConfig().lambda_grid,
                    help="comma-separated magnitudes for --curve-out")
     p.add_argument("--curve-out", dest="curve_out",
                    help="write a CSV of estimates across the lambda grid")
@@ -90,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6,
                    help="absolute tolerance (quadrature rows)")
     p.add_argument("--lemma-lambda", dest="lemma_lambda", type=float, default=0.2)
-    p.add_argument("--lambda-grid", dest="lambda_grid",
+    p.add_argument("--lambda-grid", dest="lambda_grid", type=lambda_grid,
+                   default=lab.DeformationConfig().lambda_grid,
                    help="comma-separated symmetric grid magnitudes")
     add_model(p)
     add_common(p)
@@ -162,17 +181,7 @@ def _parse_word(text: str) -> list[str]:
 def _build_model(opts: dict) -> lab.ModelInstance:
     if opts["model"] == "sk":
         return lab.sk_model(opts["N"], opts["beta"])
-    dims = tuple(int(side) for side in opts["lattice"].lower().split("x"))
-    return lab.ea_model(dims, opts["beta"])
-
-
-def _parse_lambda_grid(text: str | None) -> tuple[float, ...]:
-    if text is None:
-        return lab.DeformationConfig().lambda_grid
-    parts = [float(x) for x in text.split(",") if x.strip()]
-    if all(x > 0 for x in parts):
-        parts = [s * x for x in parts for s in (1.0, -1.0)]
-    return tuple(parts)
+    return lab.ea_model(opts["lattice"], opts["beta"])
 
 
 def _payload_sha(payload: dict) -> str:
@@ -286,7 +295,7 @@ def cmd_estimate(opts: dict) -> int:
     doc["timings"]["wall_s"] = wall
     lines = [_estimate_text(est)]
     if opts["curve_out"]:
-        grid = sorted(set(_parse_lambda_grid(opts["lambda_grid"])) | {0.0})
+        grid = sorted(set(opts["lambda_grid"]) | {0.0})
         with open(opts["curve_out"], "w", encoding="utf-8") as fh:
             fh.write("lambda,mean,stderr\n")
             for lam in grid:
@@ -315,7 +324,7 @@ def _identity_lines(report: lab.IdentityReport) -> list[str]:
 def cmd_identity(opts: dict) -> int:
     model = _build_model(opts)
     graph = exprio.parse_monomial(opts["graph"])
-    config = lab.DeformationConfig(lambda_grid=_parse_lambda_grid(opts["lambda_grid"]))
+    config = lab.DeformationConfig(lambda_grid=opts["lambda_grid"])
     report = lab.identity_check(
         model, graph, opts["n"], opts["samples"], opts["seed"],
         config=config, method=opts["method"],

@@ -34,6 +34,7 @@ import functools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import index
 from typing import Iterable, Mapping
 
@@ -174,16 +175,7 @@ def leg(v: int, mult: int = 1) -> Multigraph:
 
 def compose(g1: Multigraph, g2: Multigraph) -> Multigraph:
     """Same-label product: edge and leg multiplicities add pointwise."""
-    edges = g1.edge_dict()
-    for key, m in g2.edge_dict().items():
-        edges[key] = edges.get(key, 0) + m
-    legs = g1.leg_dict()
-    for v, n in g2.leg_dict().items():
-        legs[v] = legs.get(v, 0) + n
-    return Multigraph(
-        tuple((i, j, m) for (i, j), m in sorted(edges.items())),
-        tuple(sorted(legs.items())),
-    )
+    return make_multigraph(g1.edges + g2.edges, g1.legs + g2.legs)
 
 
 def relabel(g: Multigraph, mapping: Mapping[int, int]) -> Multigraph:
@@ -458,37 +450,35 @@ def enumerate_pairings(labels: Iterable[int]) -> list[Pairing]:
 class GraphPolynomial:
     """Finite linear combination of canonical multigraphs with exact signed
     arbitrary-precision integer coefficients.  Zero coefficients are never
-    stored; all construction paths re-canonicalize their keys."""
+    stored; every construction path adds coefficients by canonical class in
+    :meth:`_sum`."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Multigraph, int] = {}
+        pairs = []
         for g, c in items:
             if not isinstance(g, Multigraph):
                 raise TypeError(f"expected Multigraph key, got {type(g).__name__}")
-            c = index(c)
-            if c == 0:
-                continue
-            key = canonicalize(g)
-            tot = acc.get(key, 0) + c
-            if tot:
-                acc[key] = tot
-            else:
-                acc.pop(key, None)
-        self._terms = acc
+            pairs.append((canonicalize(g), index(c)))
+        self._terms = GraphPolynomial._sum(pairs)._terms
 
     @classmethod
-    def _from_canonical(cls, terms: dict[Multigraph, int]) -> "GraphPolynomial":
-        # Internal fast path: keys already canonical, zeros already dropped.
+    def _sum(cls, pairs: Iterable[tuple[Multigraph, int]]) -> "GraphPolynomial":
+        """The sum of ``(canonical graph, coefficient)`` pairs: coefficients
+        add by graph and zero totals are dropped.  Every signed sum of
+        polynomials is built here."""
+        acc: dict[Multigraph, int] = {}
+        for g, c in pairs:
+            acc[g] = acc.get(g, 0) + c
         p = object.__new__(cls)
-        p._terms = terms
+        p._terms = {g: c for g, c in acc.items() if c}
         return p
 
     @classmethod
     def zero(cls) -> "GraphPolynomial":
-        return cls._from_canonical({})
+        return cls._sum(())
 
     @classmethod
     def monomial(cls, g: Multigraph, coeff: int = 1) -> "GraphPolynomial":
@@ -522,17 +512,10 @@ class GraphPolynomial:
     def __add__(self, other):
         if not isinstance(other, GraphPolynomial):
             return NotImplemented
-        acc = dict(self._terms)
-        for g, c in other._terms.items():
-            tot = acc.get(g, 0) + c
-            if tot:
-                acc[g] = tot
-            else:
-                acc.pop(g, None)
-        return GraphPolynomial._from_canonical(acc)
+        return GraphPolynomial._sum(chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self):
-        return GraphPolynomial._from_canonical({g: -c for g, c in self._terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, GraphPolynomial):
@@ -541,25 +524,16 @@ class GraphPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, GraphPolynomial):
-            acc: dict[Multigraph, int] = {}
-            for g1, c1 in self._terms.items():
-                for g2, c2 in other._terms.items():
-                    key = canonicalize(compose(g1, g2))
-                    tot = acc.get(key, 0) + c1 * c2
-                    if tot:
-                        acc[key] = tot
-                    else:
-                        acc.pop(key, None)
-            return GraphPolynomial._from_canonical(acc)
+            return GraphPolynomial._sum(
+                (canonicalize(compose(g1, g2)), c1 * c2)
+                for g1, c1 in self._terms.items()
+                for g2, c2 in other._terms.items()
+            )
         try:
             c = index(other)
         except TypeError:
             return NotImplemented
-        if c == 0:
-            return GraphPolynomial.zero()
-        return GraphPolynomial._from_canonical(
-            {g: c * v for g, v in self._terms.items()}
-        )
+        return GraphPolynomial._sum((g, c * v) for g, v in self._terms.items())
 
     __rmul__ = __mul__
 

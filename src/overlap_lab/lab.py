@@ -635,16 +635,14 @@ _STENCILS = {
 
 @dataclass(frozen=True)
 class DeformationConfig:
-    """Symmetric deformation grid and differentiation plan.
+    """Symmetric deformation grid for the finite-difference stencils.
 
     Magnitudes must form a halving chain (each next one is half the
     previous), which is what the Richardson table assumes.  The center 0 is
-    implicit.  ``richardson_levels=None`` uses every available scale.
+    implicit.  Every stencil extrapolates over all the scales it can use.
     """
 
     lambda_grid: tuple[float, ...] = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
-    fd_order: int = 2
-    richardson_levels: int | None = None
 
     def __post_init__(self):
         grid = tuple(float(x) for x in self.lambda_grid)
@@ -663,10 +661,6 @@ class DeformationConfig:
                 raise ValueError(
                     f"grid magnitudes must halve, got consecutive {a} and {b}"
                 )
-        if self.fd_order not in _STENCILS:
-            raise ValueError(f"fd_order must be one of {sorted(_STENCILS)}")
-        if self.richardson_levels is not None and self.richardson_levels < 0:
-            raise ValueError("richardson_levels must be >= 0")
 
     @property
     def magnitudes(self) -> tuple[float, ...]:
@@ -688,15 +682,6 @@ def _stencil_nodes(config: DeformationConfig, order: int, at_lambda: float):
         scales = mags
     if not scales:
         raise ValueError(f"grid too small for derivative order {order}")
-    levels = config.richardson_levels
-    if levels is None:
-        levels = len(scales) - 1
-    if levels > len(scales) - 1:
-        raise ValueError(
-            f"richardson_levels={levels} needs {levels + 1} scales, "
-            f"grid provides {len(scales)}"
-        )
-    scales = scales[len(scales) - (levels + 1):]
     rows = []
     for h in scales:
         coeffs: dict[float, float] = {}
@@ -704,7 +689,7 @@ def _stencil_nodes(config: DeformationConfig, order: int, at_lambda: float):
             node = at_lambda + off * h
             coeffs[node] = coeffs.get(node, 0.0) + c / h**order
         rows.append(coeffs)
-    for level in range(1, levels + 1):
+    for level in range(1, len(scales)):
         factor = 4.0**level
         nxt = []
         for i in range(1, len(rows)):

@@ -109,15 +109,9 @@ def _as_poly(p) -> GraphPolynomial:
 def _extend(term_map, p) -> GraphPolynomial:
     """Linear extension of ``term_map``, a map from one canonical monomial to
     a polynomial, over the terms of ``p``."""
-    acc: dict[Multigraph, int] = {}
-    for g, c in _as_poly(p).items():
-        for h, c2 in term_map(g).items():
-            tot = acc.get(h, 0) + c * c2
-            if tot:
-                acc[h] = tot
-            else:
-                acc.pop(h, None)
-    return GraphPolynomial._from_canonical(acc)
+    return GraphPolynomial._sum(
+        (h, c * c2) for g, c in _as_poly(p).items() for h, c2 in term_map(g).items()
+    )
 
 
 def delta_v_plus(g: Multigraph, v: int) -> GraphPolynomial:
@@ -137,27 +131,12 @@ def delta_v_minus(g: Multigraph, v: int) -> GraphPolynomial:
 @functools.lru_cache(maxsize=None)
 def _delta_term(g: Multigraph) -> GraphPolynomial:
     # g is canonical, so its support is {1..R} and the fresh vertex is R+1.
-    support = g.support
-    if not support:
-        return GraphPolynomial.zero()
-    legs = g.leg_dict()
-
-    def with_leg(v):
-        out = dict(legs)
-        out[v] = out.get(v, 0) + 1
-        return _canonical_form(g.edges, sorted(out.items()))
-
-    acc: dict[Multigraph, int] = {}
-    for v in support:
-        key = with_leg(v)
-        acc[key] = acc.get(key, 0) + 1
-    fresh_key = with_leg(fresh_vertex(g))
-    tot = acc.get(fresh_key, 0) - len(support)
-    if tot:
-        acc[fresh_key] = tot
-    else:
-        acc.pop(fresh_key, None)
-    return GraphPolynomial._from_canonical(acc)
+    r, legs = len(g.support), g.leg_dict()
+    return GraphPolynomial._sum(
+        (_canonical_form(g.edges, sorted({**legs, v: legs.get(v, 0) + 1}.items())),
+         1 if v <= r else -r)
+        for v in range(1, r + 2)
+    )
 
 
 def delta(p) -> GraphPolynomial:
@@ -228,6 +207,9 @@ def _wick_term(g: Multigraph) -> GraphPolynomial:
         _pair_count_matrices(degrees, refuse_past_bound)
     base = g.edge_dict()
     numerator = math.prod(math.factorial(n) for n in degrees)
+    # Every count is positive, so nothing cancels: outcomes add into this
+    # dict as they come instead of being listed, one per pair-count matrix,
+    # for GraphPolynomial._sum.
     acc: dict[Multigraph, int] = {}
 
     def add(off, denom):
@@ -240,7 +222,7 @@ def _wick_term(g: Multigraph) -> GraphPolynomial:
         acc[key] = acc.get(key, 0) + numerator // denom
 
     work["pair_count_matrices"] += _pair_count_matrices(degrees, add)
-    return GraphPolynomial._from_canonical(acc)
+    return GraphPolynomial._sum(acc.items())
 
 
 def wick_contract(p) -> GraphPolynomial:
@@ -332,30 +314,25 @@ class TermCounts(NamedTuple):
     canonical_rhs: int
 
 
-def theorem_verify(
-    g: Multigraph,
-    n: int,
-    *,
-    max_n: int = DEFAULT_MAX_N,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> TheoremReport:
+def theorem_verify(g: Multigraph, n: int) -> TheoremReport:
     """Exact check that contracting 2n derivations of ``g`` equals
     (2n-1)!! iterated ``big_delta``.
 
-    ``g`` must be leg-free.  Requests beyond the configured bounds raise
-    :class:`BudgetError` instead of silently truncating.
+    ``g`` must be leg-free.  Requests beyond ``DEFAULT_MAX_N`` or
+    ``DEFAULT_MAX_VERTICES`` raise :class:`BudgetError` instead of silently
+    truncating.
     """
     if not g.is_leg_free():
         raise ValueError("theorem_verify expects a leg-free monomial")
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if n > max_n:
-        raise BudgetError(f"n={n} exceeds the configured bound max_n={max_n}")
+    if n > DEFAULT_MAX_N:
+        raise BudgetError(f"n={n} exceeds the configured bound max_n={DEFAULT_MAX_N}")
     gc = canonicalize(g)
     r = len(gc.support)
-    if r + 2 * n > max_vertices:
+    if r + 2 * n > DEFAULT_MAX_VERTICES:
         raise BudgetError(
-            f"|support|+2n = {r + 2 * n} exceeds max_vertices={max_vertices}"
+            f"|support|+2n = {r + 2 * n} exceeds max_vertices={DEFAULT_MAX_VERTICES}"
         )
     t0 = time.perf_counter()
     lhs = GraphPolynomial.monomial(gc)
@@ -381,9 +358,9 @@ def theorem_verify(
     )
 
 
-def term_count_report(g: Multigraph, n: int, **bounds) -> TermCounts:
+def term_count_report(g: Multigraph, n: int) -> TermCounts:
     """Raw and canonical term counts for the two sides of the identity."""
-    rep = theorem_verify(g, n, **bounds)
+    rep = theorem_verify(g, n)
     return TermCounts(
         raw_lhs=rep.raw_lhs_terms,
         raw_rhs=rep.raw_rhs_terms,

@@ -40,6 +40,14 @@ def multigraphs(draw, max_vertices=5, max_edges=3, max_legs=2, max_mult=3):
 
 
 @st.composite
+def polynomials(draw):
+    """Up to three :func:`multigraphs` with small signed coefficients;
+    isomorphic terms may merge or cancel."""
+    terms = draw(st.lists(st.tuples(multigraphs(), st.integers(-3, 3)), max_size=3))
+    return GraphPolynomial(terms)
+
+
+@st.composite
 def leg_free_multigraphs(draw, max_vertices=4, max_edges=3, max_mult=2):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rnd = random.Random(seed)

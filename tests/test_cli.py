@@ -367,12 +367,23 @@ class TestConfigValues:
         ({"beta": "warm"}, "--beta"),
         ({"samples": [10]}, "'samples'"),
         ({"seed": {"a": 1}}, "'seed'"),
+        ({"lattice": "ax2"}, "--lattice"),
+        ({"lambda_grid": "0.1,a"}, "--lambda-grid"),
+        ({"lambda_grid": [0.1, "a"]}, "--lambda-grid"),
     ])
     def test_bad_value_exits_two_naming_key(self, capsys, tmp_path, cfg, named):
         code, out, err = self.run_config(capsys, tmp_path, cfg, "identity", "--graph",
                                          "{1,2}", "--samples", "10")
         assert code == EXIT_USAGE and out == ""
         assert named in err
+
+    @pytest.mark.parametrize("flag, value", [("--lattice", "ax2"),
+                                             ("--lambda-grid", "0.1,a")])
+    def test_malformed_grid_flag_exits_two_naming_it(self, capsys, flag, value):
+        code, out, err = run(capsys, "identity", "--graph", "{1,2}", "--samples", "10",
+                             flag, value)
+        assert code == EXIT_USAGE and out == ""
+        assert f"argument {flag}" in err
 
 
 class TestQuadratureNodes:

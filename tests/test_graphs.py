@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_matchings, count_matchings, multigraphs, random_multigraph
+from conftest import (
+    brute_force_matchings,
+    count_matchings,
+    multigraphs,
+    polynomials,
+    random_multigraph,
+)
 from overlap_lab import (
     EMPTY,
     GraphPolynomial,
@@ -251,3 +257,15 @@ class TestGraphPolynomial:
         c = 3**40
         p = GraphPolynomial.monomial(edge(1, 2), c)
         assert (p + p).coefficient(edge(1, 2)) == 2 * c
+
+    @given(polynomials(), polynomials(), polynomials())
+    @settings(max_examples=100, deadline=None)
+    def test_product_distributes_over_sum(self, p, q, r):
+        assert p * (q + r) == p * q + p * r
+
+    @given(polynomials(), polynomials())
+    @settings(max_examples=100, deadline=None)
+    def test_cancelled_terms_are_not_stored(self, p, q):
+        assert len(p * q - q * p) == 0
+        assert len(p - p) == 0
+        assert all(c for _, c in (p + q).items())

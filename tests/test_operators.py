@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import leg_free_multigraphs, multigraphs
+from conftest import leg_free_multigraphs, multigraphs, polynomials
 from overlap_lab import (
     DELTA,
     EMPTY,
@@ -253,6 +253,23 @@ class TestBigDelta:
     def test_coefficient_sum_vanishes(self, g):
         # sending every overlap to 1 must kill the stability polynomial
         assert big_delta(mono(g)).coefficient_sum() == 0
+
+
+class TestLinearity:
+    @pytest.mark.parametrize("op", [delta, wick_contract, big_delta])
+    @given(p=polynomials(), q=polynomials())
+    @settings(max_examples=40, deadline=None)
+    def test_operator_of_sum_is_sum_of_operators(self, op, p, q):
+        assert op(p + q) == op(p) + op(q)
+        # every image term cancels against its negative
+        assert len(op(p) + op(-p)) == 0
+
+    def test_images_of_distinct_terms_cancel(self):
+        # {1}^2 contracts to one pairing, {1}^4 to three, both onto the empty graph
+        p = mono(leg(1, 2), 3) + mono(leg(1, 4), -1)
+        assert len(p) == 2
+        assert wick_contract(p) == wick_contract(mono(leg(1, 2), 3)) + wick_contract(
+            mono(leg(1, 4), -1)) == GraphPolynomial.zero()
 
 
 class TestDeltaFormulaDirect:
