@@ -189,9 +189,8 @@ def _payload_sha(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _emit(opts: dict, text_lines: list[str], doc: dict | None) -> None:
+def _emit(opts: dict, text_lines: list[str], doc: dict) -> None:
     if opts["json"]:
-        assert doc is not None
         doc = dict(doc)
         doc["payload_sha256"] = _payload_sha(doc["payload"])
         output = json.dumps(doc, sort_keys=True, indent=2) + "\n"

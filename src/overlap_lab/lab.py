@@ -2,6 +2,12 @@
 Monte Carlo over the disorder, a Gauss-Hermite oracle for the two-spin SK
 instance, and finite-size identity checks against the symbolic engine.
 
+Both models share one formula.  ``ModelInstance.bonds`` lists the coupled
+site pairs b = (i, j) and ``bond_products`` the products sigma_i sigma_j per
+configuration, a (2^N, |B|) matrix P.  Then -H = sum_b J_b sigma_i sigma_j,
+the deformation field is the same sum over the field couplings divided by
+sqrt(|B|), and the overlap kernel, their covariance, is P P^T / |B|.
+
 Conventions that the reproducibility contract depends on:
 
 * Disorder sample ``i`` of a run with seed ``s`` uses the independent stream
@@ -73,8 +79,10 @@ class ModelInstance:
 
     ``kind`` is ``"sk"`` (fully coupled, N^2 Gaussian couplings including the
     diagonal and both orders) or ``"ea"`` (nearest-neighbor bonds on a
-    periodic lattice, one Gaussian per bond).  Use :func:`sk_model` /
-    :func:`ea_model` to construct validated instances.
+    periodic lattice, one Gaussian per bond).  Either way -H = sum_b J_b
+    sigma_i sigma_j over the pairs b = (i, j) of :attr:`bonds`, and the
+    overlap is P P^T / |B| with P = :attr:`bond_products`.  Use
+    :func:`sk_model` / :func:`ea_model` to construct validated instances.
     """
 
     kind: str
@@ -94,48 +102,31 @@ class ModelInstance:
 
     @cached_property
     def bonds(self) -> tuple[tuple[int, int], ...]:
-        """Nearest-neighbor site pairs with periodic wrap (EA only)."""
-        if self.kind != "ea":
-            raise AttributeError("bonds are defined for EA models only")
-        dims = self.dims
-        assert dims is not None
-        strides = [1] * len(dims)
-        for k in range(len(dims) - 2, -1, -1):
-            strides[k] = strides[k + 1] * dims[k + 1]
-
-        def ravel(coords):
-            return sum(c * s for c, s in zip(coords, strides))
-
-        out = set()
-        for coords in product(*[range(side) for side in dims]):
-            i = ravel(coords)
-            for k, side in enumerate(dims):
-                if side == 1:
-                    continue
-                nb = list(coords)
-                nb[k] = (nb[k] + 1) % side
-                j = ravel(nb)
-                if i != j:
-                    out.add((min(i, j), max(i, j)))
-        return tuple(sorted(out))
+        """Coupled site pairs (i, j) in the order of the flattened couplings: for
+        SK every ordered pair, the diagonal included, in the C order of J; for
+        EA the periodic nearest-neighbor pairs, i < j, sorted and unique."""
+        if self.kind == "sk":
+            return tuple(product(range(self.n_sites), repeat=2))
+        sites = np.arange(self.n_sites).reshape(self.dims)
+        # sites are numbered in C order, so nxt[i] is the wrapped neighbor of
+        # site i one step along an axis
+        steps = [np.roll(sites, -1, axis).ravel().tolist() for axis in range(sites.ndim)]
+        pairs = {tuple(sorted(p)) for nxt in steps for p in enumerate(nxt) if p[0] != p[1]}
+        return tuple(sorted(pairs))
 
     @cached_property
     def bond_products(self) -> np.ndarray:
         """sigma_i * sigma_j per configuration and bond, shape (2^N, |B|)."""
-        left = np.array([b[0] for b in self.bonds])
-        right = np.array([b[1] for b in self.bonds])
+        left, right = np.array(self.bonds).T
         return self.spins[:, left] * self.spins[:, right]
 
     @cached_property
     def overlap(self) -> np.ndarray:
-        """Pairwise covariance kernel over configurations.
+        """Pairwise covariance kernel over configurations, P P^T / |B|.
 
         SK: squared site overlap in [0, 1]; EA: link overlap in [-1, 1].
         The diagonal is exactly one in both cases.
         """
-        if self.kind == "sk":
-            q = (self.spins @ self.spins.T) / self.n_sites
-            return q * q
         p = self.bond_products
         return (p @ p.T) / len(self.bonds)
 
@@ -182,16 +173,20 @@ def _check_beta(beta: float):
         raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
 
 
+def _check_finite(name: str, value: float):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _neg_energy(model: ModelInstance, couplings: np.ndarray) -> np.ndarray:
-    """-H per configuration; leading axes of ``couplings`` are batch axes."""
-    if model.kind == "sk":
-        return np.einsum("...ij,ci,cj->...c", couplings, model.spins, model.spins)
-    return couplings @ model.bond_products.T
+    """-H = sum_b J_b sigma_i sigma_j per configuration; leading axes of
+    ``couplings`` are batch axes."""
+    batch = couplings.shape[: couplings.ndim - len(model.coupling_shape)]
+    return couplings.reshape(*batch, -1) @ model.bond_products.T
 
 
 def _field_values(model: ModelInstance, field_couplings: np.ndarray) -> np.ndarray:
-    norm = model.n_sites if model.kind == "sk" else math.sqrt(len(model.bonds))
-    return _neg_energy(model, field_couplings) / norm
+    return _neg_energy(model, field_couplings) / math.sqrt(len(model.bonds))
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
@@ -199,7 +194,8 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     to one within 1e-14."""
     w = np.exp(x - x.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
-    assert np.all(np.isfinite(w)) and np.all(np.abs(w.sum(axis=-1) - 1.0) < 1e-14)
+    if not (np.all(np.isfinite(w)) and np.all(np.abs(w.sum(axis=-1) - 1.0) < 1e-14)):
+        raise ValueError("Gibbs weights are not finite or do not sum to one")
     return w
 
 
@@ -371,10 +367,7 @@ def replica_moment(model, couplings, lam, field_couplings, g) -> float:
     Isomorphic monomials share a canonical key, so they produce bit-identical
     values.
     """
-    gc = canonicalize(g)
-    if not gc.is_leg_free():
-        raise ValueError("replica_moment expects a leg-free monomial")
-    evaluator = _PolyMoments(model, GraphPolynomial.monomial(gc))
+    evaluator = _PolyMoments(model, _leg_free_polynomial(g))
     weights = gibbs_weights(model, couplings, lam, field_couplings)
     return float(evaluator.value_grid(weights[None])[0])
 
@@ -564,6 +557,7 @@ def _gibbs_grid(model, draws, lams) -> np.ndarray:
 
 
 def _deformed(model, p, lam, rule, antithetic_h) -> QuenchedEstimate:
+    _check_finite("lam", lam)
     evaluator = _PolyMoments(model, _leg_free_polynomial(p))
 
     def fill(draws):
@@ -651,6 +645,7 @@ class DeformationConfig:
             raise ValueError("lambda grid is empty")
         vals = set(grid)
         for lam in grid:
+            _check_finite("lambda_grid", lam)
             if lam == 0.0:
                 raise ValueError("0 is implicit; list only the offsets")
             if -lam not in vals:
@@ -735,6 +730,7 @@ def fd_derivative(
     """
     if order not in _STENCILS:
         raise ValueError(f"derivative order must be one of {sorted(_STENCILS)}")
+    _check_finite("at_lambda", at_lambda)
     rule = _rule(method, model, n_samples, seed, n_nodes)
     config = config or DeformationConfig()
     poly = _leg_free_polynomial(g)
@@ -783,47 +779,31 @@ class IdentityReport:
     wall_time_s: float
 
 
-def _crn_columns(lhs, rhs) -> np.ndarray:
-    """Per-node columns lhs, rhs, lhs - rhs of each identity row (the layout
-    :func:`_row` reads), from one (nodes,) array or constant per side."""
-    cols = np.broadcast_arrays(*lhs, *rhs)
-    left, right = np.stack(cols[: len(lhs)], axis=1), np.stack(cols[len(lhs):], axis=1)
-    return np.stack([left, right, left - right], axis=2).reshape(len(left), -1)
+def _identity_report(label, rule, draw_shape, per_node, row_labels, fill, t0, tol=None,
+                     model=None, graph=None, n=None, lambda_grid=()) -> IdentityReport:
+    """One identity report, a row per label, timed from ``t0``.  ``fill(draws)``
+    returns a chunk's sides as lists ``(lhs, rhs)``, one (nodes,) array or
+    constant per row; each row compares the rule's averages of both sides and
+    of their per-node difference (common random numbers)."""
+    k = len(row_labels)
 
+    def columns(draws):
+        lhs, rhs = fill(draws)
+        sides = np.stack(np.broadcast_arrays(*lhs, *rhs), axis=1)
+        return np.concatenate([sides, sides[:, :k] - sides[:, k:]], axis=1)
 
-def _row(label, rule, slots, base, tol=None) -> IdentityRow:
-    lhs, lhs_err = rule.stats(slots[:, base])
-    rhs, rhs_err = rule.stats(slots[:, base + 1])
-    diff, diff_err = rule.stats(slots[:, base + 2])
-    tol = rule.tolerance(diff_err, tol)
-    return IdentityRow(
-        label=label,
-        lhs=lhs,
-        lhs_stderr=lhs_err,
-        rhs=rhs,
-        rhs_stderr=rhs_err,
-        diff=diff,
-        diff_stderr=diff_err,
-        tolerance=tol,
-        passed=abs(diff) <= tol,
-    )
-
-
-def _report(label, rule, rows, t0, model=None, graph=None, n=None, lambda_grid=()):
-    """An identity report with the rule's provenance, timed from ``t0``."""
-    return IdentityReport(
-        label=label,
-        model=model,
-        graph=graph,
-        n=n,
-        method=rule.method,
-        samples=rule.samples,
-        seed=rule.seed,
-        lambda_grid=lambda_grid,
-        rows=tuple(rows),
-        passed=all(r.passed for r in rows),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    slots = _evaluate(rule, draw_shape, 3 * k, per_node, columns)
+    rows = []
+    for pos, row_label in enumerate(row_labels):
+        (lhs, lhs_err), (rhs, rhs_err), (diff, diff_err) = (
+            rule.stats(slots[:, pos + side * k]) for side in range(3))
+        tolerance = rule.tolerance(diff_err, tol)
+        rows.append(IdentityRow(row_label, lhs, lhs_err, rhs, rhs_err, diff, diff_err,
+                                tolerance, abs(diff) <= tolerance))
+    return IdentityReport(label=label, model=model, graph=graph, n=n, method=rule.method,
+                          samples=rule.samples, seed=rule.seed, lambda_grid=lambda_grid,
+                          rows=tuple(rows), passed=all(r.passed for r in rows),
+                          wall_time_s=time.perf_counter() - t0)
 
 
 def identity_check(
@@ -854,6 +834,8 @@ def identity_check(
     t0 = time.perf_counter()
     if n < 1:
         raise ValueError("n must be >= 1")
+    if lemma_lambda is not None:
+        _check_finite("lemma_lambda", lemma_lambda)
     rule = _rule(method, model, n_samples, seed, n_nodes)
     config = config or DeformationConfig()
     gc = canonicalize(g)
@@ -861,38 +843,31 @@ def identity_check(
     dpoly = poly_g
     for _ in range(n):
         dpoly = big_delta(dpoly)
-    const = float(double_factorial(2 * n - 1))
-    include_lemma = n == 1 and lemma_lambda is not None
-    main_label = f"d^{2 * n}/dlam^{2 * n} at 0 vs {double_factorial(2 * n - 1)} * E(Delta^{n} g)"
-
-    lam0 = float(lemma_lambda) if include_lemma else 0.0
-    lemma_label = f"d/dlam at {lam0} vs lam * E_lam(Delta g)"
-    coeffs = _stencil_nodes(config, 2 * n, 0.0)
-    coeffs_lem = _stencil_nodes(config, 1, lam0) if include_lemma else {}
-    nodes = sorted(coeffs.keys() | coeffs_lem.keys())
+    const = double_factorial(2 * n - 1)
+    # (label, stencil, point, factor): the stencil's derivative at ``point``
+    # against ``factor`` times E(Delta^n g) there.
+    rows = [(f"d^{2 * n}/dlam^{2 * n} at 0 vs {const} * E(Delta^{n} g)",
+             _stencil_nodes(config, 2 * n, 0.0), 0.0, float(const))]
+    if n == 1 and lemma_lambda is not None:
+        lam0 = float(lemma_lambda)
+        rows.append((f"d/dlam at {lam0} vs lam * E_lam(Delta g)",
+                     _stencil_nodes(config, 1, lam0), lam0, lam0))
+    nodes = sorted(set().union(*(coeffs for _, coeffs, _, _ in rows)))
+    at = [nodes.index(point) for _, _, point, _ in rows]
     ev_g = _PolyMoments(model, poly_g)
     ev_d = _PolyMoments(model, dpoly)
-    at = [nodes.index(x) for x in ([0.0, lam0] if include_lemma else [0.0])]
 
     def fill(draws):
         weights = _gibbs_grid(model, draws, nodes)
         f = ev_g.value_grid(weights)
         d = ev_d.value_grid(weights[:, at])
-        lhs = [_stencil_rows(f, nodes, coeffs, 0.0)]
-        rhs = [const * d[:, 0]]
-        if include_lemma:
-            lhs.append(_stencil_rows(f, nodes, coeffs_lem, lam0))
-            rhs.append(lam0 * d[:, 1])
-        return _crn_columns(lhs, rhs)
+        return ([_stencil_rows(f, nodes, coeffs, point) for _, coeffs, point, _ in rows],
+                [factor * d[:, k] for k, (*_, factor) in enumerate(rows)])
 
-    slots = _evaluate(rule, (2, *model.coupling_shape), 6 if include_lemma else 3,
-                      len(nodes) * model.n_configs, fill)
-    rows = [_row(main_label, rule, slots, 0, tol)]
-    if include_lemma:
-        rows.append(_row(lemma_label, rule, slots, 3, tol))
-
-    return _report("stability-moment identity", rule, rows, t0, model=model, graph=gc,
-                   n=n, lambda_grid=config.lambda_grid)
+    return _identity_report("stability-moment identity", rule, (2, *model.coupling_shape),
+                            len(nodes) * model.n_configs, [r[0] for r in rows], fill, t0,
+                            tol, model=model, graph=gc, n=n,
+                            lambda_grid=config.lambda_grid)
 
 
 def wick_baseline_check(
@@ -909,25 +884,19 @@ def wick_baseline_check(
     overlap, and the three-bracket chain against the three-replica chain."""
     t0 = time.perf_counter()
     rule = _rule(method, model, n_samples, seed, n_nodes, _baseline_axes)
-    g12 = Multigraph(((1, 2, 1),), ())
-    g12_23 = Multigraph(((1, 2, 1), (2, 3, 1)), ())
-    ev2 = _PolyMoments(model, GraphPolynomial.monomial(g12))
-    ev3 = _PolyMoments(model, GraphPolynomial.monomial(g12_23))
-    label_a = "Av(<h>^2) vs E({1,2})"
-    label_b = "Av(<h1><h1 h2><h2>) vs E({1,2}{2,3})"
+    ev2, ev3 = (_PolyMoments(model, GraphPolynomial.monomial(Multigraph(edges, ())))
+                for edges in (((1, 2, 1),), ((1, 2, 1), (2, 3, 1))))
+    labels = ("Av(<h>^2) vs E({1,2})", "Av(<h1><h1 h2><h2>) vs E({1,2}{2,3})")
 
     def fill(draws):
         w = _softmax_last(model.beta * _neg_energy(model, draws[:, 0]))
         hv = _field_values(model, draws[:, 1:])
         b1, b2 = np.einsum("sc,skc->ks", w, hv)
         b12 = np.einsum("sc,sc,sc->s", w, hv[:, 0], hv[:, 1])
-        return _crn_columns([b1 * b1, b1 * b12 * b2],
-                            [ev2.value_grid(w), ev3.value_grid(w)])
+        return [b1 * b1, b1 * b12 * b2], [ev2.value_grid(w), ev3.value_grid(w)]
 
-    slots = _evaluate(rule, (3, *model.coupling_shape), 6, 2 * model.n_configs, fill)
-    rows = (_row(label_a, rule, slots, 0, tol), _row(label_b, rule, slots, 3, tol))
-
-    return _report("wick baselines", rule, rows, t0, model=model)
+    return _identity_report("wick baselines", rule, (3, *model.coupling_shape),
+                            2 * model.n_configs, labels, fill, t0, tol, model=model)
 
 
 def gaussian_ibp_check(n_samples=20000, seed=0) -> IdentityReport:
@@ -955,7 +924,6 @@ def gaussian_ibp_check(n_samples=20000, seed=0) -> IdentityReport:
         ("f = exp ratio, l = 1", ratio, 0),
         ("f = exp ratio, l = 2", ratio, 1),
     )
-    width = 3 * len(family)
 
     def fill(draws):
         h = draws @ chol.T
@@ -964,9 +932,7 @@ def gaussian_ibp_check(n_samples=20000, seed=0) -> IdentityReport:
             f, d1, d2 = func(h[:, 0], h[:, 1])
             lhs.append(h[:, l] * f)
             rhs.append(cov[l, 0] * d1 + cov[l, 1] * d2)
-        return _crn_columns(lhs, rhs)
+        return lhs, rhs
 
-    slots = _evaluate(rule, (2,), width, width, fill)
-    rows = [_row(label, rule, slots, 3 * pos)
-            for pos, (label, _, _) in enumerate(family)]
-    return _report("gaussian integration by parts", rule, rows, t0)
+    return _identity_report("gaussian integration by parts", rule, (2,), 3 * len(family),
+                            [label for label, _, _ in family], fill, t0)

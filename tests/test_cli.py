@@ -13,6 +13,7 @@ from overlap_lab import (
     double_factorial,
     edge,
     graphs,
+    lab,
     make_multigraph,
     parse_polynomial,
 )
@@ -384,6 +385,23 @@ class TestConfigValues:
                              flag, value)
         assert code == EXIT_USAGE and out == ""
         assert f"argument {flag}" in err
+
+
+class TestNonFiniteDeformation:
+    @pytest.mark.parametrize("argv, named", [
+        (["estimate", "--graph", "{1,2}", "--lam", "nan"], "lam must be finite, got nan"),
+        (["identity", "--graph", "{1,2}", "--lemma-lambda", "nan"],
+         "lemma_lambda must be finite, got nan"),
+        (["identity", "--graph", "{1,2}", "--lambda-grid", "inf"],
+         "lambda_grid must be finite, got inf"),
+        (["estimate", "--N", "2", "--graph", "{1,2}", "--method", "quadrature",
+          "--lam", "inf"], "lam must be finite, got inf"),
+    ])
+    def test_refused_before_any_draw(self, capsys, monkeypatch, argv, named):
+        monkeypatch.setattr(lab, "_evaluate", lambda *args: pytest.fail("drew nodes"))
+        code, out, err = run(capsys, *argv, "--samples", "10")
+        assert code == EXIT_USAGE and out == ""
+        assert named in err
 
 
 class TestQuadratureNodes:

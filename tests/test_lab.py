@@ -1,7 +1,7 @@
 """Quenched laboratory: kernels, estimators, oracles, identity checks."""
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -100,6 +100,17 @@ class TestOverlapKernels:
                     link_overlap_ea(sa, sb, ring.bonds), abs=1e-14
                 )
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sk_overlap_is_the_bond_overlap_of_all_ordered_pairs(self, n):
+        # (sum_i s_i s'_i)^2 / N^2 = sum_ij s_i s_j s'_i s'_j / N^2
+        model = sk_model(n, 0.5)
+        configs = [tuple(int(x) for x in s) for s in model.spins]
+        for a, sa in enumerate(configs):
+            for b, sb in enumerate(configs):
+                assert model.overlap[a, b] == link_overlap_ea(sa, sb, model.bonds)
+                assert model.overlap[a, b] == pytest.approx(overlap_sk(sa, sb, n),
+                                                            rel=0, abs=1e-15)
+
 
 class TestModels:
     def test_sk_size_bounds(self):
@@ -116,6 +127,21 @@ class TestModels:
 
     def test_ea_ring_bonds(self):
         assert ea_model((4,), 0.0).bonds == ((0, 1), (0, 3), (1, 2), (2, 3))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 5), (2, 2, 2), (1, 4), (2, 1, 3), (10,)])
+    def test_ea_bonds_are_the_nearest_neighbor_pairs(self, dims):
+        coords = list(product(*map(range, dims)))  # site k sits at coords[k]
+
+        def adjacent(a, b):
+            moved = [(x - y) % side in (1, side - 1)
+                     for x, y, side in zip(a, b, dims) if x != y]
+            return moved == [True]
+
+        expected = tuple((i, j) for i, j in combinations(range(len(coords)), 2)
+                         if adjacent(coords[i], coords[j]))
+        bonds = ea_model(dims, 0.0).bonds
+        assert bonds == expected
+        assert list(bonds) == sorted(set(bonds)) and all(i < j for i, j in bonds)
 
     def test_ea_2d_bond_count(self):
         model = ea_model((2, 2), 0.0)
@@ -169,6 +195,12 @@ class TestGibbsWeights:
         e = np.exp(x - x.max())
         assert np.array_equal(w, e / e.sum())
         assert lab._softmax is lab._softmax_last
+
+    def test_non_finite_weights_raise_value_error(self):
+        x = np.zeros((2, 4))
+        x[1, 2] = np.nan
+        with pytest.raises(ValueError, match="Gibbs weights"):
+            lab._softmax_last(x)
 
 
 class TestReplicaMoment:

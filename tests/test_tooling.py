@@ -3,17 +3,20 @@
 ``perfbench/tracer.py`` replaces a fixed list of functions (and counts calls
 of ``lab._softmax`` and ``lab._softmax_last``), and ``perfbench/worker.py``
 reads ``graphs.canonicalize.cache_info()`` in every pass; renaming or
-deleting one of them would otherwise surface only in a benchmark run.
+deleting one of them would otherwise surface only in a benchmark run.  The
+package itself holds no ``assert`` statement, so its checks run under
+``python -O`` as well.
 """
 
+import ast
 import os
 import sys
 
 import overlap_lab
 import overlap_lab.cli  # noqa: F401  (the worker imports it before tracing)
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def test_tracer_installs_and_uninstalls():
@@ -41,3 +44,16 @@ def test_canonicalize_keeps_its_cache_info():
     # Every benchmark pass reads the whole-graph cache's counters.
     info = overlap_lab.graphs.canonicalize.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def test_no_assert_statements_in_src():
+    # Runtime checks raise explicit exceptions, so ``python -O`` keeps them.
+    found = []
+    for folder, _, files in os.walk(os.path.join(ROOT, "src")):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            found += [f"{path}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
