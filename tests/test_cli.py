@@ -404,6 +404,40 @@ class TestNonFiniteDeformation:
         assert named in err
 
 
+class TestMonteCarloSamples:
+    # Pinned payloads: seeds of one to three 32-bit words, an EA baseline and
+    # an SK N=5 estimate.  Any change to the sample streams, or to the
+    # arithmetic on them, moves these hashes.
+    @pytest.mark.parametrize("argv, sha", [
+        (["identity", "--model", "sk", "--N", "3", "--beta", "0.5", "--samples", "300",
+          "--seed", "4294967296", "--graph", "{1,2}", "--n", "1"],
+         "461c929f7e2bad39f40a91cdadf986bd62b08f2ab51f29a558691fe26f8127f1"),
+        (["baseline", "--model", "ea", "--lattice", "4", "--beta", "0.5",
+          "--samples", "300", "--seed", "7"],
+         "e8f23b4c5fb8b65a83bf2b76f6e0f6a967399bb45a2af1f790dd1eb33faf1342"),
+        (["estimate", "--model", "sk", "--N", "5", "--beta", "0.5", "--samples", "300",
+          "--seed", "1180591620717411303427", "--graph", "{1,2}", "--lam", "0.3"],
+         "c4d8b2ad448d186233e8c01fe7a602240810e4ed698d847714f5b02a6b3db183"),
+    ])
+    def test_pinned_payload(self, capsys, argv, sha):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["payload_sha256"] == sha
+
+    def test_over_two_to_the_32_refused_before_any_draw(self, capsys, monkeypatch):
+        monkeypatch.setattr(lab, "_evaluate", lambda *args: pytest.fail("drew nodes"))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "estimate", "--graph", "{1,2}",
+                                 "--samples", "4294967297")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("refused:") and "bound of 4294967296" in err
+        assert peak < 2**20, peak
+
+
 class TestQuadratureNodes:
     def test_zero_nodes_refused(self, capsys):
         code, _, err = run(

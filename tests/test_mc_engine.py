@@ -1,6 +1,6 @@
-"""Batched Monte Carlo engine: agreement with a one-sample-at-a-time scalar
-reference, memory held flat by chunking, and calibration of the CRN
-standard error."""
+"""Batched Monte Carlo engine: the ``default_rng((s, i))`` streams reproduced
+bit for bit, agreement with a one-sample-at-a-time scalar reference, memory
+held flat by chunking, and calibration of the CRN standard error."""
 
 import math
 import statistics
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from overlap_lab import (
+    BudgetError,
     DeformationConfig,
     GraphPolynomial,
     deformed_expectation,
@@ -21,7 +22,14 @@ from overlap_lab import (
     sk_model,
     wick_baseline_check,
 )
-from overlap_lab.lab import _CHUNK_FLOATS, _PolyMoments, _stencil_nodes
+from overlap_lab.lab import (
+    _CHUNK_FLOATS,
+    _SEED_BLOCK,
+    MAX_MC_SAMPLES,
+    _MonteCarlo,
+    _PolyMoments,
+    _stencil_nodes,
+)
 
 C12 = parse_monomial("{1,2}")
 MODELS = [
@@ -85,6 +93,42 @@ def assert_row(row, ref_cols, fd=False):
         ((row.diff, row.diff_stderr), ref_cols[2], slack),
     ):
         assert got == pytest.approx(stats(col), rel=REL, abs=abs_tol)
+
+
+# -- the per-sample streams ------------------------------------------------
+
+# Seeds of one to eight 32-bit words, each end of the one-word range included.
+STREAM_SEEDS = [0, 2024, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 3**150]
+# Draw shapes of the SK N=3 identity, the EA ring of 6, the SK N=3 baseline
+# and the Gaussian IBP check.
+STREAM_SHAPES = [(2, 3, 3), (2, 6), (3, 3, 3), (2,)]
+# Index ranges near 0, across two seeding blocks and up to the last index.
+STREAM_RANGES = [(0, 40), (_SEED_BLOCK - 20, _SEED_BLOCK + 20), (2**32 - 40, 2**32)]
+
+
+@pytest.mark.parametrize("shape", STREAM_SHAPES, ids=str)
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_draws_are_the_default_rng_streams_bit_for_bit(seed, shape, monkeypatch):
+    # Fails loudly if numpy changes how SeedSequence or PCG64 seed themselves.
+    expected = []
+    for lo, hi in STREAM_RANGES:
+        ref = np.empty((hi - lo, *shape))
+        for i in range(lo, hi):
+            np.random.default_rng((seed, i)).standard_normal(out=ref[i - lo])
+        expected.append(ref.tobytes())
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args, **kwargs: pytest.fail("default_rng called"))
+    for (lo, hi), ref in zip(STREAM_RANGES, expected):
+        assert _MonteCarlo(MAX_MC_SAMPLES, seed).draws(lo, hi, shape).tobytes() == ref
+        rule, mid = _MonteCarlo(MAX_MC_SAMPLES, seed), lo + 23
+        chunks = np.concatenate([rule.draws(lo, mid, shape), rule.draws(mid, hi, shape)])
+        assert chunks.tobytes() == ref
+
+
+def test_sample_count_bound():
+    assert _MonteCarlo(MAX_MC_SAMPLES, 0).size == 2**32
+    with pytest.raises(BudgetError, match="bound of 4294967296"):
+        _MonteCarlo(MAX_MC_SAMPLES + 1, 0)
 
 
 # ---------------------------------------------------------------------------
