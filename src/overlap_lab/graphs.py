@@ -16,13 +16,14 @@ occur here (at most ~10 vertices).
 
 The canonical form of a multigraph is the sorted concatenation of its
 components' encodings.  Each component's encoding is memoized, keyed by its
-labelled legs and edges, so the many graphs the operators build that share a
-component search it once; a lone vertex carrying only legs is encoded
-directly.  The search prunes by automorphisms (McKay & Piperno, *Practical
-graph isomorphism II*, 2014): two leaves with equal encodings give an
-automorphism, and a child whose orbit, under the automorphisms found so far
-that fix the vertices individualized above it, meets a searched sibling is
-skipped, or abandoned once such an automorphism turns up.  Its subtree holds
+legs and edges with the vertices relabeled 1..k in increasing label order,
+so a component shape that comes back under shifted labels, as the operators'
+outputs do all the time, is searched once; a lone vertex carrying only legs
+is encoded directly.  The search prunes by automorphisms (McKay & Piperno,
+*Practical graph isomorphism II*, 2014): two leaves with equal encodings give
+an automorphism, and a child whose orbit, under the automorphisms found so
+far that fix the vertices individualized above it, meets a searched sibling
+is skipped, or abandoned once such an automorphism turns up.  Its subtree holds
 the same encodings as the sibling's, so the minimum is the one the full
 search finds.  K_k then takes k leaves instead of k!.  A search that needs
 more than ``MAX_SEARCH_NODES`` tree nodes raises :class:`BudgetError`.
@@ -229,7 +230,12 @@ def work_counts() -> dict[str, int]:
 @functools.lru_cache(maxsize=None)
 def _component_encoding(legs: tuple, edges: tuple) -> tuple:
     """Minimal encoding ``(k, legs, edges)`` of one edge-connected component,
-    given by its labelled, sorted legs and edges."""
+    given by its labelled, sorted legs and edges.
+
+    The encoding is a complete invariant and does not depend on the input
+    labels; :func:`_canonical_form` passes the vertices relabeled 1..k in
+    label order, so components that differ by an order-preserving
+    relabeling share one memo entry."""
     adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for i, j, m in edges:
         adj[i].append((j, m))
@@ -362,8 +368,8 @@ def _canonical_form(edges, legs) -> Multigraph:
     edges and ``(v, n)`` legs, each sorted with distinct pairs/vertices.
 
     It is the concatenation of its components' encodings in sorted order.
-    A component with edges is looked up in the component memo; a lone
-    vertex with legs needs no search.
+    A component with edges is looked up in the component memo under its
+    labels normalized to 1..k; a lone vertex with legs needs no search.
     """
     comp: dict[int, set[int]] = {}
     for i, j, _ in edges:
@@ -378,20 +384,24 @@ def _canonical_form(edges, legs) -> Multigraph:
             ci |= cj
             for v in cj:
                 comp[v] = ci
-    parts: dict[int, tuple[list, list]] = {}
+    parts: dict[int, tuple[set, list, list]] = {}
     for e in edges:
-        parts.setdefault(id(comp[e[0]]), ([], []))[1].append(e)
+        c = comp[e[0]]
+        parts.setdefault(id(c), (c, [], []))[2].append(e)
     encodings = []
     for v, n in legs:
         c = comp.get(v)
         if c is None:
             encodings.append((1, ((1, n),), ()))
         else:
-            parts[id(c)][0].append((v, n))
-    encodings.extend(
-        _component_encoding(tuple(part_legs), tuple(part_edges))
-        for part_legs, part_edges in parts.values()
-    )
+            parts[id(c)][1].append((v, n))
+    for verts, part_legs, part_edges in parts.values():
+        if max(verts) != len(verts):
+            # Relabel to 1..k in label order, which keeps both lists sorted.
+            label = {v: pos for pos, v in enumerate(sorted(verts), 1)}
+            part_legs = [(label[v], n) for v, n in part_legs]
+            part_edges = [(label[i], label[j], m) for i, j, m in part_edges]
+        encodings.append(_component_encoding(tuple(part_legs), tuple(part_edges)))
     if len(encodings) == 1:
         _, enc_legs, enc_edges = encodings[0]
         return Multigraph(enc_edges, enc_legs)

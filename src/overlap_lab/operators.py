@@ -108,9 +108,14 @@ def _as_poly(p) -> GraphPolynomial:
 
 def _extend(term_map, p) -> GraphPolynomial:
     """Linear extension of ``term_map``, a map from one canonical monomial to
-    a polynomial, over the terms of ``p``."""
+    a polynomial, over the terms of ``p``.
+
+    Terms are read in dict order, not sorted: integer sums do not depend on
+    the order, and printing sorts through :meth:`GraphPolynomial.items`."""
     return GraphPolynomial._sum(
-        (h, c * c2) for g, c in _as_poly(p).items() for h, c2 in term_map(g).items()
+        (h, c * c2)
+        for g, c in _as_poly(p)._terms.items()
+        for h, c2 in term_map(g)._terms.items()
     )
 
 

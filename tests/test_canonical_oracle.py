@@ -5,7 +5,9 @@ graphs, K4,4, the Petersen graph, the 3-cube, and copies with doubled edges
 and with legs), two multigraphs get the same canonical form exactly when
 ``networkx.is_isomorphic`` says they are isomorphic, edge multiplicity and
 leg count carried as attributes.  The search itself is checked by the
-leaves it visits, not by wall time.
+leaves it visits, not by wall time.  The component memo, keyed by labels
+normalized to 1..k in label order, is checked against a memo-free search on
+the raw labels.
 """
 
 import random
@@ -13,8 +15,11 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from overlap_lab import canonicalize, graphs, make_multigraph
+from conftest import multigraphs
+from overlap_lab import Multigraph, canonicalize, compose, graphs, make_multigraph, relabel
 
 
 def cycle(k):
@@ -178,3 +183,71 @@ def test_rook_and_shrikhande_graphs_differ():
     rnd = random.Random(16)
     for g in (rook, shrikhande):
         assert canonicalize(relabeled(rnd, g.edges, g.legs)) == canonicalize(g)
+
+
+def memo_free_canonical(g):
+    """Canonical form from a fresh search of every component on its raw
+    labels, concatenated in encoding order."""
+    parent = {v: v for v in g.support}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j, _ in g.edges:
+        parent[root(i)] = root(j)
+    parts = {}
+    for i, j, m in g.edges:
+        parts.setdefault(root(i), ([], []))[1].append((i, j, m))
+    encodings = []
+    for v, n in g.legs:
+        if root(v) in parts:
+            parts[root(v)][0].append((v, n))
+        else:
+            encodings.append((1, ((1, n),), ()))
+    encodings += [graphs._component_encoding.__wrapped__(tuple(legs), tuple(edges))
+                  for legs, edges in parts.values()]
+    out_edges, out_legs, offset = [], [], 0
+    for k, legs, edges in sorted(encodings):
+        out_legs += [(v + offset, n) for v, n in legs]
+        out_edges += [(i + offset, j + offset, m) for i, j, m in edges]
+        offset += k
+    return Multigraph(tuple(out_edges), tuple(out_legs))
+
+
+def gapped(rnd, g, shift=0):
+    """``g`` on labels drawn without order from a range three times wider
+    than its support, plus ``shift``."""
+    verts = g.support
+    images = rnd.sample(range(1, 3 * len(verts) + 1), len(verts))
+    return relabel(g, {v: image + shift for v, image in zip(verts, images)})
+
+
+@given(multigraphs(), multigraphs(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_canonical_form_equals_memo_free_search(a, b, rnd):
+    # The second copy of ``a`` repeats its components' shapes under other
+    # labels, so it is read from the memo within the same call.
+    g = compose(gapped(rnd, a), gapped(rnd, compose(a, b), shift=40))
+    assert canonicalize(g) == memo_free_canonical(g)
+
+
+@given(multigraphs(), multigraphs(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_gapped_labels_agree_with_networkx(a, b, rnd):
+    ga, gb = gapped(rnd, a), gapped(rnd, b)
+    assert (canonicalize(ga) == canonicalize(gb)) == isomorphic(ga, gb)
+
+
+@pytest.mark.parametrize("family", ["C5", "K5", "Petersen", "cube"])
+def test_order_preserving_relabel_reuses_the_memo(family):
+    edges, legs = variants(FAMILIES[family])["one leg"]
+    g = make_multigraph(edges, legs)
+    canonicalize(g)
+    before = graphs.work_counts()
+    shifted = relabel(g, {v: 1000 + 7 * v for v in g.support})
+    assert canonicalize(shifted) == canonicalize(g)
+    after = graphs.work_counts()
+    assert after["component_encodings_computed"] == before["component_encodings_computed"]
+    assert after["component_encodings_reused"] == before["component_encodings_reused"] + 1

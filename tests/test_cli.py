@@ -1,5 +1,6 @@
 """CLI harness: golden output, exit codes, JSON payload stability, config."""
 
+import functools
 import hashlib
 import json
 import tracemalloc
@@ -95,6 +96,10 @@ class TestSymbolicBudgets:
 
     def test_canonical_search_over_budget_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 3)
+        # The component memo is keyed by order-normalized labels, so K5 seen
+        # anywhere earlier would be a hit: search it in an empty memo.
+        monkeypatch.setattr(graphs, "_component_encoding", functools.lru_cache(
+            maxsize=None)(graphs._component_encoding.__wrapped__))
         k5 = "".join(f"{{{i},{j}}}" for i in range(301, 306) for j in range(i + 1, 306))
         code, _, err = run(capsys, "expand", "--graph", k5)
         assert code == EXIT_USAGE and "canonical search" in err
@@ -138,6 +143,28 @@ class TestVerify:
 
     def test_missing_required_flag_exits_two(self, capsys):
         assert main(["verify"]) == EXIT_USAGE
+
+
+class TestVerifyPayloads:
+    # Pinned payloads: the five criterion-2 graphs at n=3 and K4 at n=2.  Any
+    # change to the canonical forms or to the polynomials the operators
+    # build moves these hashes.
+    @pytest.mark.parametrize("graph, n, sha", [
+        ("{1,2}", 3, "cd76f02eb28b7b991810b67932df30e78175b98fd48e01e56a4aae84d2719999"),
+        ("{1,2}^2", 3, "fbd64ef2f99c7fb308706ecd5264a99f9c82ef08883e03465e580233f053e345"),
+        ("{1,2}{2,3}", 3,
+         "4ffe8454c117370de3204069aa50ab0ad957e6326771133421ed732835a01e91"),
+        ("{1,2}{3,4}", 3,
+         "066b2399c89c3615b8fe79feceb35717ae96694911964428abbcac06a2dcc955"),
+        ("{1,2}{1,3}{2,3}", 3,
+         "6a0fdff7cef54448fe9493293fcdd96a085bab3f9b24e5129f28afe7a45afb3a"),
+        ("{1,2}{1,3}{1,4}{2,3}{2,4}{3,4}", 2,
+         "d59011eab274cad4e5a9ecd2dde1d5313c61a71903f5aedc174a1dea9203ffe4"),
+    ])
+    def test_pinned_payload(self, capsys, graph, n, sha):
+        code, out, _ = run(capsys, "verify", "--graph", graph, "--n", str(n), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["payload_sha256"] == sha
 
 
 class TestCounts:
