@@ -25,6 +25,13 @@ Conventions that the reproducibility contract depends on:
   across reruns at a fixed chunk size.  Batched arithmetic rounds
   differently from a one-sample-at-a-time evaluation, in the last bits
   (about 1e-14 relative, magnified by finite-difference stencils).
+* A polynomial's replica contractions run as one step program per chunk:
+  each distinct product of weights and overlap powers is computed once and
+  shared by every term that needs it, on one row-slice length for the whole
+  polynomial.  The slicing depends only on the model and the polynomial, so
+  it does not disturb the bit-identity above.  Contraction plans and
+  Gauss-Hermite rules depend on shapes and node counts only; each is built
+  once per process, and the rules are read-only.
 * Whenever an identity compares two estimates, both sides are computed from
   the same draws within each sample (common random numbers).
 """
@@ -34,7 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -195,10 +202,18 @@ def _field_values(model: ModelInstance, field_couplings: np.ndarray) -> np.ndarr
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
     """One Gibbs measure per row of the last axis, each finite and summing
-    to one within 1e-14."""
-    w = np.exp(x - x.max(axis=-1, keepdims=True))
+    to one within 1e-14.
+
+    numpy reduces a short last axis with one inner-loop call per row, so the
+    row max, exact in any order, runs over a contiguous transposed copy and
+    the check's sum is a matrix-vector product.  The normalizer stays a
+    last-axis sum: its summation order fixes the weights' rounding."""
+    nc = x.shape[-1]
+    top = np.ascontiguousarray(x.reshape(-1, nc).T).max(axis=0)
+    w = np.exp(x - top.reshape(*x.shape[:-1], 1))
     w /= w.sum(axis=-1, keepdims=True)
-    if not (np.all(np.isfinite(w)) and np.all(np.abs(w.sum(axis=-1) - 1.0) < 1e-14)):
+    total = w.reshape(-1, nc) @ np.ones(nc)
+    if not (np.isfinite(w).all() and (np.abs(total - 1.0) < 1e-14).all()):
         raise ValueError("Gibbs weights are not finite or do not sum to one")
     return w
 
@@ -261,22 +276,34 @@ def _leg_free_polynomial(p) -> GraphPolynomial:
 
 class _PolyMoments:
     """Contractions for the terms of a leg-free polynomial against batches of
-    Gibbs weights.
+    Gibbs weights, run as one shared step program.
 
     Each term with support {1..R} is the contraction of R copies of the
     weights against the fixed product of edge-overlap matrices.  Its greedy
-    contraction order is found once, on the shapes of a single sample, with
-    intermediates of at most three replica indices (the 4-cycle needs two,
-    K4 three).  That order then runs on weights of shape (..., n_configs), in
-    slices of rows whose largest intermediates stay within ``_CHUNK_FLOATS``.
+    contraction order depends only on the number of configurations and the
+    term, so it is found once per process, on the shapes of a single sample,
+    with intermediates of at most three replica indices (the 4-cycle needs
+    two, K4 three).  The steps of all terms then compile into one program
+    over registers: the weights, the model's overlap powers, and one
+    register per distinct step.  A step whose input registers and
+    subscripts, with letters renamed in order of first appearance, match an
+    earlier step's reuses that step's register, so each distinct product is
+    computed once per row slice and terms share it bit for bit.  The program
+    runs on weights of shape (..., n_configs) in slices of the smallest
+    per-term row count, which keeps every intermediate within
+    ``_CHUNK_FLOATS`` unless one row exceeds it (K4 on 64 configurations),
+    and drops each register after its last use.
     """
 
     def __init__(self, model, poly):
         nc = model.n_configs
-        overlap = model.overlap
-        powers: dict[int, np.ndarray] = {1: overlap}
-        self._terms = []  # (coeff, r, contraction steps, overlap powers, rows)
+        registers: list = [None]  # register 0 holds the weights' row slice
+        powers: dict[int, int] = {}  # overlap power -> its register
+        shared: dict[tuple, int] = {}  # canonical step -> its register
+        program = []  # (register, input registers, kernel)
+        self._terms = []  # (coeff, result register)
         self._constant = 0.0
+        rows = []
         for g, coeff in poly.items():
             r = len(g.support)
             if nc**r > DEFAULT_REPLICA_BUDGET:
@@ -287,33 +314,68 @@ class _PolyMoments:
             if r == 0:
                 self._constant += float(coeff)
                 continue
-            letters = [chr(ord("a") + t) for t in range(r)]
-            subs = list(letters)
-            ops = []
-            for i, j, m in g.edges:
+            steps, term_rows = _term_plan(nc, g)
+            rows.append(term_rows)
+            operands = [0] * r
+            for _, _, m in g.edges:
                 if m not in powers:
-                    powers[m] = overlap**m
-                ops.append(powers[m])
-                subs.append(letters[i - 1] + letters[j - 1])
-            path = np.einsum_path(
-                ",".join(subs) + "->",
-                *([np.empty(nc)] * r + ops),
-                optimize=("greedy", nc**3),
-            )[0][1:]
-            steps = _plan(["..." + x for x in letters] + subs[r:], path)
-            peak = max(nc ** (len(out) - 3) for _, _, out in steps)
-            rows = max(1, _CHUNK_FLOATS // max(peak, nc))
-            self._terms.append((float(coeff), r, steps, tuple(ops), rows))
+                    powers[m] = len(registers)
+                    registers.append(model.overlap**m)
+                operands.append(powers[m])
+            for taken, inputs, out in steps:
+                srcs = tuple(operands.pop(k) for k in taken)
+                key = (srcs, *_renamed(inputs, out))
+                if key not in shared:
+                    shared[key] = len(registers)
+                    registers.append(None)
+                    program.append((shared[key], srcs, _kernel(*key[1:])))
+                operands.append(shared[key])
+            self._terms.append((float(coeff), operands[0]))
+        # a step's register is dropped after its last reader, unless a term
+        # reads it at the end of the slice
+        kept = {k for _, k in self._terms} | set(powers.values()) | {0}
+        last = {k: pos for pos, (_, srcs, _) in enumerate(program) for k in srcs}
+        self._program = [
+            (dst, srcs, kernel, [k for k in set(srcs) - kept if last[k] == pos])
+            for pos, (dst, srcs, kernel) in enumerate(program)
+        ]
+        self._registers = registers
+        self._rows = min(rows, default=_CHUNK_FLOATS)
 
     def value_grid(self, weights: np.ndarray) -> np.ndarray:
         """Batched evaluation: ``weights`` has shape (..., n_configs)."""
         flat = weights.reshape(-1, weights.shape[-1])
         total = np.full(len(flat), self._constant)
-        for coeff, r, steps, ops, rows in self._terms:
-            for lo in range(0, len(flat), rows):
-                part = flat[lo:lo + rows]
-                total[lo:lo + rows] += coeff * _contract(steps, [part] * r + list(ops))
+        rows = self._rows
+        for lo in range(0, len(flat), rows):
+            regs = list(self._registers)
+            regs[0] = flat[lo:lo + rows]
+            for dst, srcs, kernel, dead in self._program:
+                regs[dst] = _step(kernel, [regs[k] for k in srcs])
+                for k in dead:
+                    regs[k] = None
+            part = total[lo:lo + rows]
+            for coeff, k in self._terms:
+                part += coeff * regs[k]
         return total.reshape(weights.shape[:-1])
+
+
+@lru_cache(maxsize=None)
+def _term_plan(nc, g):
+    """Contraction steps of the term ``g`` on ``nc`` configurations, in the
+    form of :func:`_plan`, and the rows per slice that keep its largest
+    intermediate within ``_CHUNK_FLOATS``.  Depends on shapes only."""
+    r = len(g.support)
+    letters = [chr(ord("a") + t) for t in range(r)]
+    subs = [letters[i - 1] + letters[j - 1] for i, j, _ in g.edges]
+    path = np.einsum_path(
+        ",".join(letters + subs) + "->",
+        *([np.empty(nc)] * r + [np.empty((nc, nc))] * len(subs)),
+        optimize=("greedy", nc**3),
+    )[0][1:]
+    steps = _plan(["..." + x for x in letters] + subs, path)
+    peak = max(nc ** (len(out) - 3) for _, _, out in steps)
+    return steps, max(1, _CHUNK_FLOATS // max(peak, nc))
 
 
 def _plan(subs, path):
@@ -328,40 +390,53 @@ def _plan(subs, path):
         rest = "".join(subs)
         kept = {c for s in inputs for c in s if c.isalpha() and c in rest}
         subs.append("..." + "".join(sorted(kept)))
-        steps.append((taken, inputs, subs[-1]))
-    return steps
+        steps.append((tuple(taken), tuple(inputs), subs[-1]))
+    return tuple(steps)
 
 
-def _contract(steps, operands) -> np.ndarray:
-    """Run the steps of :func:`_plan`.  A batched operand times an overlap
+def _renamed(inputs, out):
+    """A step's input and result subscripts with letters renamed a, b, ... in
+    order of first appearance."""
+    names: dict[str, str] = {}
+
+    def rename(sub):
+        return "".join(c if c == "." else names.setdefault(c, chr(ord("a") + len(names)))
+                       for c in sub)
+
+    return tuple(rename(sub) for sub in inputs), rename(out)
+
+
+def _kernel(inputs, out):
+    """How :func:`_step` runs a step.  A batched operand times an overlap
     matrix over one shared index is one matmul: with numpy 2.4,
     ``np.einsum(..., optimize=path)`` took 15 ms per chunk on the EA ring of
     6 (transposed matmul operands), and einsum's own loop is 10-15 times
-    slower than matmul on these steps.
-    """
-    for taken, inputs, out in steps:
-        args = [operands.pop(k) for k in taken]
-        operands.append(_step(inputs, out, args))
-    return operands[0]
-
-
-def _step(inputs, out, args) -> np.ndarray:
+    slower than matmul on these steps.  Such a step gives (batched operand
+    position, shared axis, result axis of the matrix's other index, whether
+    the matrix is transposed), both axes counted from the end; any other
+    step gives its einsum subscripts."""
     fixed = [k for k, sub in enumerate(inputs) if not sub.startswith("...")]
     if len(inputs) == 2 and len(fixed) == 1:
         m, b = inputs[fixed[0]], 1 - fixed[0]
-        x = inputs[b][3:]
+        x, o = inputs[b][3:], out[3:]
         shared = set(x) & set(m)
         if len(shared) == 1:
             (s,) = shared
             t = m.replace(s, "")
-            if out[3:] == "".join(sorted(x.replace(s, "") + t)):
-                nb = args[b].ndim - len(x)
-                a = np.moveaxis(args[b], nb + x.index(s), -1)
-                mat = args[1 - b] if m[0] == s else args[1 - b].T
-                y = a.reshape(-1, a.shape[-1]) @ mat
-                y = y.reshape(a.shape[:-1] + mat.shape[1:])
-                return np.moveaxis(y, -1, nb + out[3:].index(t))
-    return np.einsum(",".join(inputs) + "->" + out, *args)
+            if t in o and o.replace(t, "") == x.replace(s, ""):
+                return b, x.index(s) - len(x), o.index(t) - len(o), m[0] != s
+    return ",".join(inputs) + "->" + out
+
+
+def _step(kernel, args) -> np.ndarray:
+    if isinstance(kernel, str):
+        return np.einsum(kernel, *args)
+    b, src, dst, transpose = kernel
+    a = args[b] if src == -1 else np.moveaxis(args[b], src, -1)
+    mat = args[1 - b].T if transpose else args[1 - b]
+    y = a.reshape(-1, a.shape[-1]) @ mat
+    y = y.reshape(a.shape[:-1] + mat.shape[1:])
+    return y if dst == -1 else np.moveaxis(y, -1, dst)
 
 
 def replica_moment(model, couplings, lam, field_couplings, g) -> float:
@@ -568,6 +643,16 @@ def _baseline_axes(n):
     return {(0, 0, 1): n, (1, 0, 0): k, (1, 0, 1): k, (2, 0, 0): k, (2, 0, 1): k}
 
 
+@lru_cache(maxsize=None)
+def _hermgauss(n):
+    """numpy's n-node Gauss-Hermite (nodes, weights), built once per process
+    and read-only, since every quadrature estimate shares it."""
+    rule = np.polynomial.hermite.hermgauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 class _GaussHermite:
     """Tensor Gauss-Hermite grid over the axes ``axes(n_nodes)``, a map from
     coupling positions (slot, i, j) in a draw to node counts."""
@@ -587,9 +672,8 @@ class _GaussHermite:
         self.size = math.prod(self._shape)
         self._axes, self.samples, self.seed = axes, n_nodes, int(seed)
         self._positions = list(counts)
-        rules = {n: np.polynomial.hermite.hermgauss(n) for n in set(self._shape)}
-        self._values = [2.0 * rules[n][0] for n in self._shape]  # std sqrt(2)
-        axis_weights = [rules[n][1] / math.sqrt(math.pi) for n in self._shape]
+        self._values = [2.0 * _hermgauss(n)[0] for n in self._shape]  # std sqrt(2)
+        axis_weights = [_hermgauss(n)[1] / math.sqrt(math.pi) for n in self._shape]
         self.weights = reduce(np.multiply.outer, axis_weights).ravel()
 
     def draws(self, lo, hi, shape) -> np.ndarray:

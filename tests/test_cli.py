@@ -487,3 +487,15 @@ class TestQuadratureNodes:
             tracemalloc.stop()
         assert code == EXIT_USAGE and err.startswith("refused:")
         assert peak < 2**20, peak
+
+    def test_oversized_grid_refused_before_any_rule(self, capsys, monkeypatch):
+        def fail(*args):
+            pytest.fail("built a Gauss-Hermite rule")
+
+        monkeypatch.setattr("numpy.polynomial.hermite.hermgauss", fail)
+        monkeypatch.setattr(lab, "_hermgauss", fail)
+        code, out, err = run(
+            capsys, "estimate", "--model", "sk", "--N", "2", "--graph", "{1,2}",
+            "--method", "quadrature", "--nodes", "8192",
+        )
+        assert code == EXIT_USAGE and out == "" and err.startswith("refused:")

@@ -202,6 +202,27 @@ class TestGibbsWeights:
         with pytest.raises(ValueError, match="Gibbs weights"):
             lab._softmax_last(x)
 
+    @pytest.mark.parametrize("nc", [4, 8, 64, 1024])
+    def test_row_max_is_the_last_axis_max_bit_for_bit(self, nc):
+        rng = np.random.default_rng(nc)
+        x = 30.0 * rng.standard_normal((37, 3, nc))
+        x[0, 0] = 0.0
+        x[0, 1, ::2] = -0.0  # signed zeros tie for the max
+        x[1, 0, -1] = 1e300
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert lab._softmax_last(x).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+    @pytest.mark.parametrize("nc", [4, 8, 64, 1024])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf row"])
+    def test_non_finite_rows_raise_at_every_width(self, nc, bad):
+        x = np.random.default_rng(1).standard_normal((5, 2, nc))
+        if bad == "-inf row":
+            x[3, 1] = -np.inf
+        else:
+            x[3, 1, nc // 2] = float(bad)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="Gibbs weights"):
+            lab._softmax_last(x)
+
 
 class TestReplicaMoment:
     def test_empty_monomial_gives_one(self):
@@ -231,6 +252,24 @@ class TestReplicaMoment:
         chain = make_multigraph([(i, i + 1, 1) for i in range(1, 6)])  # R = 6
         with pytest.raises(BudgetError, match="32"):
             replica_moment(model, np.zeros((5, 5)), 0.0, None, chain)
+
+    def test_models_with_equal_configuration_counts_keep_their_overlaps(self):
+        # SK N=2 and the two-site EA chain both have 4 configurations, so they
+        # share contraction plans, but not bonds or overlap powers
+        sk, ea = sk_model(2, 0.6), ea_model((2,), 0.6)
+        poly = big_delta(GraphPolynomial.monomial(C12))
+        j_sk = np.random.default_rng(2).standard_normal((2, 2))
+        j_ea = np.random.default_rng(3).standard_normal(1)
+
+        def both():
+            return [replica_moment(model, j, 0.0, None, g)
+                    for g, _ in poly.items() for model, j in ((sk, j_sk), (ea, j_ea))]
+
+        warm = both()
+        lab._term_plan.cache_clear()
+        fresh = both()
+        assert warm == fresh
+        assert warm[0::2] != warm[1::2]
 
     def test_legs_rejected(self):
         model = sk_model(2, 0.5)
@@ -350,6 +389,27 @@ class TestQuadrature:
         assert sizes == [64, 128]  # the grid, then its doubling for truncation
         assert est.mean == pytest.approx(two_axes.mean, rel=0, abs=1e-14)
         assert est.truncation == pytest.approx(two_axes.truncation, rel=0, abs=1e-14)
+
+    def test_oversized_grid_refused_before_any_rule(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("built a Gauss-Hermite rule")
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", fail)
+        monkeypatch.setattr(lab, "_hermgauss", fail)
+        with pytest.raises(BudgetError):
+            quadrature_expectation(sk_model(2, 0.5), C12, n_nodes=8192)
+        with pytest.raises(BudgetError):
+            quadrature_expectation(sk_model(2, 0.5), C12, 0.3, n_nodes=8192)
+
+    def test_cached_rules_are_read_only(self):
+        nodes, weights = lab._hermgauss(16)
+        assert lab._hermgauss(16)[0] is nodes
+        for a in (nodes, weights):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        with pytest.raises(ValueError):
+            weights *= 2.0
+        assert math.isclose(weights.sum(), math.sqrt(math.pi), rel_tol=1e-14)
 
     def test_non_reducible_models_rejected(self):
         with pytest.raises(ValueError):

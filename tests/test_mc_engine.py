@@ -8,17 +8,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import polynomials
 from overlap_lab import (
     BudgetError,
     DeformationConfig,
     GraphPolynomial,
+    big_delta,
     deformed_expectation,
     ea_model,
     gaussian_ibp_check,
     gibbs_weights,
     identity_check,
     parse_monomial,
+    parse_polynomial,
     sk_model,
     wick_baseline_check,
 )
@@ -29,6 +34,7 @@ from overlap_lab.lab import (
     _MonteCarlo,
     _PolyMoments,
     _stencil_nodes,
+    _term_plan,
 )
 
 C12 = parse_monomial("{1,2}")
@@ -279,11 +285,15 @@ def test_cyclic_terms_match_scalar_reference(text, order):
 @pytest.mark.parametrize("text,order", CYCLIC)
 def test_cyclic_terms_contract_pairwise(text, order):
     model = ea_model((6,), 0.5)
-    ev = _PolyMoments(model, GraphPolynomial.monomial(parse_monomial(text)))
-    ((_, _, steps, _, rows),) = ev._terms
+    g = parse_monomial(text)
+    ev = _PolyMoments(model, GraphPolynomial.monomial(g))
+    steps, rows = _term_plan(model.n_configs, g)
     assert all(len(inputs) <= 2 for _, inputs, _ in steps)
     assert max(len(out) - 3 for _, _, out in steps) == order
     assert rows == max(1, _CHUNK_FLOATS // model.n_configs**order)
+    assert ev._rows == rows
+    assert len(ev._program) <= len(steps)
+    assert all(len(srcs) <= 2 for _, srcs, _, _ in ev._program)
 
 
 def test_cyclic_term_memory_is_sliced():
@@ -298,3 +308,119 @@ def test_cyclic_term_memory_is_sliced():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+# -- the shared step program ------------------------------------------------
+
+def delta_power(text, n):
+    poly = GraphPolynomial.monomial(parse_monomial(text))
+    for _ in range(n):
+        poly = big_delta(poly)
+    return poly
+
+
+def normalized_weights(model, rows, seed):
+    x = 2.0 * np.random.default_rng(seed).standard_normal((rows, model.n_configs))
+    w = np.exp(x - x.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def per_term(model, poly, w):
+    """The polynomial summed from one single-term program per term, in the
+    program's term order."""
+    total = np.zeros(w.shape[:-1])
+    for g, coeff in poly.items():
+        total += coeff * _PolyMoments(model, GraphPolynomial.monomial(g)).value_grid(w)
+    return total
+
+
+# The ring of 6 refuses Delta({1,2}{2,3}): its 5-replica terms need 64^5
+# joint states, over the replica budget, so the ring of 4 carries it.
+SHARED_CASES = [
+    pytest.param(lambda: sk_model(2, 0.5), "{1,2}", 1, id="sk2-delta"),
+    pytest.param(lambda: sk_model(2, 0.5), "{1,2}", 2, id="sk2-delta2"),
+    pytest.param(lambda: sk_model(3, 0.5), "{1,2}", 1, id="sk3-delta"),
+    pytest.param(lambda: sk_model(3, 0.5), "{1,2}", 2, id="sk3-delta2"),
+    pytest.param(lambda: ea_model((4,), 0.5), "{1,2}{2,3}", 1, id="ea4-delta-chain"),
+]
+
+
+@pytest.mark.parametrize("model_fn,text,n", SHARED_CASES)
+@pytest.mark.parametrize("rows", [1, 7, 300])
+def test_program_equals_per_term_contraction_bit_for_bit(model_fn, text, n, rows):
+    model = model_fn()
+    poly = delta_power(text, n)
+    w = normalized_weights(model, rows, 5)
+    got = _PolyMoments(model, poly).value_grid(w)
+    assert got.tobytes() == per_term(model, poly, w).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17, 40])
+def test_cyclic_terms_share_one_program_bit_for_bit(rows):
+    # the 4-cycle alone slices 16 rows at a time, K4 one: the program runs
+    # both on single rows
+    model = sk_model(5, 0.5)
+    poly = parse_polynomial("2" + CYCLIC[0].values[0] + " - " + CYCLIC[1].values[0])
+    ev = _PolyMoments(model, poly)
+    assert ev._rows == 1
+    w = normalized_weights(model, rows, 9)
+    assert ev.value_grid(w).tobytes() == per_term(model, poly, w).tobytes()
+
+
+def test_terms_share_their_common_steps():
+    # per-term plans: 11 steps for Delta{1,2}, 43 for Delta^2{1,2}
+    model = sk_model(2, 0.5)
+    for n, planned, distinct in ((1, 11, 8), (2, 43, 25)):
+        poly = delta_power("{1,2}", n)
+        ev = _PolyMoments(model, poly)
+        assert sum(len(_term_plan(model.n_configs, g)[0]) for g, _ in poly.items()) == planned
+        assert len(ev._program) <= distinct
+
+
+def test_shared_program_memory_stays_flat():
+    # On 64 configurations K4 runs one row at a time, and its widest step
+    # holds two 64^3-float intermediates (4 MiB) however it is sliced.  The
+    # 4-cycle's registers are dropped before K4 starts, and K4's own after
+    # their last use, so the polynomial needs no more than K4 does.
+    model = ea_model((6,), 0.5)
+    ev = _PolyMoments(model, parse_polynomial(
+        CYCLIC[0].values[0] + " + " + CYCLIC[1].values[0]))
+    w = normalized_weights(model, 200, 3)
+    tracemalloc.start()
+    try:
+        ev.value_grid(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 64**3 * 8 + 2**19, peak
+
+
+def dense_reference(model, poly, w):
+    """Per sample, every term as one einsum over all its replica indices."""
+    total = np.zeros(len(w))
+    scale = np.zeros(len(w))
+    for g, coeff in poly.items():
+        letters = "abcd"[:len(g.support)]
+        subs = list(letters) + [letters[i - 1] + letters[j - 1] for i, j, _ in g.edges]
+        ops = [model.overlap**m for _, _, m in g.edges]
+        for k, row in enumerate(w):
+            v = np.einsum(",".join(subs) + "->", *([row] * len(letters) + ops),
+                          optimize=True)
+            total[k] += coeff * v
+            scale[k] += abs(coeff * v)
+    return total, scale
+
+
+def small_leg_free(poly):
+    return GraphPolynomial((g, c) for g, c in poly.items()
+                           if g.is_leg_free() and len(g.support) <= 4)
+
+
+@given(polynomials().map(small_leg_free), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_program_matches_dense_einsum(poly, seed):
+    for model in (sk_model(3, 0.5), ea_model((4,), 0.5)):
+        w = normalized_weights(model, 3, seed)
+        got = _PolyMoments(model, poly).value_grid(w)
+        ref, scale = dense_reference(model, poly, w)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale + 1e-300), (got, ref)
