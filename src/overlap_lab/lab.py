@@ -13,9 +13,11 @@ Conventions that the reproducibility contract depends on:
 * Disorder sample ``i`` of a run with seed ``s`` uses the independent stream
   ``numpy.random.default_rng((s, i))`` and always draws the Hamiltonian
   couplings first, then the deformation-field couplings.  The lab reproduces
-  those streams a chunk at a time, without building a generator per sample,
-  and a tier-1 test (``tests/test_mc_engine.py``) holds the two equal bit for
-  bit.
+  those streams a block of samples at a time with array arithmetic
+  (:mod:`overlap_lab.streams`: the seeding, PCG64 and numpy's ziggurat), and
+  redraws the few samples the arrays leave open (the ziggurat's tail, a
+  wedge test too close to call) with numpy's own ``Generator``.  Tier-1
+  tests (``tests/test_mc_engine.py``) hold the streams equal bit for bit.
 * Every disorder average runs through one chunked evaluator.  A rule, Monte
   Carlo draws or the Gauss-Hermite grid of the two-spin SK oracle, yields its
   nodes in chunks whose length follows from the model and the number of
@@ -491,88 +493,21 @@ _MC_ABS_FLOOR = 1e-12  # roundoff guard when the CRN difference is exactly const
 #: of its stream as one 32-bit word.
 MAX_MC_SAMPLES = 2**32
 
-# ``default_rng((s, i))`` is a PCG64 seeded from ``SeedSequence((s, i))``.
-# The helpers below replay that seeding with numpy's constants.
-_M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-#: Samples whose stream states ``_MonteCarlo`` computes together: the seeding's
-#: array operations cost about the same for one sample as for a block.
-_SEED_BLOCK = 1024
-
-
-def _hash_consts(const, mult, n):
-    """The first n + 1 values of numpy SeedSequence's running hash constant,
-    as a (n + 1, 1) uint32 column."""
-    out = [const]
-    for _ in range(n):
-        out.append(out[-1] * mult & _M32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values, consts):
-    """SeedSequence's hash of row k of ``values`` (or of one broadcast row)
-    with constants ``consts[k]`` and ``consts[k + 1]``; uint32 arithmetic
-    wraps mod 2^32 as the C code does."""
-    v = (values ^ consts[:-1]) * consts[1:]
-    return v ^ v >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool word x with hashed word y, mod 2^32."""
-    r = 0xCA01F9DD * x - 0x4973F715 * y
-    return r ^ r >> 16
-
-
-def _pcg64_states(seed, lo, hi):
-    """PCG64 (state, inc) of ``default_rng((seed, i))`` for i in [lo, hi).
-
-    This replays ``SeedSequence((seed, i)).generate_state(4, uint64)`` with
-    one lane per index.  The entropy words are those of ``seed``, least
-    significant first, then ``i`` (one word, as ``hi <= 2**32``); each update
-    of the four-word pool runs as one array operation over the pool words it
-    touches and over all lanes.  PCG64's set-seed step then takes the 128-bit
-    initstate and initseq from words 0-1 and 2-3 (high word first):
-    inc = 2 initseq + 1 and state = (inc + initstate) MULT + inc, mod 2^128.
-    """
-    words = [seed >> 32 * k & _M32 for k in range(max(1, (seed.bit_length() + 31) // 32))]
-    entropy = np.zeros((max(len(words) + 1, 4), hi - lo), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(lo, hi, dtype=np.uint32)
-    consts = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(entropy))
-    pool = _hashmix(entropy[:4], consts[:5])
-    k = 4
-    for src in range(4):  # pool[src] hashed once per other word, constants in turn
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + 4]))
-        k += 3
-    for word in entropy[4:]:
-        pool = _mix(pool, _hashmix(word, consts[k:k + 5]))
-        k += 4
-    w = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(0x8B51F9DD, 0x58F38DED, 8))
-    u = (w[1::2].astype(np.uint64) << 32 | w[0::2]).tolist()
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*u):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _M128
-        states.append((state, inc))
-    return states
-
 
 class _MonteCarlo:
     """Node i is disorder sample i, drawn from ``default_rng((seed, i))`` in
     C order; equal weights, standard error from the spread over nodes.
 
-    ``draws`` reproduces those streams a chunk at a time, without building a
-    generator per sample: one PCG64 takes each sample's seeded state in turn,
-    and a tier-1 test holds the two equal bit for bit."""
+    ``draws`` reproduces those streams without a generator per sample
+    (:class:`overlap_lab.streams.Streams`); tier-1 tests hold them equal to
+    ``default_rng`` bit for bit."""
 
     method = "mc"
 
     def __init__(self, n_samples, seed):
-        if n_samples < 1:
-            raise ValueError("need at least one disorder sample")
+        if n_samples < 2:
+            raise ValueError(
+                f"need at least two disorder samples for a standard error, got {n_samples}")
         if n_samples > MAX_MC_SAMPLES:
             raise BudgetError(
                 f"{n_samples} disorder samples exceed the bound of {MAX_MC_SAMPLES} "
@@ -582,31 +517,15 @@ class _MonteCarlo:
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         self.size = self.samples = n_samples
-        self._bitgen = np.random.PCG64(0)
-        self._gen = np.random.Generator(self._bitgen)
-        self._block, self._states = None, []
+        from .streams import Streams  # loaded here, so that commands drawing nothing skip it
+        self._streams = Streams(self.seed, n_samples)
 
     def draws(self, lo, hi, shape) -> np.ndarray:
-        out = np.empty((hi - lo, *shape))
-        pcg = {}
-        value = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
-        for i, row in zip(range(lo, hi), out):
-            block, k = divmod(i, _SEED_BLOCK)
-            if block != self._block:
-                start = block * _SEED_BLOCK
-                self._states = _pcg64_states(self.seed, start,
-                                             min(start + _SEED_BLOCK, self.size))
-                self._block = block
-            pcg["state"], pcg["inc"] = self._states[k]
-            self._bitgen.state = value  # copied into the generator's C state
-            self._gen.standard_normal(out=row)
-        return out
+        return self._streams.draws(lo, hi, shape)
 
     def stats(self, col) -> tuple[float, float]:
         m = len(col)
         mean = math.fsum(col) / m
-        if m == 1:
-            return mean, 0.0
         var = math.fsum((col - mean) ** 2) / (m - 1)
         return mean, math.sqrt(var / m)
 

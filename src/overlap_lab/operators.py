@@ -28,8 +28,8 @@ classes, that contracting 2n derivations equals (2n-1)!! applications of
 
 from __future__ import annotations
 
+import collections
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -191,6 +191,26 @@ def _pair_count_matrices(degrees: list[int], visit) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _matrix_count(degrees: tuple[int, ...]) -> int:
+    """How many matrices :func:`_pair_count_matrices` visits for these
+    degrees, sorted, without enumerating them.  The count does not depend on
+    the order of the vertices, so the first vertex's row is summed out: each
+    way to pair its legs with the others leaves a multiset of free legs
+    (zeros dropped), counted once per multiset, and its own leftover legs
+    pair among themselves when their number is even."""
+    if not degrees:
+        return 1
+    rows = {(degrees[0], ()): 1}  # (legs of the first vertex left, multiset left): ways
+    for d in degrees[1:]:
+        grown: collections.Counter = collections.Counter()
+        for (r, left), ways in rows.items():
+            for k in range(min(r, d) + 1):
+                grown[r - k, tuple(sorted(left + (d - k,) if d > k else left))] += ways
+        rows = grown
+    return sum(ways * _matrix_count(left) for (r, left), ways in rows.items() if r % 2 == 0)
+
+
+@functools.lru_cache(maxsize=None)
 def _wick_term(g: Multigraph) -> GraphPolynomial:
     verts = [v for v, _ in g.legs]
     degrees = [n for _, n in g.legs]
@@ -200,16 +220,12 @@ def _wick_term(g: Multigraph) -> GraphPolynomial:
     if double_factorial(total - 1) > MAX_PAIR_COUNT_MATRICES:
         # More pairings than the bound: count the matrices before building
         # any outcome.
-        counted = itertools.count(1)
-
-        def refuse_past_bound(off, denom):
-            if next(counted) > MAX_PAIR_COUNT_MATRICES:
-                raise BudgetError(
-                    f"contracting {total} legs on {len(verts)} vertices needs "
-                    f"more than {MAX_PAIR_COUNT_MATRICES} pair-count matrices"
-                )
-
-        _pair_count_matrices(degrees, refuse_past_bound)
+        count = _matrix_count(tuple(sorted(degrees)))
+        if count > MAX_PAIR_COUNT_MATRICES:
+            raise BudgetError(
+                f"contracting {total} legs on {len(verts)} vertices needs {count} "
+                f"pair-count matrices, more than {MAX_PAIR_COUNT_MATRICES}"
+            )
     base = g.edge_dict()
     numerator = math.prod(math.factorial(n) for n in degrees)
     # Every count is positive, so nothing cancels: outcomes add into this

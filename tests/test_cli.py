@@ -464,6 +464,20 @@ class TestMonteCarloSamples:
         assert err.startswith("refused:") and "bound of 4294967296" in err
         assert peak < 2**20, peak
 
+    @pytest.mark.parametrize("command", [
+        ["identity", "--graph", "{1,2}"],
+        ["baseline"],
+        ["estimate", "--graph", "{1,2}"],
+    ])
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_fewer_than_two_samples_refused(self, capsys, monkeypatch, command, samples):
+        # One sample has no spread, so a standard error of 0 would gate the
+        # identity rows at the roundoff floor.
+        monkeypatch.setattr(lab, "_evaluate", lambda *args: pytest.fail("drew nodes"))
+        code, out, err = run(capsys, *command, "--samples", samples)
+        assert code == EXIT_USAGE and out == ""
+        assert f"need at least two disorder samples for a standard error, got {samples}" in err
+
 
 class TestQuadratureNodes:
     def test_zero_nodes_refused(self, capsys):

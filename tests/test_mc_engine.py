@@ -29,12 +29,20 @@ from overlap_lab import (
 )
 from overlap_lab.lab import (
     _CHUNK_FLOATS,
-    _SEED_BLOCK,
     MAX_MC_SAMPLES,
     _MonteCarlo,
     _PolyMoments,
     _stencil_nodes,
     _term_plan,
+)
+from overlap_lab.streams import (
+    _SEED_BLOCK,
+    _WEDGE_MARGIN,
+    _crafted_state,
+    _normals,
+    _pcg64_outputs,
+    _pcg64_states,
+    _ziggurat,
 )
 
 C12 = parse_monomial("{1,2}")
@@ -105,9 +113,9 @@ def assert_row(row, ref_cols, fd=False):
 
 # Seeds of one to eight 32-bit words, each end of the one-word range included.
 STREAM_SEEDS = [0, 2024, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 3**150]
-# Draw shapes of the SK N=3 identity, the EA ring of 6, the SK N=3 baseline
-# and the Gaussian IBP check.
-STREAM_SHAPES = [(2, 3, 3), (2, 6), (3, 3, 3), (2,)]
+# Draw shapes of the SK N=3 identity, the EA ring of 6, the SK N=3 baseline,
+# the Gaussian IBP check, the EA ring of 4 and the SK N=5 identity.
+STREAM_SHAPES = [(2, 3, 3), (2, 6), (3, 3, 3), (2,), (2, 4), (2, 5, 5)]
 # Index ranges near 0, across two seeding blocks and up to the last index.
 STREAM_RANGES = [(0, 40), (_SEED_BLOCK - 20, _SEED_BLOCK + 20), (2**32 - 40, 2**32)]
 
@@ -129,6 +137,131 @@ def test_draws_are_the_default_rng_streams_bit_for_bit(seed, shape, monkeypatch)
         rule, mid = _MonteCarlo(MAX_MC_SAMPLES, seed), lo + 23
         chunks = np.concatenate([rule.draws(lo, mid, shape), rule.draws(mid, hi, shape)])
         assert chunks.tobytes() == ref
+
+
+def test_slow_outputs_past_the_last_draw():
+    # Sample 79417 of seed 10 takes its 8 normals from its first 8 outputs;
+    # its next three outputs are slow and fail their wedge tests, so each of
+    # the last two is both a u and a failed test.  Counted twice, the lane
+    # kept 9 values.
+    i = 79417
+    ref = np.random.default_rng((10, i)).standard_normal((2, 4))
+    assert _MonteCarlo(MAX_MC_SAMPLES, 10).draws(i, i + 1, (2, 4)).tobytes() == ref.tobytes()
+
+
+def test_stream_outputs_are_pcg64_raw_outputs():
+    state = _pcg64_states(2024, _SEED_BLOCK - 3, _SEED_BLOCK)
+    got = _pcg64_outputs(state, 40)
+    for lane, i in enumerate(range(_SEED_BLOCK - 3, _SEED_BLOCK)):
+        bitgen = np.random.PCG64(np.random.SeedSequence((2024, i)))
+        assert (got[:, lane] == bitgen.random_raw(40)).all()
+
+
+# 50,000 lanes of 200 normals: one default_rng per lane keeps the reference
+# cheap.  At about 1.5% slow outputs per draw this reaches every layer's
+# wedge, both ways, and the tail (about 2.6e-4 of the draws).
+LONG_LANES, LANE_DRAWS, LANE_CHUNK = 50_000, 200, 2_000
+
+
+def test_ten_million_draws_are_the_default_rng_streams():
+    ki, wi, fi = _ziggurat()
+    rule = _MonteCarlo(LONG_LANES, 2025)
+    slow_layers, tails, accepts, rejects = np.zeros(256, dtype=int), 0, 0, 0
+    for lo in range(0, LONG_LANES, LANE_CHUNK):
+        got = rule.draws(lo, lo + LANE_CHUNK, (LANE_DRAWS,))
+        ref = np.empty_like(got)
+        for i, row in zip(range(lo, lo + LANE_CHUNK), ref):
+            np.random.default_rng((2025, i)).standard_normal(out=row)
+        assert got.tobytes() == ref.tobytes()
+        # what the outputs behind these draws exercise: each lane consumes at
+        # least its first LANE_DRAWS outputs
+        r = _pcg64_outputs(_pcg64_states(2025, lo, lo + LANE_CHUNK), LANE_DRAWS + 1)
+        idx = (r & 0xFF).astype(np.intp)[:-1]
+        rabs = (r >> 9 & (2**52 - 1))[:-1]
+        slow = rabs >= ki[idx]
+        slow_layers += np.bincount(idx[slow], minlength=256)
+        tails += int((slow & (idx == 0)).sum())
+        x = rabs * wi[idx]
+        u = (r[1:] >> 11) * 2.0**-53
+        wedge = slow & (idx > 0)
+        below = ((fi[idx - 1] - fi[idx]) * u + fi[idx] < np.exp(-0.5 * x * x))[wedge]
+        accepts += int(below.sum())
+        rejects += int((~below).sum())
+    assert (slow_layers[1:] > 100).all() and tails > 1000
+    assert accepts > 10_000 and rejects > 10_000
+
+
+def crafted_lanes(outputs):
+    """Lane states, in the form of ``_pcg64_states``, whose first two
+    outputs are the given pairs, and a Generator per lane at that state."""
+    states = [_crafted_state(r1, r2) for r1, r2 in outputs]
+    words = [(s["state"]["state"], s["state"]["inc"]) for s in states]
+    lanes = [np.array([v >> 64 & (2**64 - 1) for v, _ in words], dtype=np.uint64),
+             np.array([v & (2**64 - 1) for v, _ in words], dtype=np.uint64),
+             np.array([v >> 64 for _, v in words], dtype=np.uint64),
+             np.array([v & (2**64 - 1) for _, v in words], dtype=np.uint64)]
+    gens = []
+    for s in states:
+        bitgen = np.random.PCG64(0)
+        bitgen.state = s
+        gens.append(np.random.Generator(bitgen))
+    return lanes, gens
+
+
+def array_path(outputs, k=3):
+    """``_normals`` on crafted lanes: the lanes it settles, checked against
+    numpy's sampler bit for bit, and the lanes it leaves to numpy."""
+    lanes, gens = crafted_lanes(outputs)
+    out = np.empty((len(outputs), k))
+    left = set(_normals(lanes, k, out).tolist())
+    for lane, gen in enumerate(gens):
+        if lane not in left:
+            assert out[lane].tobytes() == gen.standard_normal(k).tobytes(), outputs[lane]
+    return left
+
+
+def test_fast_path_thresholds_per_layer():
+    # rabs = ki - 1 returns at once and rabs = ki takes the wedge test, whose
+    # u = 0 (output 2) accepts; a threshold off by one would either read
+    # output 2 as the next draw or skip it.
+    ki, _, _ = _ziggurat()
+    outputs = [(rabs << 9 | i, 2) for i in range(256)
+               for rabs in (int(ki[i]) - 1, int(ki[i])) if rabs >= 0]
+    left = array_path(outputs)
+    # only layer 0's rabs = ki, a tail start, goes to numpy (plus lanes whose
+    # later random outputs happen to be slow)
+    assert outputs.index((int(ki[0]) << 9, 2)) in left
+    assert len(left) < 0.05 * len(outputs)
+
+
+def test_wedge_margin_covers_numpy_boundary():
+    # In every layer, place u just past the margin on both sides of the
+    # boundary predicted from the tables: numpy must decide as the array path
+    # does (accept below, reject above).  At the boundary itself the lane is
+    # left to numpy.  The output carrying u is a draw of its own in the
+    # layer with the largest threshold; x is chosen so that it is a fast one
+    # there, since two slow outputs in a row leave the lane to numpy too.
+    ki, wi, fi = _ziggurat()
+    wide = int(np.argmax(ki))
+    outputs, at_boundary = [], []
+    for i in range(1, 256):
+        for part in (2, 3, 5, 7, 11):
+            rabs = int(ki[i]) + (2**52 - int(ki[i])) // part
+            x = rabs * wi[i]
+            height = fi[i - 1] - fi[i]
+            u = (math.exp(-0.5 * x * x) - fi[i]) / height * 2.0**53
+            du = 1.001 * _WEDGE_MARGIN / height * 2.0**53  # 0.1% past the margin
+            placed = (math.floor(u - du), round(u), math.ceil(u + du))
+            if all(pos << 2 & (2**52 - 1) < ki[wide] for pos in placed):
+                break
+        for pos in placed:
+            assert 0 <= pos < 2**53
+            if pos == round(u):
+                at_boundary.append(len(outputs))
+            outputs.append((rabs << 9 | i, pos << 11 | wide))
+    left = array_path(outputs)
+    assert set(at_boundary) <= left
+    assert len(left - set(at_boundary)) < 0.05 * len(outputs)
 
 
 def test_sample_count_bound():

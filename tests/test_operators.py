@@ -32,6 +32,7 @@ from overlap_lab import (
     theorem_verify,
     wick_contract,
 )
+from overlap_lab.operators import _matrix_count, _pair_count_matrices
 
 G12 = edge(1, 2)
 
@@ -207,6 +208,17 @@ class TestWickAgainstPairings:
         p = wick_contract(mono(g))
         assert p == wick_by_pairings(g)
         assert p.coefficient_sum() == double_factorial(11)
+
+    @given(st.lists(st.integers(0, 4), max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_matrix_count_equals_enumeration(self, degrees):
+        # The refusal's count against the enumeration it stands in for, in
+        # any vertex order.
+        enumerated = _pair_count_matrices(degrees, lambda off, denom: None)
+        assert _matrix_count(tuple(sorted(degrees))) == enumerated
+
+    def test_matrix_count_of_ten_degree_two_vertices(self):
+        assert _matrix_count((2,) * 10) == 1_436_714
 
 
 class TestBigDelta:
