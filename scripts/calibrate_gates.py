@@ -1,21 +1,20 @@
 """Calibration of the Monte Carlo gates: how well diff / diff_stderr follows
 a standard normal over many seeds.
 
-    PYTHONPATH=src python3 scripts/calibrate_gates.py [--seeds N]
+    PYTHONPATH=src python3 scripts/calibrate_gates.py
 
 Run from the repository root.  Each stochastic check runs at the size the
 README shows (the Gaussian integration-by-parts check, which has no command,
-at its default) once per seed 0..N-1 (N = 200 by default), and for each row
-of its report the script records z = diff / diff_stderr.  A calibrated gate
-gives a mean of z near 0, a variance near 1 and about 0.0027 N rows failing
-the 3-sigma gate.  The result goes to ``CALIBRATION.json`` next to the BENCH
+at its default) once per seed 0..199, and for each row of its report the
+script records z = diff / diff_stderr.  A calibrated gate gives a mean of z
+near 0, a variance near 1 and about 0.0027 * 200 rows failing the 3-sigma
+gate.  The result goes to ``CALIBRATION.json`` next to the BENCH
 files.  The script reads the gates; it changes none.  It is not part of the
-tier-1 suite: at N = 200 it takes several minutes.
+tier-1 suite: it takes several minutes.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import platform
@@ -45,11 +44,15 @@ CHECKS = (
 )
 
 
-def calibrate(seeds: int) -> dict:
+#: Every check runs once per seed 0..SEEDS-1.
+SEEDS = 200
+
+
+def calibrate() -> dict:
     checks = []
     for name, command, samples, run in CHECKS:
         t0 = time.perf_counter()
-        reports = [run(samples, seed) for seed in range(seeds)]
+        reports = [run(samples, seed) for seed in range(SEEDS)]
         rows = []
         for k, row in enumerate(reports[0].rows):
             z = [r.rows[k].diff / r.rows[k].diff_stderr for r in reports]
@@ -58,10 +61,10 @@ def calibrate(seeds: int) -> dict:
                 "mean_z": round(statistics.fmean(z), 4),
                 "var_z": round(statistics.variance(z), 4),
                 "gate_failures": sum(not r.rows[k].passed for r in reports),
-                "expected_failures": round(seeds * math.erfc(3 / math.sqrt(2)), 2),
+                "expected_failures": round(SEEDS * math.erfc(3 / math.sqrt(2)), 2),
             })
         checks.append({"check": name, "command": command, "samples": samples,
-                       "seeds": [0, seeds - 1], "rows": rows,
+                       "seeds": [0, SEEDS - 1], "rows": rows,
                        "wall_s": round(time.perf_counter() - t0, 1)})
         print(json.dumps(checks[-1]), flush=True)
     return {
@@ -74,13 +77,8 @@ def calibrate(seeds: int) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=200)
-    args = parser.parse_args()
-    if args.seeds < 2:
-        parser.error("--seeds must be at least 2")
     with open("CALIBRATION.json", "w") as fh:
-        json.dump(calibrate(args.seeds), fh, indent=1)
+        json.dump(calibrate(), fh, indent=1)
         fh.write("\n")
     return 0
 

@@ -76,6 +76,8 @@ DEFAULT_MAX_N = 3
 DEFAULT_MAX_VERTICES = 10
 #: Bound on the pair-count matrices one term's Wick contraction may enumerate.
 MAX_PAIR_COUNT_MATRICES = 50_000
+#: Bound on the steps of counting them before a contraction enumerates them.
+MAX_MATRIX_COUNT_STEPS = 100_000
 
 
 def double_factorial(k: int) -> int:
@@ -190,24 +192,71 @@ def _pair_count_matrices(degrees: list[int], visit) -> int:
     return count
 
 
-@functools.lru_cache(maxsize=None)
 def _matrix_count(degrees: tuple[int, ...]) -> int:
     """How many matrices :func:`_pair_count_matrices` visits for these
-    degrees, sorted, without enumerating them.  The count does not depend on
-    the order of the vertices, so the first vertex's row is summed out: each
-    way to pair its legs with the others leaves a multiset of free legs
-    (zeros dropped), counted once per multiset, and its own leftover legs
-    pair among themselves when their number is even."""
-    if not degrees:
-        return 1
-    rows = {(degrees[0], ()): 1}  # (legs of the first vertex left, multiset left): ways
-    for d in degrees[1:]:
-        grown: collections.Counter = collections.Counter()
+    degrees, sorted, without enumerating them; a count over
+    ``MAX_PAIR_COUNT_MATRICES`` reads as that bound plus one.  Counting past
+    ``MAX_MATRIX_COUNT_STEPS`` steps raises :class:`BudgetError`.
+
+    An odd number of legs has no matrix.  Otherwise a perfect matching of
+    the a odd-degree vertices, one pair each, and one of the b positive
+    even-degree vertices, two pairs each (one left out when b is odd), make
+    a matrix, so (a-1)!! (b-1)!! (b rounded down to even) is a lower bound;
+    it refuses many vertices without counting.  Otherwise, as the count does
+    not depend on the order of the vertices, the first vertex's row is
+    summed out: each way to pair its legs with the others leaves a multiset
+    of free legs (zeros dropped), counted once per multiset, and its own
+    leftover legs pair among themselves when their number is even.  Each
+    full row with an even leftover extends to a matrix and the others are
+    at most n - 1 times as many, plus one, so past n * bound + 1 partial
+    rows of n vertices the count is over the bound.
+    """
+    bound = MAX_PAIR_COUNT_MATRICES
+    odd = sum(d % 2 for d in degrees)
+    if odd % 2:
+        return 0
+    even = sum(d > 0 and d % 2 == 0 for d in degrees)
+    if double_factorial(odd - 1) * double_factorial(even - even % 2 - 1) > bound:
+        return bound + 1
+    memo: dict[tuple[int, ...], int] = {}
+    steps = 0
+
+    def count(sub):
+        nonlocal steps
+        if not sub:
+            return 1
+        if sub in memo:
+            return memo[sub]
+        cap = len(sub) * bound + 1
+        rows = {(sub[0], ()): 1}  # (legs of the first vertex left, multiset left): ways
+        for d in sub[1:]:
+            grown: collections.Counter = collections.Counter()
+            prefixes = 0
+            for (r, left), ways in rows.items():
+                prefixes += ways * (min(r, d) + 1)
+                steps += min(r, d) + 1
+                if prefixes > cap:
+                    memo[sub] = bound + 1
+                    return bound + 1
+                if steps > MAX_MATRIX_COUNT_STEPS:
+                    raise BudgetError(
+                        f"counting the pair-count matrices of {len(degrees)} vertices "
+                        f"takes more than {MAX_MATRIX_COUNT_STEPS} steps"
+                    )
+                for k in range(min(r, d) + 1):
+                    grown[r - k, tuple(sorted(left + (d - k,) if d > k else left))] += ways
+            rows = grown
+        total = 0
         for (r, left), ways in rows.items():
-            for k in range(min(r, d) + 1):
-                grown[r - k, tuple(sorted(left + (d - k,) if d > k else left))] += ways
-        rows = grown
-    return sum(ways * _matrix_count(left) for (r, left), ways in rows.items() if r % 2 == 0)
+            if r % 2 == 0:
+                total += ways * count(left)
+                if total > bound:
+                    total = bound + 1
+                    break
+        memo[sub] = total
+        return total
+
+    return count(degrees)
 
 
 @functools.lru_cache(maxsize=None)
@@ -220,11 +269,10 @@ def _wick_term(g: Multigraph) -> GraphPolynomial:
     if double_factorial(total - 1) > MAX_PAIR_COUNT_MATRICES:
         # More pairings than the bound: count the matrices before building
         # any outcome.
-        count = _matrix_count(tuple(sorted(degrees)))
-        if count > MAX_PAIR_COUNT_MATRICES:
+        if _matrix_count(tuple(sorted(degrees))) > MAX_PAIR_COUNT_MATRICES:
             raise BudgetError(
-                f"contracting {total} legs on {len(verts)} vertices needs {count} "
-                f"pair-count matrices, more than {MAX_PAIR_COUNT_MATRICES}"
+                f"contracting {total} legs on {len(verts)} vertices needs more "
+                f"than {MAX_PAIR_COUNT_MATRICES} pair-count matrices"
             )
     base = g.edge_dict()
     numerator = math.prod(math.factorial(n) for n in degrees)

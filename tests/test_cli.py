@@ -16,6 +16,7 @@ from overlap_lab import (
     graphs,
     lab,
     make_multigraph,
+    operators,
     parse_polynomial,
 )
 from overlap_lab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
@@ -92,6 +93,30 @@ class TestSymbolicBudgets:
             tracemalloc.stop()
         assert code == EXIT_USAGE and err.startswith("refused:")
         assert "pair-count matrices" in err
+        assert peak < 2**20, peak
+
+    def test_wick_count_refused_without_counting(self, capsys):
+        # 120 legs on 30 vertices: the matching bound alone is over budget.
+        graph = "".join(f"{{{v}}}^4" for v in range(1, 31))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "expand", "--graph", graph, "--word", "C")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and "more than 50000 pair-count matrices" in err
+        assert peak < 2**20, peak
+
+    def test_wick_count_over_step_budget_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(operators, "MAX_MATRIX_COUNT_STEPS", 1000)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "expand", "--graph", "{1}^1000{2}^1000{3}^1000",
+                               "--word", "C")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and "takes more than 1000 steps" in err
         assert peak < 2**20, peak
 
     def test_canonical_search_over_budget_refused(self, capsys, monkeypatch):

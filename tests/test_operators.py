@@ -32,6 +32,7 @@ from overlap_lab import (
     theorem_verify,
     wick_contract,
 )
+from overlap_lab import operators
 from overlap_lab.operators import _matrix_count, _pair_count_matrices
 
 G12 = edge(1, 2)
@@ -209,16 +210,28 @@ class TestWickAgainstPairings:
         assert p == wick_by_pairings(g)
         assert p.coefficient_sum() == double_factorial(11)
 
-    @given(st.lists(st.integers(0, 4), max_size=5))
+    @given(st.lists(st.integers(0, 4), max_size=5), st.integers(0, 300))
     @settings(max_examples=80, deadline=None)
-    def test_matrix_count_equals_enumeration(self, degrees):
+    def test_matrix_count_equals_enumeration(self, degrees, bound):
         # The refusal's count against the enumeration it stands in for, in
-        # any vertex order.
+        # any vertex order, with and without a bound to stop at.
         enumerated = _pair_count_matrices(degrees, lambda off, denom: None)
-        assert _matrix_count(tuple(sorted(degrees))) == enumerated
+        for cap in (10**9, bound):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(operators, "MAX_PAIR_COUNT_MATRICES", cap)
+                assert _matrix_count(tuple(sorted(degrees))) == min(enumerated, cap + 1)
 
-    def test_matrix_count_of_ten_degree_two_vertices(self):
+    def test_matrix_count_of_ten_degree_two_vertices(self, monkeypatch):
+        assert _matrix_count((2,) * 10) == operators.MAX_PAIR_COUNT_MATRICES + 1
+        monkeypatch.setattr(operators, "MAX_PAIR_COUNT_MATRICES", 2 * 10**6)
         assert _matrix_count((2,) * 10) == 1_436_714
+
+    def test_matrix_count_over_its_step_budget_refused(self, monkeypatch):
+        monkeypatch.setattr(operators, "MAX_MATRIX_COUNT_STEPS", 10_000)
+        assert _matrix_count((1, 31, 32, 100)) == 9112  # about 8,000 steps
+        monkeypatch.setattr(operators, "MAX_MATRIX_COUNT_STEPS", 1000)
+        with pytest.raises(BudgetError, match="of 4 vertices takes more than 1000 steps"):
+            _matrix_count((1, 31, 32, 100))
 
 
 class TestBigDelta:
