@@ -19,8 +19,12 @@ components' encodings.  Each component's encoding is memoized, keyed by its
 legs and edges with the vertices relabeled 1..k in increasing label order,
 so a component shape that comes back under shifted labels, as the operators'
 outputs do all the time, is searched once; a lone vertex carrying only legs
-is encoded directly.  The search prunes by automorphisms (McKay & Piperno,
-*Practical graph isomorphism II*, 2014): two leaves with equal encodings give
+is encoded directly.  Each component of a canonical graph is its encoding,
+shifted, on a block of consecutive labels, so a caller that changes one
+component (the derivation adds one leg) encodes only that one again and
+reassembles the rest as they are, without splitting the whole graph.  The
+search prunes by automorphisms (McKay & Piperno, *Practical graph
+isomorphism II*, 2014): two leaves with equal encodings give
 an automorphism, and a child whose orbit, under the automorphisms found so
 far that fix the vertices individualized above it, meets a searched sibling
 is skipped, or abandoned once such an automorphism turns up.  Its subtree holds
@@ -32,6 +36,7 @@ more than ``MAX_SEARCH_NODES`` tree nodes raises :class:`BudgetError`.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -368,8 +373,9 @@ def _canonical_form(edges, legs) -> Multigraph:
     edges and ``(v, n)`` legs, each sorted with distinct pairs/vertices.
 
     It is the concatenation of its components' encodings in sorted order.
-    A component with edges is looked up in the component memo under its
-    labels normalized to 1..k; a lone vertex with legs needs no search.
+    Every call splits the input into components (a union-find) and looks up
+    each component with edges in the component memo under its labels
+    normalized to 1..k; a lone vertex with legs needs no search.
     """
     comp: dict[int, set[int]] = {}
     for i, j, _ in edges:
@@ -402,16 +408,39 @@ def _canonical_form(edges, legs) -> Multigraph:
             part_legs = [(label[v], n) for v, n in part_legs]
             part_edges = [(label[i], label[j], m) for i, j, m in part_edges]
         encodings.append(_component_encoding(tuple(part_legs), tuple(part_edges)))
+    return _assemble(encodings)
+
+
+def _assemble(encodings: list) -> Multigraph:
+    """The canonical multigraph whose components have these encodings: their
+    concatenation in sorted order, each shifted past the labels before it."""
     if len(encodings) == 1:
         _, enc_legs, enc_edges = encodings[0]
         return Multigraph(enc_edges, enc_legs)
-    encodings.sort()
     out_edges, out_legs, offset = [], [], 0
-    for k, enc_legs, enc_edges in encodings:
+    for k, enc_legs, enc_edges in sorted(encodings):
         out_legs.extend((v + offset, n) for v, n in enc_legs)
         out_edges.extend((i + offset, j + offset, m) for i, j, m in enc_edges)
         offset += k
     return Multigraph(tuple(out_edges), tuple(out_legs))
+
+
+def _encodings(g: Multigraph) -> list:
+    """The component encodings of a canonical multigraph, in label order;
+    the inverse of :func:`_assemble`.  Each component is a block of
+    consecutive labels, ending where no edge crosses, and is its encoding
+    shifted past the labels before it."""
+    legs, edges = g.legs, g.edges
+    reach = {i: j for i, j, _ in edges}  # edges are sorted: each i's largest j
+    encodings, s, end, a, b = [], 0, 0, 0, 0
+    for v in range(1, len(g.support) + 1):
+        end = max(end, reach.get(v, v))
+        if v == end:  # no edge crosses v: labels s+1..v are one component
+            a2, b2 = bisect_left(legs, (v + 1,)), bisect_left(edges, (v + 1,))
+            encodings.append((v - s, tuple((w - s, n) for w, n in legs[a:a2]),
+                              tuple((i - s, j - s, m) for i, j, m in edges[b:b2])))
+            s, a, b = v, a2, b2
+    return encodings
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,7 +15,8 @@ pairs within v.  With n_v legs at v, Isserlis' theorem gives
 
 labelled pairings per matrix, so the contraction enumerates matrices, not
 the (2m-1)!! pairings, and refuses with :class:`BudgetError` a term that
-has more than ``MAX_PAIR_COUNT_MATRICES`` of them.
+has more than ``MAX_PAIR_COUNT_MATRICES`` of them.  The matrices depend on
+the leg degrees alone and are listed once per degree tuple.
 
 ``big_delta`` is wick_contract after delta twice; on leg-free input it
 produces the leg-free polynomial whose quenched average measures the
@@ -39,7 +40,10 @@ from .graphs import (
     BudgetError,
     GraphPolynomial,
     Multigraph,
+    _assemble,
     _canonical_form,
+    _component_encoding,
+    _encodings,
     canonicalize,
     compose,
     edge,
@@ -137,13 +141,29 @@ def delta_v_minus(g: Multigraph, v: int) -> GraphPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def _delta_term(g: Multigraph) -> GraphPolynomial:
-    # g is canonical, so its support is {1..R} and the fresh vertex is R+1.
-    r, legs = len(g.support), g.leg_dict()
-    return GraphPolynomial._sum(
-        (_canonical_form(g.edges, sorted({**legs, v: legs.get(v, 0) + 1}.items())),
-         1 if v <= r else -r)
-        for v in range(1, r + 2)
-    )
+    """delta of one canonical monomial, built from its component encodings.
+
+    As g is canonical, its support is {1..R} and the fresh vertex is R+1.
+    A leg changes only its own component, so only that one is encoded again
+    (a lone vertex directly, others through the component memo) and the
+    untouched encodings are reassembled as they are.  Identical components
+    give identical outputs, listed once with their multiplicity.
+    """
+    encodings, r = _encodings(g), len(g.support)
+    pairs = []
+    for enc, copies in collections.Counter(encodings).items():
+        rest = list(encodings)
+        rest.remove(enc)
+        k, enc_legs, enc_edges = enc
+        grown: collections.Counter = collections.Counter()
+        for u in range(1, k + 1):
+            at = dict(enc_legs)
+            at[u] = at.get(u, 0) + 1
+            at = tuple(sorted(at.items()))
+            grown[_component_encoding(at, enc_edges) if enc_edges else (1, at, ())] += 1
+        pairs.extend((_assemble(rest + [e]), copies * n) for e, n in grown.items())
+    pairs.append((_assemble(encodings + [(1, ((1, 1),), ())]), -r))
+    return GraphPolynomial._sum(pairs)
 
 
 def delta(p) -> GraphPolynomial:
@@ -154,25 +174,31 @@ def delta(p) -> GraphPolynomial:
     return _extend(_delta_term, p)
 
 
-def _pair_count_matrices(degrees: list[int], visit) -> int:
-    """Call ``visit(off_diagonal, denominator)`` once for every symmetric
-    matrix k of nonnegative integers with 2 k_vv + sum_{u != v} k_uv =
-    degrees[v]; return how many there are.
+#: Pair-count matrices listed so far, by degree tuple; a list is stored only
+#: while the stored lists hold at most ``MAX_PAIR_COUNT_MATRICES`` in total.
+_matrix_lists: dict[tuple[int, ...], list] = {}
 
-    ``off_diagonal`` lists ``(u, v, k_uv)`` for u < v and k_uv > 0 (valid
-    only during the call), and ``denominator`` is
-    prod_{u<v} k_uv! * prod_v k_vv! 2^k_vv.
+
+def _pair_count_matrices(degrees: tuple[int, ...]) -> list:
+    """Every symmetric matrix k of nonnegative integers with 2 k_vv +
+    sum_{u != v} k_uv = degrees[v], as ``(off_diagonal, denominator)``.
+
+    ``off_diagonal`` lists ``(u, v, k_uv)`` for u < v and k_uv > 0, and
+    ``denominator`` is prod_{u<v} k_uv! * prod_v k_vv! 2^k_vv.  The matrices
+    depend on the degrees alone, so every term with these degrees reuses
+    one listing, kept in ``_matrix_lists``; callers only read it.
     """
+    listed = _matrix_lists.get(degrees)
+    if listed is not None:
+        return listed
     rem = list(degrees)
     last = len(rem) - 1
     off: list[tuple[int, int, int]] = []
-    count = 0
+    listed = []
 
     def rec(a, b, denom):
-        nonlocal count
         if a > last:
-            count += 1
-            visit(off, denom)
+            listed.append((tuple(off), denom))
         elif b > last:  # row a is full; its remaining legs pair among themselves
             r = rem[a]
             if r % 2 == 0:
@@ -189,11 +215,13 @@ def _pair_count_matrices(degrees: list[int], visit) -> int:
             rem[a], rem[b] = ra, rb
 
     rec(0, 1, 1)
-    return count
+    if sum(map(len, _matrix_lists.values())) + len(listed) <= MAX_PAIR_COUNT_MATRICES:
+        _matrix_lists[degrees] = listed
+    return listed
 
 
 def _matrix_count(degrees: tuple[int, ...]) -> int:
-    """How many matrices :func:`_pair_count_matrices` visits for these
+    """How many matrices :func:`_pair_count_matrices` lists for these
     degrees, sorted, without enumerating them; a count over
     ``MAX_PAIR_COUNT_MATRICES`` reads as that bound plus one.  Counting past
     ``MAX_MATRIX_COUNT_STEPS`` steps raises :class:`BudgetError`.
@@ -261,8 +289,11 @@ def _matrix_count(degrees: tuple[int, ...]) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _wick_term(g: Multigraph) -> GraphPolynomial:
+    """Wick contraction of one canonical monomial: each pair-count matrix of
+    its leg degrees, listed or reused, adds its edges to the base edges
+    with its count of labelled pairings, and is counted in ``work``."""
     verts = [v for v, _ in g.legs]
-    degrees = [n for _, n in g.legs]
+    degrees = tuple(n for _, n in g.legs)
     total = sum(degrees)
     if total % 2:
         return GraphPolynomial.zero()
@@ -276,12 +307,13 @@ def _wick_term(g: Multigraph) -> GraphPolynomial:
             )
     base = g.edge_dict()
     numerator = math.prod(math.factorial(n) for n in degrees)
+    matrices = _pair_count_matrices(degrees)
+    work["pair_count_matrices"] += len(matrices)
     # Every count is positive, so nothing cancels: outcomes add into this
     # dict as they come instead of being listed, one per pair-count matrix,
     # for GraphPolynomial._sum.
     acc: dict[Multigraph, int] = {}
-
-    def add(off, denom):
+    for off, denom in matrices:
         counts = dict(base)
         for a, b, k in off:
             key = (verts[a], verts[b])
@@ -289,8 +321,6 @@ def _wick_term(g: Multigraph) -> GraphPolynomial:
         edges = sorted((i, j, m) for (i, j), m in counts.items())
         key = _canonical_form(edges, ())
         acc[key] = acc.get(key, 0) + numerator // denom
-
-    work["pair_count_matrices"] += _pair_count_matrices(degrees, add)
     return GraphPolynomial._sum(acc.items())
 
 

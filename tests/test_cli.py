@@ -11,8 +11,10 @@ import pytest
 from overlap_lab import (
     EMPTY,
     GraphPolynomial,
+    cli,
     double_factorial,
     edge,
+    exprio,
     graphs,
     lab,
     make_multigraph,
@@ -149,6 +151,30 @@ class TestWorkCounters:
         assert cold["pair_count_matrices"] > 0 and cold["search_leaves"] > 0
         assert warm["component_encodings_computed"] == warm["pair_count_matrices"] == 0
         assert docs[0]["payload_sha256"] == docs[1]["payload_sha256"]
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Give every memoized function of the package an empty memo, shared by
+    all the modules that import it, for the duration of a test."""
+    fresh = {}
+    for module in (graphs, operators, exprio, lab, cli):
+        for name, f in list(vars(module).items()):
+            if hasattr(f, "cache_info") and hasattr(f, "__wrapped__"):
+                if id(f) not in fresh:
+                    fresh[id(f)] = functools.lru_cache(maxsize=None)(f.__wrapped__)
+                monkeypatch.setattr(module, name, fresh[id(f)])
+    monkeypatch.setattr(operators, "_matrix_lists", {})
+
+
+def test_work_of_a_cold_verify_is_pinned(capsys, fresh_memos):
+    # Deterministic work counts guard the operators' savings without timing
+    # noise; the pair-count matrices are fixed by the mathematics.
+    argv = ("verify", "--graph", "{1,2}{2,3}{3,4}", "--n", "3", "--json")
+    timings = json.loads(run(capsys, *argv)[1])["timings"]
+    assert timings["component_encodings_computed"] <= 1599
+    assert timings["search_leaves"] <= 2505
+    assert timings["pair_count_matrices"] == 1568
 
 
 class TestVerify:

@@ -1,10 +1,12 @@
 """Operator engine: derivation, contraction, stability operator, theorem."""
 
+import functools
 import random
-from itertools import combinations_with_replacement
+import tracemalloc
+from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import leg_free_multigraphs, multigraphs, polynomials
@@ -33,7 +35,8 @@ from overlap_lab import (
     wick_contract,
 )
 from overlap_lab import operators
-from overlap_lab.operators import _matrix_count, _pair_count_matrices
+from overlap_lab.graphs import _canonical_form
+from overlap_lab.operators import _delta_term, _matrix_count, _pair_count_matrices
 
 G12 = edge(1, 2)
 
@@ -135,6 +138,41 @@ class TestDelta:
         assert lhs == rhs
 
 
+@st.composite
+def repeated_components(draw):
+    """Canonical legged multigraphs made of copies of up to three random
+    shapes and of lone vertices with one to four legs, each repeated up to
+    three times; drawing nothing gives EMPTY."""
+    shapes = draw(st.lists(multigraphs(max_legs=3), max_size=3))
+    shapes += [leg(1, n) for n in draw(st.lists(st.integers(1, 4), max_size=2))]
+    edges, legs, offset = [], [], 0
+    for g in shapes:
+        for _ in range(draw(st.integers(1, 3))):
+            edges += [(i + offset, j + offset, m) for i, j, m in g.edges]
+            legs += [(v + offset, n) for v, n in g.legs]
+            offset += max(g.support)
+    return canonicalize(make_multigraph(edges, legs))
+
+
+class TestDeltaTerm:
+    @given(repeated_components())
+    @example(EMPTY)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_whole_graph_construction(self, g):
+        # One leg at each support vertex (+1) and at the fresh vertex R+1
+        # (-R), each output canonicalized as a whole graph.
+        r, legs = len(g.support), g.leg_dict()
+        expected = GraphPolynomial._sum(
+            (_canonical_form(g.edges, sorted({**legs, v: legs.get(v, 0) + 1}.items())),
+             1 if v <= r else -r)
+            for v in range(1, r + 2)
+        )
+        got = _delta_term.__wrapped__(g)
+        assert got == expected
+        # Same term order too: the lab sums floats over terms in this order.
+        assert list(got._terms) == list(expected._terms)
+
+
 class TestWick:
     def test_two_legs_on_distinct_vertices(self):
         g = make_multigraph([(1, 2, 1)], [(1, 1), (2, 1)])
@@ -215,11 +253,40 @@ class TestWickAgainstPairings:
     def test_matrix_count_equals_enumeration(self, degrees, bound):
         # The refusal's count against the enumeration it stands in for, in
         # any vertex order, with and without a bound to stop at.
-        enumerated = _pair_count_matrices(degrees, lambda off, denom: None)
+        enumerated = len(_pair_count_matrices(tuple(degrees)))
         for cap in (10**9, bound):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(operators, "MAX_PAIR_COUNT_MATRICES", cap)
                 assert _matrix_count(tuple(sorted(degrees))) == min(enumerated, cap + 1)
+
+    def test_listing_reused_by_a_term_with_the_same_degrees(self, monkeypatch):
+        monkeypatch.setattr(operators, "_matrix_lists", {})
+        monkeypatch.setattr(operators, "_wick_term", functools.lru_cache(
+            maxsize=None)(operators._wick_term.__wrapped__))
+        first = make_multigraph([(1, 2, 1)], [(1, 2), (2, 1), (3, 3)])
+        # Legs of degrees 3, 2, 1 on other vertices, with other base edges.
+        second = make_multigraph([(2, 4, 1), (4, 5, 2)], [(1, 3), (2, 2), (5, 1)])
+        assert wick_contract(mono(first)) == wick_by_pairings(first)
+        listed = list(operators._matrix_lists)
+        assert len(listed) == 1
+        assert wick_contract(mono(second)) == wick_by_pairings(second)
+        assert list(operators._matrix_lists) == listed
+
+    def test_stored_listings_stay_within_the_matrix_bound(self, monkeypatch):
+        monkeypatch.setattr(operators, "_matrix_lists", {})
+        monkeypatch.setattr(operators, "MAX_PAIR_COUNT_MATRICES", 1000)
+        degrees = [*product((2, 4), repeat=5), *product((2, 3, 4), repeat=4)]
+        tracemalloc.start()
+        try:
+            listed = sum(len(_pair_count_matrices(d)) for d in degrees)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert listed == 14_940
+        assert sum(map(len, operators._matrix_lists.values())) <= 1000
+        # About 260 bytes per stored matrix plus the interpreter's tuple free
+        # lists; storing all 14,940 holds about 3 MB.
+        assert held < 3 * 2**19, held
 
     def test_matrix_count_of_ten_degree_two_vertices(self, monkeypatch):
         assert _matrix_count((2,) * 10) == operators.MAX_PAIR_COUNT_MATRICES + 1
