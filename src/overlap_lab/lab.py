@@ -206,18 +206,40 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     """One Gibbs measure per row of the last axis, each finite and summing
     to one within 1e-14.
 
-    numpy reduces a short last axis with one inner-loop call per row, so the
-    row max, exact in any order, runs over a contiguous transposed copy and
-    the check's sum is a matrix-vector product.  The normalizer stays a
-    last-axis sum: its summation order fixes the weights' rounding."""
+    The work runs config-major, over the (configurations, rows) array
+    ``x.reshape(-1, nc).T``: a view when ``x`` is a transposed config-major
+    array, as :func:`_gibbs_grid` passes it, a copy otherwise.  So every
+    pass runs over long contiguous rows, not one short row at a time.  The
+    max is exact and the division elementwise; the normalizer replays the
+    order of numpy's last-axis sum (:func:`_row_sums`), so the weights keep
+    the bits of ``e / e.sum(axis=-1, keepdims=True)``.  The result is
+    C-contiguous: the matmuls downstream round by operand layout."""
     nc = x.shape[-1]
-    top = np.ascontiguousarray(x.reshape(-1, nc).T).max(axis=0)
-    w = np.exp(x - top.reshape(*x.shape[:-1], 1))
-    w /= w.sum(axis=-1, keepdims=True)
-    total = w.reshape(-1, nc) @ np.ones(nc)
-    if not (np.isfinite(w).all() and (np.abs(total - 1.0) < 1e-14).all()):
+    z = np.ascontiguousarray(x.reshape(-1, nc).T)
+    w = z - z.max(axis=0)
+    np.exp(w, out=w)
+    w /= _row_sums(w)
+    if not (np.isfinite(w).all() and (np.abs(w.sum(axis=0) - 1.0) < 1e-14).all()):
         raise ValueError("Gibbs weights are not finite or do not sum to one")
-    return w
+    return np.ascontiguousarray(w.T).reshape(x.shape)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums of ``a`` in the order in which numpy's ``pairwise_sum``
+    adds a contiguous row of ``len(a)`` values: in sequence below 8, in
+    eight strided partial sums joined as a tree up to 128, and above that
+    as two halves split at a multiple of 8."""
+    n = len(a)
+    if n < 8:
+        return reduce(np.add, a)
+    if n <= 128:
+        stop = n - n % 8
+        r = np.add.reduce(a[:stop].reshape(-1, 8, a.shape[1]), axis=0)
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        return reduce(np.add, a[stop:], r[0] + r[1])
+    half = n // 2 - n // 2 % 8
+    return _row_sums(a[:half]) + _row_sums(a[half:])
 
 
 # perfbench/tracer.py wraps this name to count Gibbs measures.
@@ -525,8 +547,8 @@ class _MonteCarlo:
 
     def stats(self, col) -> tuple[float, float]:
         m = len(col)
-        mean = math.fsum(col) / m
-        var = math.fsum((col - mean) ** 2) / (m - 1)
+        mean = math.fsum(col.tolist()) / m
+        var = math.fsum(((col - mean) ** 2).tolist()) / (m - 1)
         return mean, math.sqrt(var / m)
 
     def tolerance(self, diff_err, tol) -> float:
@@ -651,10 +673,14 @@ def _estimate(model, rule, per_node, fill) -> QuenchedEstimate:
 
 def _gibbs_grid(model, draws, lams) -> np.ndarray:
     """(nodes, len(lams), 2^N) Gibbs weights for draws of shape (nodes, 2,
-    *coupling_shape): Hamiltonian couplings, then field couplings."""
-    x = model.beta * _neg_energy(model, draws[:, 0])
-    h = _field_values(model, draws[:, 1])
-    return _softmax_last(x[:, None, :] + np.asarray(lams)[:, None] * h[:, None, :])
+    *coupling_shape): Hamiltonian couplings, then field couplings.  The
+    exponents are laid out config-major, (2^N, nodes, len(lams)), for
+    :func:`_softmax_last`."""
+    x = np.ascontiguousarray((model.beta * _neg_energy(model, draws[:, 0])).T)
+    h = np.ascontiguousarray(_field_values(model, draws[:, 1]).T)
+    z = h[:, :, None] * np.asarray(lams)
+    z += x[:, :, None]
+    return _softmax_last(z.transpose(1, 2, 0))
 
 
 def _deformed(model, p, lam, rule, antithetic_h) -> QuenchedEstimate:

@@ -482,6 +482,42 @@ class TestNonFiniteDeformation:
         assert named in err
 
 
+_FINE_GRID = "0.0125,0.025,0.05,0.1,0.2"
+_ORACLE = ("--model", "sk", "--N", "2", "--beta", "0.8", "--method", "quadrature")
+
+
+class TestGibbsPayloads:
+    # Pinned payloads on every path that builds Gibbs measures: the SK N=2
+    # quadrature identities at n=1 and n=2 on the fine grid, its baseline and
+    # estimate, and Monte Carlo identities on 32 and 64 configurations.  The
+    # estimate runs at 32 nodes: at 64 its doubled grid's 16,384-node dot
+    # product is split over BLAS threads, so its truncation's last bits
+    # follow their number.
+    @pytest.mark.parametrize("argv, sha", [
+        (["identity", *_ORACLE, "--nodes", "64", "--graph", "{1,2}", "--n", "1",
+          "--lambda-grid", _FINE_GRID, "--tol", "1e-6"],
+         "8ad01f3f38322d0cd7520b3fcdb2f019875363c69bbc82e06c110b88a82c3db4"),
+        (["identity", *_ORACLE, "--nodes", "64", "--graph", "{1,2}", "--n", "2",
+          "--lambda-grid", _FINE_GRID, "--tol", "1e-5"],
+         "3b2828b03cf24e1f99ab59b5db824ddf12eb252a6d54fdfde3d4b094d98416fa"),
+        (["baseline", *_ORACLE, "--nodes", "64"],
+         "cedfa07c60afa97fc9674a484057b7fb6ad6714a4b8f40ba86e6819c885b0c1c"),
+        (["estimate", *_ORACLE, "--nodes", "32", "--graph",
+          "2{1,2}^2 - 8{1,2}{1,3} + 6{1,2}{3,4}", "--lam", "0.3"],
+         "a0cd1a658cb8525a17c407401bc19efc098833b68b73a0b175a5d86c2195c6fa"),
+        (["identity", "--model", "sk", "--N", "5", "--beta", "0.5", "--samples", "300",
+          "--seed", "2026", "--graph", "{1,2}", "--n", "1"],
+         "240dd5da84229a192a17018436ba7a0ea440e39194de832d02f0b7d15f8c7fa6"),
+        (["identity", "--model", "ea", "--lattice", "6", "--beta", "0.5", "--samples", "300",
+          "--seed", "2027", "--graph", "{1,2}", "--n", "1"],
+         "a5144712abe31b3a67de97038c46b0e8b862a30677fd46286bfc8259a34da59f"),
+    ])
+    def test_pinned_payload(self, capsys, argv, sha):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["payload_sha256"] == sha
+
+
 class TestMonteCarloSamples:
     # Pinned payloads: seeds of one to three 32-bit words, an EA baseline and
     # an SK N=5 estimate.  Any change to the sample streams, or to the

@@ -202,7 +202,8 @@ class TestGibbsWeights:
         with pytest.raises(ValueError, match="Gibbs weights"):
             lab._softmax_last(x)
 
-    @pytest.mark.parametrize("nc", [4, 8, 64, 1024])
+    # numpy's pairwise sum changes order at 8 and 128 values per row.
+    @pytest.mark.parametrize("nc", [*range(2, 10), 16, 24, 32, 127, 128, 129, 256, 1024])
     def test_row_max_is_the_last_axis_max_bit_for_bit(self, nc):
         rng = np.random.default_rng(nc)
         x = 30.0 * rng.standard_normal((37, 3, nc))
@@ -210,7 +211,36 @@ class TestGibbsWeights:
         x[0, 1, ::2] = -0.0  # signed zeros tie for the max
         x[1, 0, -1] = 1e300
         e = np.exp(x - x.max(axis=-1, keepdims=True))
-        assert lab._softmax_last(x).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+        ref = (e / e.sum(axis=-1, keepdims=True)).tobytes()
+        assert lab._softmax_last(x).tobytes() == ref
+        # the config-major view that _gibbs_grid passes
+        w = lab._softmax_last(np.ascontiguousarray(np.moveaxis(x, -1, 0)).transpose(1, 2, 0))
+        assert w.flags.c_contiguous and w.tobytes() == ref
+
+    # (model, nodes, lambda nodes) of the benchmark's chunks: the SK N=2
+    # oracle's identities at n=1 and n=2 and its estimate, then the Monte
+    # Carlo identities on 8 to 64 configurations.
+    @pytest.mark.parametrize("model_fn, nodes, n_lams", [
+        (lambda: sk_model(2, 0.8), 195, 21),
+        (lambda: sk_model(2, 0.8), 372, 11),
+        (lambda: sk_model(2, 0.8), 4096, 1),
+        (lambda: sk_model(3, 0.5), 97, 21),
+        (lambda: ea_model((4,), 0.5), 48, 21),
+        (lambda: sk_model(5, 0.5), 24, 21),
+        (lambda: ea_model((6,), 0.5), 12, 21),
+    ])
+    def test_gibbs_grid_is_the_row_major_softmax_bit_for_bit(self, model_fn, nodes, n_lams):
+        model = model_fn()
+        draws = np.random.default_rng(nodes).standard_normal(
+            (nodes, 2, *model.coupling_shape))
+        lams = np.linspace(-0.2, 0.3, n_lams)
+        x = model.beta * lab._neg_energy(model, draws[:, 0])
+        h = lab._field_values(model, draws[:, 1])
+        z = x[:, None, :] + lams[:, None] * h[:, None, :]
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        w = lab._gibbs_grid(model, draws, lams.tolist())
+        assert w.flags.c_contiguous
+        assert w.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
     @pytest.mark.parametrize("nc", [4, 8, 64, 1024])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf row"])

@@ -270,6 +270,17 @@ def test_sample_count_bound():
         _MonteCarlo(MAX_MC_SAMPLES + 1, 0)
 
 
+def test_stats_are_fsum_of_the_python_floats_bit_for_bit():
+    # Heavy cancellation: a plain sum loses the small terms.
+    col = np.random.default_rng(5).standard_normal(4000)
+    col[::1000] = [1e16, 3e15, -1e16, -3e15]
+    floats = col.tolist()
+    assert sum(floats) != math.fsum(floats)
+    mean = math.fsum(floats) / len(floats)
+    var = math.fsum((v - mean) * (v - mean) for v in floats) / (len(floats) - 1)
+    assert _MonteCarlo(2, 0).stats(col) == (mean, math.sqrt(var / len(floats)))
+
+
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("model_fn", MODELS)

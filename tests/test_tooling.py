@@ -13,18 +13,19 @@ import os
 import sys
 
 import overlap_lab
-import overlap_lab.cli  # noqa: F401  (the worker imports it before tracing)
+import overlap_lab.cli  # the worker imports it before tracing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
+sys.path.insert(0, PERFBENCH)
+try:
+    from tracer import TRACED, Tracer
+finally:
+    sys.path.remove(PERFBENCH)
+
 
 def test_tracer_installs_and_uninstalls():
-    sys.path.insert(0, PERFBENCH)
-    try:
-        from tracer import TRACED, Tracer
-    finally:
-        sys.path.remove(PERFBENCH)
     lab = overlap_lab.lab
     before = {name: getattr(lab, name) for name in ("_softmax", "_softmax_last",
                                                     *TRACED["lab"])}
@@ -38,6 +39,24 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(getattr(lab, name) is fn for name, fn in before.items())
+
+
+def test_tracer_counts_one_gibbs_measure_per_node_and_lambda(capsys):
+    # lab.gibbs_evals and lab.quadrature.nodes read these counts.  An SK N=2
+    # quadrature at 8 nodes per axis: the n=2 identity evaluates 7 lambda
+    # nodes on the 8 x 8 grid, the estimate 1 on it and on the doubled one.
+    quad = ["--model", "sk", "--N", "2", "--method", "quadrature", "--nodes", "8"]
+    tracer = Tracer(overlap_lab)
+    tracer.install()
+    try:
+        overlap_lab.cli.main(["identity", *quad, "--graph", "{1,2}", "--n", "2"])
+        identity = tracer.counts["gibbs"]
+        overlap_lab.cli.main(["estimate", *quad, "--graph", "{1,2}", "--lam", "0.3"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert identity == 7 * 8**2
+    assert tracer.counts["gibbs"] - identity == 8**2 + 16**2
 
 
 def test_canonicalize_keeps_its_cache_info():
