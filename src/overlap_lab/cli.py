@@ -17,8 +17,9 @@ import hashlib
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import exprio, lab
+from . import exprio
 from .graphs import GraphPolynomial, work_counts
 from .operators import (
     DELTA,
@@ -27,6 +28,9 @@ from .operators import (
     apply_word,
     theorem_verify,
 )
+
+if TYPE_CHECKING:  # the numerical commands import the lab, so the symbolic ones skip numpy
+    from . import lab
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -95,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--lam", type=float, default=0.0, help="deformation strength")
     p.add_argument("--lambda-grid", dest="lambda_grid", type=lambda_grid,
-                   default=lab.DeformationConfig().lambda_grid,
-                   help="comma-separated magnitudes for --curve-out")
+                   help="comma-separated magnitudes for --curve-out "
+                        "(default: the DeformationConfig grid)")
     p.add_argument("--curve-out", dest="curve_out",
                    help="write a CSV of estimates across the lambda grid")
     add_model(p)
@@ -109,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="absolute tolerance (quadrature rows)")
     p.add_argument("--lemma-lambda", dest="lemma_lambda", type=float, default=0.2)
     p.add_argument("--lambda-grid", dest="lambda_grid", type=lambda_grid,
-                   default=lab.DeformationConfig().lambda_grid,
-                   help="comma-separated symmetric grid magnitudes")
+                   help="comma-separated symmetric grid magnitudes "
+                        "(default: the DeformationConfig grid)")
     add_model(p)
     add_common(p)
 
@@ -179,6 +183,8 @@ def _parse_word(text: str) -> list[str]:
 
 
 def _build_model(opts: dict) -> lab.ModelInstance:
+    from . import lab
+
     if opts["model"] == "sk":
         return lab.sk_model(opts["N"], opts["beta"])
     return lab.ea_model(opts["lattice"], opts["beta"])
@@ -275,7 +281,18 @@ def _estimate_text(est: lab.QuenchedEstimate) -> str:
     return line
 
 
+def _lambda_grid(opts: dict) -> tuple[float, ...]:
+    """The --lambda-grid value, or the grid DeformationConfig declares when
+    it is unset."""
+    from . import lab
+
+    grid = opts["lambda_grid"]
+    return lab.DeformationConfig().lambda_grid if grid is None else grid
+
+
 def cmd_estimate(opts: dict) -> int:
+    from . import lab
+
     model = _build_model(opts)
     poly = exprio.parse_polynomial(opts["graph"])
 
@@ -294,7 +311,7 @@ def cmd_estimate(opts: dict) -> int:
     doc["timings"]["wall_s"] = wall
     lines = [_estimate_text(est)]
     if opts["curve_out"]:
-        grid = sorted(set(opts["lambda_grid"]) | {0.0})
+        grid = sorted(set(_lambda_grid(opts)) | {0.0})
         with open(opts["curve_out"], "w", encoding="utf-8") as fh:
             fh.write("lambda,mean,stderr\n")
             for lam in grid:
@@ -321,9 +338,11 @@ def _identity_lines(report: lab.IdentityReport) -> list[str]:
 
 
 def cmd_identity(opts: dict) -> int:
+    from . import lab
+
     model = _build_model(opts)
     graph = exprio.parse_monomial(opts["graph"])
-    config = lab.DeformationConfig(lambda_grid=opts["lambda_grid"])
+    config = lab.DeformationConfig(lambda_grid=_lambda_grid(opts))
     report = lab.identity_check(
         model, graph, opts["n"], opts["samples"], opts["seed"],
         config=config, method=opts["method"],
@@ -334,6 +353,8 @@ def cmd_identity(opts: dict) -> int:
 
 
 def cmd_baseline(opts: dict) -> int:
+    from . import lab
+
     model = _build_model(opts)
     report = lab.wick_baseline_check(
         model, opts["samples"], opts["seed"],

@@ -23,6 +23,7 @@ checked against their type hints.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import types
 from typing import Any, get_args, get_origin, get_type_hints
@@ -34,7 +35,6 @@ from .graphs import (
     Multigraph,
     make_multigraph,
 )
-from . import lab as _lab
 from . import operators as _ops
 
 __all__ = [
@@ -235,12 +235,15 @@ def format_polynomial(p: GraphPolynomial) -> str:
 # coefficients travel inside polynomial text (decimal strings); floats rely
 # on repr round-tripping.
 
+#: The report class of each type tag.  The lab's two resolve on first use,
+#: so theorem reports are written and read without loading numpy.
 _REPORTS = {
-    "theorem_report": _ops.TheoremReport,
-    "quenched_estimate": _lab.QuenchedEstimate,
-    "identity_report": _lab.IdentityReport,
+    "theorem_report": lambda: _ops.TheoremReport,
+    "quenched_estimate": lambda: _lab().QuenchedEstimate,
+    "identity_report": lambda: _lab().IdentityReport,
 }
-_TAGS = {cls: tag for tag, cls in _REPORTS.items()}
+_TAGS = {"TheoremReport": "theorem_report", "QuenchedEstimate": "quenched_estimate",
+         "IdentityReport": "identity_report"}
 
 
 def _model_dict(model) -> dict[str, Any]:
@@ -255,9 +258,9 @@ def _model_dict(model) -> dict[str, Any]:
 def _model_from_dict(d: dict):
     kind = _need(d, "kind", str)
     if kind == "sk":
-        return _lab.sk_model(_need(d, "n_spins", int), _need(d, "beta", float))
+        return _lab().sk_model(_need(d, "n_spins", int), _need(d, "beta", float))
     if kind == "ea":
-        return _lab.ea_model(_need(d, "dims", tuple[int, ...]), _need(d, "beta", float))
+        return _lab().ea_model(_need(d, "dims", tuple[int, ...]), _need(d, "beta", float))
     raise JsonSchemaError(f"unknown model kind {kind!r}")
 
 
@@ -265,8 +268,16 @@ def _model_from_dict(d: dict):
 _CODECS = {
     Multigraph: (format_monomial, str, parse_monomial),
     GraphPolynomial: (format_polynomial, str, parse_polynomial),
-    _lab.ModelInstance: (_model_dict, dict, _model_from_dict),
 }
+
+
+@functools.cache
+def _lab():
+    """The numerical lab, imported on first use with its model codec."""
+    from . import lab
+
+    _CODECS[lab.ModelInstance] = (_model_dict, dict, _model_from_dict)
+    return lab
 
 
 def _encode(value):
@@ -282,11 +293,12 @@ def _encode(value):
 def as_jsonable(obj) -> dict[str, Any]:
     """Convert a report object to a JSON-ready dict with a ``type`` tag and
     a ``payload``/``timings`` split (timestamps stay out of the payload)."""
-    if type(obj) not in _TAGS:
+    tag = _TAGS.get(type(obj).__name__)
+    if tag is None or _REPORTS[tag]() is not type(obj):
         raise TypeError(f"no JSON form for {type(obj).__name__}")
     payload = _encode(obj)
     timings = {"wall_s": payload.pop("wall_time_s")} if "wall_time_s" in payload else {}
-    return {"type": _TAGS[type(obj)], "payload": payload, "timings": timings}
+    return {"type": tag, "payload": payload, "timings": timings}
 
 
 def to_json(obj) -> str:
@@ -349,7 +361,8 @@ def from_json(text: str):
     tag = _need(doc, "type", str)
     if tag not in _REPORTS:
         raise JsonSchemaError(f"unknown report type {tag!r}")
+    cls = _REPORTS[tag]()
     payload = dict(_need(doc, "payload", dict))
-    if "wall_time_s" in {f.name for f in dataclasses.fields(_REPORTS[tag])}:
+    if "wall_time_s" in {f.name for f in dataclasses.fields(cls)}:
         payload["wall_time_s"] = (_need(doc, "timings", dict | None) or {}).get("wall_s", 0.0)
-    return _decode_fields(_REPORTS[tag], payload, "")
+    return _decode_fields(cls, payload, "")

@@ -465,6 +465,38 @@ class TestConfigValues:
         assert f"argument {flag}" in err
 
 
+class TestLambdaGridDefault:
+    """Without --lambda-grid, both commands use DeformationConfig's grid."""
+
+    IDENTITY = ["identity", "--N", "2", "--graph", "{1,2}", "--method", "quadrature",
+                "--nodes", "16", "--json"]
+
+    def test_identity_default_is_the_config_grid(self, capsys, tmp_path):
+        default = json.loads(run(capsys, *self.IDENTITY)[1])
+        spelled = json.loads(run(capsys, *self.IDENTITY, "--lambda-grid="
+                                 + ",".join(map(repr, lab.DeformationConfig().lambda_grid)))[1])
+        assert default["payload_sha256"] == spelled["payload_sha256"]
+        assert default["payload"]["lambda_grid"] == [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2]
+        # The magnitudes alone give the same rows; the payload echoes the
+        # grid in the order it was given.
+        mirrored = json.loads(run(capsys, *self.IDENTITY, "--lambda-grid", "0.05,0.1,0.2")[1])
+        assert mirrored["payload"]["rows"] == default["payload"]["rows"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lambda_grid": None}))
+        via_null = json.loads(run(capsys, *self.IDENTITY, "--config", str(path))[1])
+        assert via_null["payload_sha256"] == default["payload_sha256"]
+
+    def test_curve_default_is_the_config_grid(self, capsys, tmp_path):
+        argv = ["estimate", "--N", "2", "--graph", "{1,2}", "--samples", "40", "--seed", "3"]
+        curves = []
+        for k, grid in enumerate([[], ["--lambda-grid", "0.05,0.1,0.2"]]):
+            path = tmp_path / f"curve{k}.csv"
+            assert run(capsys, *argv, "--curve-out", str(path), *grid)[0] == EXIT_OK
+            curves.append(path.read_text())
+        assert curves[0] == curves[1]
+        assert len(curves[0].splitlines()) == 8  # the header, 0 and +-0.05, 0.1, 0.2
+
+
 class TestNonFiniteDeformation:
     @pytest.mark.parametrize("argv, named", [
         (["estimate", "--graph", "{1,2}", "--lam", "nan"], "lam must be finite, got nan"),
