@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import sys
@@ -209,15 +210,23 @@ def _emit(opts: dict, text_lines: list[str], doc: dict) -> None:
         sys.stdout.write(output)
 
 
+def _work_counts() -> dict:
+    """Running totals of work (see ``graphs.work_counts``) and, under
+    ``gc_collected``, of the objects the cyclic garbage collector freed."""
+    collected = sum(gen["collected"] for gen in gc.get_stats())
+    return {**work_counts(), "gc_collected": collected}
+
+
 def _work_since(before: dict) -> dict:
-    """Work counters (see ``graphs.work_counts``) accrued since ``before``."""
-    return {key: n - before[key] for key, n in work_counts().items()}
+    """Work counters accrued since ``before``, a :func:`_work_counts`
+    snapshot."""
+    return {key: n - before[key] for key, n in _work_counts().items()}
 
 
 def cmd_expand(opts: dict) -> int:
     word = _parse_word(opts["word"])
     graph = exprio.parse_monomial(opts["graph"])
-    before = work_counts()
+    before = _work_counts()
     t0 = time.perf_counter()
     result = apply_word(word, GraphPolynomial.monomial(graph))
     wall = time.perf_counter() - t0
@@ -237,7 +246,7 @@ def cmd_expand(opts: dict) -> int:
 
 def cmd_verify(opts: dict) -> int:
     graph = exprio.parse_monomial(opts["graph"])
-    before = work_counts()
+    before = _work_counts()
     report = theorem_verify(graph, opts["n"])
     doc = exprio.as_jsonable(report)
     doc["timings"].update(_work_since(before))
@@ -257,9 +266,11 @@ def cmd_verify(opts: dict) -> int:
 
 def cmd_counts(opts: dict) -> int:
     graph = exprio.parse_monomial(opts["graph"])
+    before = _work_counts()
     report = theorem_verify(graph, opts["n"])
     doc = exprio.as_jsonable(report)
     doc["type"] = "term_counts"
+    doc["timings"].update(_work_since(before))
     for key in ("lhs", "rhs", "equal"):
         del doc["payload"][key]
     lines = [

@@ -31,6 +31,14 @@ is skipped, or abandoned once such an automorphism turns up.  Its subtree holds
 the same encodings as the sibling's, so the minimum is the one the full
 search finds.  K_k then takes k leaves instead of k!.  A search that needs
 more than ``MAX_SEARCH_NODES`` tree nodes raises :class:`BudgetError`.
+
+A search holds no reference cycle: its state is one small object whose
+methods reach each other through it, and the refinement is a module-level
+function, so reference counting frees the search's working state the moment
+it returns.  A nested function that called itself would hold itself in its
+closure and leave a cycle per search, thousands per cold ``verify``; only
+the cyclic garbage collector frees those, and its collections, which grow
+with the garbage, took about a tenth of the benchmark's symbolic pass.
 """
 
 from __future__ import annotations
@@ -240,67 +248,98 @@ def _component_encoding(legs: tuple, edges: tuple) -> tuple:
     The encoding is a complete invariant and does not depend on the input
     labels; :func:`_canonical_form` passes the vertices relabeled 1..k in
     label order, so components that differ by an order-preserving
-    relabeling share one memo entry."""
-    adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i, j, m in edges:
-        adj[i].append((j, m))
-        adj[j].append((i, m))
-    leg_at = dict(legs)
-    k = len(adj)
+    relabeling share one memo entry.  The search keeps its state in a
+    :class:`_Search`, which holds no reference cycle, so all of it is freed
+    by reference counting the moment this returns."""
+    search = _Search(legs, edges)
+    search.search(_refine(_initial_cells(search.adj, dict(legs)), search.adj))
+    work["search_leaves"] += search.leaves
+    return search.best
 
-    def initial_cells():
-        groups = defaultdict(list)
-        for v, nbrs in adj.items():
-            mults = tuple(sorted((m for _, m in nbrs), reverse=True))
-            groups[(leg_at.get(v, 0), sum(mults), mults)].append(v)
-        return [sorted(groups[s]) for s in sorted(groups, reverse=True)]
 
-    def refine(cells):
-        while True:
-            color = {v: c for c, cell in enumerate(cells) for v in cell}
-            out, changed = [], False
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
-                    continue
-                buckets = defaultdict(list)
-                for v in cell:
-                    key = tuple(
-                        sorted(((m, color[u]) for u, m in adj[v]), reverse=True)
-                    )
-                    buckets[key].append(v)
-                if len(buckets) > 1:
-                    changed = True
-                out.extend(sorted(buckets[key]) for key in sorted(buckets, reverse=True))
-            if not changed:
-                return out
-            cells = out
+def _initial_cells(adj: dict, leg_at: dict) -> list:
+    """The vertices grouped by (legs, degree, sorted edge multiplicities),
+    groups in decreasing order of that key, each group sorted."""
+    groups = defaultdict(list)
+    for v, nbrs in adj.items():
+        mults = tuple(sorted((m for _, m in nbrs), reverse=True))
+        groups[(leg_at.get(v, 0), sum(mults), mults)].append(v)
+    return [sorted(groups[s]) for s in sorted(groups, reverse=True)]
 
-    def encode(order):
+
+def _refine(cells: list, adj: dict) -> list:
+    """Split every cell, a sorted list of vertices, by its vertices' sorted
+    ``(multiplicity, neighbour's cell)`` lists, the parts in decreasing key
+    order, until no cell splits.  Each part is filled in order from a sorted
+    cell, so it is sorted too, and a cell that does not split is kept as it
+    is."""
+    while True:
+        color = {v: c for c, cell in enumerate(cells) for v in cell}
+        out, changed = [], False
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            buckets = {}
+            for v in cell:
+                key = [(m, color[u]) for u, m in adj[v]]
+                key.sort(reverse=True)
+                key = tuple(key)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [v]
+                else:
+                    bucket.append(v)
+            if len(buckets) == 1:
+                out.append(cell)
+            else:
+                changed = True
+                for key in sorted(buckets, reverse=True):
+                    out.append(buckets[key])
+        if not changed:
+            return out
+        cells = out
+
+
+class _Search:
+    """State of one component's canonical search.  Its methods reach each
+    other through the instance, never through a closure, so nothing in it
+    refers back to it."""
+
+    __slots__ = ("adj", "legs", "edges", "k", "best", "first_leaf",
+                 "automorphisms", "path", "explored", "nodes", "leaves", "abandon")
+
+    def __init__(self, legs: tuple, edges: tuple):
+        adj = defaultdict(list)
+        for i, j, m in edges:
+            adj[i].append((j, m))
+            adj[j].append((i, m))
+        self.adj, self.legs, self.edges, self.k = adj, legs, edges, len(adj)
+        self.best = None
+        self.first_leaf = {}  # encoding -> first leaf's order
+        self.automorphisms = []
+        self.path = []  # vertices individualized on the way to this node
+        self.explored = []  # per level of path: children searched
+        self.nodes = self.leaves = 0
+        self.abandon = None  # level whose current child repeats a searched sibling
+
+    def encode(self, order):
         label = {v: pos for pos, v in enumerate(order, 1)}
-        enc_legs = tuple(sorted((label[v], n) for v, n in legs))
-        enc_edges = tuple(
-            sorted(
-                (min(label[i], label[j]), max(label[i], label[j]), m)
-                for i, j, m in edges
-            )
-        )
-        return (k, enc_legs, enc_edges)
+        enc_legs = [(label[v], n) for v, n in self.legs]
+        enc_legs.sort()
+        enc_edges = []
+        for i, j, m in self.edges:
+            a, b = label[i], label[j]
+            enc_edges.append((a, b, m) if a < b else (b, a, m))
+        enc_edges.sort()
+        return (self.k, tuple(enc_legs), tuple(enc_edges))
 
-    best = None
-    first_leaf: dict[tuple, list[int]] = {}  # encoding -> first leaf's order
-    automorphisms: list[dict[int, int]] = []
-    path: list[int] = []  # vertices individualized on the way to this node
-    explored: list[list[int]] = []  # per level of path: children searched
-    nodes = leaves = 0
-    abandon = None  # level whose current child repeats a searched sibling
-
-    def in_orbit(v, targets, level):
+    def in_orbit(self, v, targets, level):
         # Orbit of v under the automorphisms found so far that fix
         # path[:level] pointwise; such an automorphism maps the subtree of
         # one child onto the subtree of another, leaf encodings included.
-        fixed = path[:level]
-        usable = [a for a in automorphisms if all(a[u] == u for u in fixed)]
+        fixed = self.path[:level]
+        usable = [a for a in self.automorphisms if all(a[u] == u for u in fixed)]
         orbit, frontier = {v}, [v]
         while frontier:
             u = frontier.pop()
@@ -311,61 +350,56 @@ def _component_encoding(legs: tuple, edges: tuple) -> tuple:
                     frontier.append(w)
         return not orbit.isdisjoint(targets)
 
-    def leaf(order):
-        nonlocal best, leaves, abandon
-        leaves += 1
-        enc = encode(order)
-        if best is None or enc < best:
-            best = enc
-        first = first_leaf.setdefault(enc, order)
+    def leaf(self, order):
+        self.leaves += 1
+        enc = self.encode(order)
+        if self.best is None or enc < self.best:
+            self.best = enc
+        first = self.first_leaf.setdefault(enc, order)
         if first is order:
             return
         # Equal encodings: mapping this leaf's order onto the first one's is
         # an automorphism.  Abandon the shallowest subtree on the current
         # path that it shows to repeat one already searched.
         gamma = dict(zip(order, first))
-        automorphisms.append(gamma)
-        for level, v in enumerate(path):
-            if explored[level] and in_orbit(v, explored[level], level):
-                abandon = level
+        self.automorphisms.append(gamma)
+        for level, v in enumerate(self.path):
+            if self.explored[level] and self.in_orbit(v, self.explored[level], level):
+                self.abandon = level
                 return
             if gamma[v] != v:
                 return
 
-    def search(cells):
-        nonlocal nodes, abandon
-        nodes += 1
-        if nodes > MAX_SEARCH_NODES:
+    def search(self, cells):
+        self.nodes += 1
+        if self.nodes > MAX_SEARCH_NODES:
             raise BudgetError(
-                f"canonical search of a {k}-vertex component exceeds "
+                f"canonical search of a {self.k}-vertex component exceeds "
                 f"{MAX_SEARCH_NODES} nodes"
             )
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
-            leaf([cell[0] for cell in cells])
+            self.leaf([cell[0] for cell in cells])
             return
+        path = self.path
         level = len(path)
-        done: list[int] = []
-        explored.append(done)
+        done = []
+        self.explored.append(done)
         for v in cell:
-            if done and in_orbit(v, done, level):
+            if done and self.in_orbit(v, done, level):
                 continue
             path.append(v)
             rest = [u for u in cell if u != v]
-            search(refine(cells[:idx] + [[v], rest] + cells[idx + 1 :]))
+            self.search(_refine(cells[:idx] + [[v], rest] + cells[idx + 1 :], self.adj))
             path.pop()
-            if abandon is not None:
-                if abandon < level:
+            if self.abandon is not None:
+                if self.abandon < level:
                     break
-                abandon = None
+                self.abandon = None
             done.append(v)
-        explored.pop()
-
-    search(refine(initial_cells()))
-    work["search_leaves"] += leaves
-    return best
+        self.explored.pop()
 
 
 def _canonical_form(edges, legs) -> Multigraph:
@@ -471,19 +505,21 @@ def enumerate_pairings(labels: Iterable[int]) -> list[Pairing]:
     if len(items) % 2:
         return []
     out: list[Pairing] = []
-
-    def rec(rem, acc):
-        if not rem:
-            out.append(tuple(acc))
-            return
-        first = rem[0]
-        for t in range(1, len(rem)):
-            acc.append((first, rem[t]))
-            rec(rem[1:t] + rem[t + 1 :], acc)
-            acc.pop()
-
-    rec(items, [])
+    _extend_pairings(items, [], out)
     return out
+
+
+def _extend_pairings(rem: list, acc: list, out: list) -> None:
+    """Append to ``out`` every pairing that extends the pairs ``acc`` by a
+    pairing of the labels ``rem``, pairing the first label first."""
+    if not rem:
+        out.append(tuple(acc))
+        return
+    first = rem[0]
+    for t in range(1, len(rem)):
+        acc.append((first, rem[t]))
+        _extend_pairings(rem[1:t] + rem[t + 1 :], acc, out)
+        acc.pop()
 
 
 class GraphPolynomial:

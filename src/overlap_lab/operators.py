@@ -191,33 +191,36 @@ def _pair_count_matrices(degrees: tuple[int, ...]) -> list:
     listed = _matrix_lists.get(degrees)
     if listed is not None:
         return listed
-    rem = list(degrees)
-    last = len(rem) - 1
-    off: list[tuple[int, int, int]] = []
     listed = []
-
-    def rec(a, b, denom):
-        if a > last:
-            listed.append((tuple(off), denom))
-        elif b > last:  # row a is full; its remaining legs pair among themselves
-            r = rem[a]
-            if r % 2 == 0:
-                rec(a + 1, a + 2, denom * (math.factorial(r // 2) << (r // 2)))
-        else:
-            ra, rb = rem[a], rem[b]
-            for k in range(min(ra, rb) + 1):
-                rem[a], rem[b] = ra - k, rb - k
-                if k:
-                    off.append((a, b, k))
-                rec(a, b + 1, denom * math.factorial(k))
-                if k:
-                    off.pop()
-            rem[a], rem[b] = ra, rb
-
-    rec(0, 1, 1)
+    _list_matrices(list(degrees), 0, 1, 1, [], listed)
     if sum(map(len, _matrix_lists.values())) + len(listed) <= MAX_PAIR_COUNT_MATRICES:
         _matrix_lists[degrees] = listed
     return listed
+
+
+def _list_matrices(rem: list, a: int, b: int, denom: int, off: list, listed: list) -> None:
+    """Append to ``listed`` every completion of a partly filled matrix: the
+    rows before ``a`` and row ``a`` before column ``b`` are set, ``off``
+    holds their positive off-diagonal entries, ``denom`` their part of the
+    denominator and ``rem`` each vertex's legs still free."""
+    last = len(rem) - 1
+    if a > last:
+        listed.append((tuple(off), denom))
+    elif b > last:  # row a is full; its remaining legs pair among themselves
+        r = rem[a]
+        if r % 2 == 0:
+            _list_matrices(rem, a + 1, a + 2, denom * (math.factorial(r // 2) << (r // 2)),
+                           off, listed)
+    else:
+        ra, rb = rem[a], rem[b]
+        for k in range(min(ra, rb) + 1):
+            rem[a], rem[b] = ra - k, rb - k
+            if k:
+                off.append((a, b, k))
+            _list_matrices(rem, a, b + 1, denom * math.factorial(k), off, listed)
+            if k:
+                off.pop()
+        rem[a], rem[b] = ra, rb
 
 
 def _matrix_count(degrees: tuple[int, ...]) -> int:
@@ -246,15 +249,28 @@ def _matrix_count(degrees: tuple[int, ...]) -> int:
     even = sum(d > 0 and d % 2 == 0 for d in degrees)
     if double_factorial(odd - 1) * double_factorial(even - even % 2 - 1) > bound:
         return bound + 1
-    memo: dict[tuple[int, ...], int] = {}
-    steps = 0
+    return _MatrixCount(len(degrees)).count(degrees)
 
-    def count(sub):
-        nonlocal steps
+
+class _MatrixCount:
+    """The memoized count of :func:`_matrix_count` and its step budget.  The
+    recursion goes through the instance, not a closure, so it leaves no
+    reference cycle behind."""
+
+    __slots__ = ("vertices", "memo", "steps")
+
+    def __init__(self, vertices: int):
+        self.vertices = vertices
+        self.memo = {}
+        self.steps = 0
+
+    def count(self, sub: tuple[int, ...]) -> int:
         if not sub:
             return 1
+        memo = self.memo
         if sub in memo:
             return memo[sub]
+        bound = MAX_PAIR_COUNT_MATRICES
         cap = len(sub) * bound + 1
         rows = {(sub[0], ()): 1}  # (legs of the first vertex left, multiset left): ways
         for d in sub[1:]:
@@ -262,13 +278,13 @@ def _matrix_count(degrees: tuple[int, ...]) -> int:
             prefixes = 0
             for (r, left), ways in rows.items():
                 prefixes += ways * (min(r, d) + 1)
-                steps += min(r, d) + 1
+                self.steps += min(r, d) + 1
                 if prefixes > cap:
                     memo[sub] = bound + 1
                     return bound + 1
-                if steps > MAX_MATRIX_COUNT_STEPS:
+                if self.steps > MAX_MATRIX_COUNT_STEPS:
                     raise BudgetError(
-                        f"counting the pair-count matrices of {len(degrees)} vertices "
+                        f"counting the pair-count matrices of {self.vertices} vertices "
                         f"takes more than {MAX_MATRIX_COUNT_STEPS} steps"
                     )
                 for k in range(min(r, d) + 1):
@@ -277,14 +293,12 @@ def _matrix_count(degrees: tuple[int, ...]) -> int:
         total = 0
         for (r, left), ways in rows.items():
             if r % 2 == 0:
-                total += ways * count(left)
+                total += ways * self.count(left)
                 if total > bound:
                     total = bound + 1
                     break
         memo[sub] = total
         return total
-
-    return count(degrees)
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,13 +7,31 @@ they cross-check.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import strategies as st
 
 from overlap_lab import GraphPolynomial, Multigraph, make_multigraph
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Give every memoized function of the package an empty memo, shared by
+    all the modules that import it, for the duration of a test."""
+    from overlap_lab import cli, exprio, graphs, lab, operators
+
+    fresh = {}
+    for module in (graphs, operators, exprio, lab, cli):
+        for name, f in list(vars(module).items()):
+            if hasattr(f, "cache_info") and hasattr(f, "__wrapped__"):
+                if id(f) not in fresh:
+                    fresh[id(f)] = functools.lru_cache(maxsize=None)(f.__wrapped__)
+                monkeypatch.setattr(module, name, fresh[id(f)])
+    monkeypatch.setattr(operators, "_matrix_lists", {})
 
 
 def random_multigraph(rnd: random.Random, max_vertices=5, max_edges=3,

@@ -11,10 +11,8 @@ import pytest
 from overlap_lab import (
     EMPTY,
     GraphPolynomial,
-    cli,
     double_factorial,
     edge,
-    exprio,
     graphs,
     lab,
     make_multigraph,
@@ -133,13 +131,14 @@ class TestSymbolicBudgets:
 
 
 COUNTERS = ("component_encodings_computed", "component_encodings_reused",
-            "search_leaves", "pair_count_matrices")
+            "search_leaves", "pair_count_matrices", "gc_collected")
 
 
 class TestWorkCounters:
     @pytest.mark.parametrize("argv", [
         ("verify", "--graph", "{1,2}^5{2,3}^4{3,4}^3{1,4}^7", "--n", "1"),
         ("expand", "--graph", "{1,2}^6{2,3}^5{3,1}^4", "--word", "C d d"),
+        ("counts", "--graph", "{1,2}^4{2,3}^6{3,4}^5{4,5}^2", "--n", "1"),
     ])
     def test_counters_in_timings_leave_payload_sha(self, capsys, argv):
         docs = [json.loads(run(capsys, *argv, "--json")[1]) for _ in range(2)]
@@ -151,20 +150,6 @@ class TestWorkCounters:
         assert cold["pair_count_matrices"] > 0 and cold["search_leaves"] > 0
         assert warm["component_encodings_computed"] == warm["pair_count_matrices"] == 0
         assert docs[0]["payload_sha256"] == docs[1]["payload_sha256"]
-
-
-@pytest.fixture
-def fresh_memos(monkeypatch):
-    """Give every memoized function of the package an empty memo, shared by
-    all the modules that import it, for the duration of a test."""
-    fresh = {}
-    for module in (graphs, operators, exprio, lab, cli):
-        for name, f in list(vars(module).items()):
-            if hasattr(f, "cache_info") and hasattr(f, "__wrapped__"):
-                if id(f) not in fresh:
-                    fresh[id(f)] = functools.lru_cache(maxsize=None)(f.__wrapped__)
-                monkeypatch.setattr(module, name, fresh[id(f)])
-    monkeypatch.setattr(operators, "_matrix_lists", {})
 
 
 def test_work_of_a_cold_verify_is_pinned(capsys, fresh_memos):

@@ -5,7 +5,8 @@ of ``lab._softmax`` and ``lab._softmax_last``), and ``perfbench/worker.py``
 reads ``graphs.canonicalize.cache_info()`` in every pass; renaming or
 deleting one of them would otherwise surface only in a benchmark run.  The
 package itself holds no ``assert`` statement, so its checks run under
-``python -O`` as well.
+``python -O`` as well, and no nested function that reaches itself through
+its closure, so no call leaves a reference cycle behind.
 """
 
 import ast
@@ -65,14 +66,58 @@ def test_canonicalize_keeps_its_cache_info():
     assert info.hits >= 0 and info.misses >= 0
 
 
-def test_no_assert_statements_in_src():
-    # Runtime checks raise explicit exceptions, so ``python -O`` keeps them.
-    found = []
+def _src_trees():
+    """Each module under ``src`` as ``(path, parsed tree)``."""
     for folder, _, files in os.walk(os.path.join(ROOT, "src")):
         for name in sorted(f for f in files if f.endswith(".py")):
             path = os.path.join(folder, name)
             with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), path)
-            found += [f"{path}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+                yield path, ast.parse(fh.read(), path)
+
+
+def test_no_assert_statements_in_src():
+    # Runtime checks raise explicit exceptions, so ``python -O`` keeps them.
+    found = []
+    for path, tree in _src_trees():
+        found += [f"{path}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _nested_functions(scope):
+    """The functions defined in ``scope``'s own body, not in a function or
+    class inside it."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FUNCTIONS):
+            yield node
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_nested_function_reaches_itself():
+    # A nested function that calls itself, directly or through a sibling,
+    # holds itself in its closure, so every call of the function around it
+    # leaves a reference cycle that only the cyclic collector frees.
+    found = []
+    for path, tree in _src_trees():
+        for scope in ast.walk(tree):
+            if not isinstance(scope, FUNCTIONS):
+                continue
+            nested = {f.name: f for f in _nested_functions(scope)}
+            calls = {name: {node.id for node in ast.walk(f)
+                            if isinstance(node, ast.Name) and node.id in nested}
+                     for name, f in nested.items()}
+            for name, f in nested.items():
+                reached, frontier = set(), [name]
+                while frontier:
+                    for callee in calls[frontier.pop()] - reached:
+                        reached.add(callee)
+                        frontier.append(callee)
+                if name in reached:
+                    found.append(f"{path}:{f.lineno} {scope.name}.{name}")
     assert found == []
