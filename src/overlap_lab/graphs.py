@@ -15,20 +15,21 @@ a complete invariant while keeping the search tiny for the sparse graphs that
 occur here (at most ~10 vertices).
 
 The canonical form of a multigraph is the sorted concatenation of its
-components' encodings.  Each component's encoding is memoized, keyed by its
-legs and edges with the vertices relabeled 1..k in increasing label order,
-so a component shape that comes back under shifted labels, as the operators'
-outputs do all the time, is searched once; a lone vertex carrying only legs
-is encoded directly.  Each component of a canonical graph is its encoding,
-shifted, on a block of consecutive labels, so a caller that changes one
-component (the derivation adds one leg) encodes only that one again and
-reassembles the rest as they are, without splitting the whole graph.  The
-search prunes by automorphisms (McKay & Piperno, *Practical graph
-isomorphism II*, 2014): two leaves with equal encodings give
+components' encodings, memoized twice: first keyed by the component with its
+vertices relabeled 1..k in label order, which catches a shape that comes back
+under shifted labels, then, on a miss, relabeled in the order of its root
+refinement's cells, which catches it under labels in another order.  Only a
+miss of both is searched; a relabeling is an isomorphism, so a hit is sound.
+A lone vertex carrying only legs is encoded directly.  Each component of a
+canonical graph is its encoding, shifted, on a block of consecutive labels,
+so a caller that changes one component (the derivation adds one leg) encodes
+only that one again and reassembles the rest as they are, without splitting
+the whole graph.  The search prunes by automorphisms (McKay & Piperno,
+*Practical graph isomorphism II*, 2014): two leaves with equal encodings give
 an automorphism, and a child whose orbit, under the automorphisms found so
 far that fix the vertices individualized above it, meets a searched sibling
-is skipped, or abandoned once such an automorphism turns up.  Its subtree holds
-the same encodings as the sibling's, so the minimum is the one the full
+is skipped, or abandoned once such an automorphism turns up.  Its subtree
+holds the same encodings as the sibling's, so the minimum is the one the full
 search finds.  K_k then takes k leaves instead of k!.  A search that needs
 more than ``MAX_SEARCH_NODES`` tree nodes raises :class:`BudgetError`.
 
@@ -229,12 +230,13 @@ class BudgetError(RuntimeError):
 
 
 def work_counts() -> dict[str, int]:
-    """Running totals: component encodings computed (memo misses) and reused
-    (memo hits), canonical-search leaves, Wick pair-count matrices."""
+    """Running totals: component encodings computed and reused (first memo
+    misses, hits), searches (second memo misses), leaves, Wick matrices."""
     info = _component_encoding.cache_info()
     return {
         "component_encodings_computed": info.misses,
         "component_encodings_reused": info.hits,
+        "component_searches": _searched_encoding.cache_info().misses,
         "search_leaves": work["search_leaves"],
         "pair_count_matrices": work["pair_count_matrices"],
     }
@@ -248,13 +250,35 @@ def _component_encoding(legs: tuple, edges: tuple) -> tuple:
     The encoding is a complete invariant and does not depend on the input
     labels; :func:`_canonical_form` passes the vertices relabeled 1..k in
     label order, so components that differ by an order-preserving
-    relabeling share one memo entry.  The search keeps its state in a
-    :class:`_Search`, which holds no reference cycle, so all of it is freed
-    by reference counting the moment this returns."""
+    relabeling share one entry of this first memo.  A miss relabels them in
+    the order of the root refinement's cells, for the second memo."""
+    adj = _Search(legs, edges).adj
+    cells = _refine(_initial_cells(adj, dict(legs)), adj)
+    _, root_legs, root_edges = _encode(legs, edges, list(chain.from_iterable(cells)))
+    return _searched_encoding(root_legs, root_edges)
+
+
+@functools.lru_cache(maxsize=None)
+def _searched_encoding(legs: tuple, edges: tuple) -> tuple:
+    """:func:`_component_encoding` by the canonical search.  Its state, a
+    :class:`_Search`, holds no reference cycle, so it is freed on return."""
     search = _Search(legs, edges)
     search.search(_refine(_initial_cells(search.adj, dict(legs)), search.adj))
     work["search_leaves"] += search.leaves
     return search.best
+
+
+def _encode(legs: tuple, edges: tuple, order: list) -> tuple:
+    """``(k, legs, edges)`` with ``order[p - 1]`` relabeled p, both sorted."""
+    label = {v: pos for pos, v in enumerate(order, 1)}
+    enc_legs = [(label[v], n) for v, n in legs]
+    enc_legs.sort()
+    enc_edges = []
+    for i, j, m in edges:
+        a, b = label[i], label[j]
+        enc_edges.append((a, b, m) if a < b else (b, a, m))
+    enc_edges.sort()
+    return (len(order), tuple(enc_legs), tuple(enc_edges))
 
 
 def _initial_cells(adj: dict, leg_at: dict) -> list:
@@ -323,17 +347,6 @@ class _Search:
         self.nodes = self.leaves = 0
         self.abandon = None  # level whose current child repeats a searched sibling
 
-    def encode(self, order):
-        label = {v: pos for pos, v in enumerate(order, 1)}
-        enc_legs = [(label[v], n) for v, n in self.legs]
-        enc_legs.sort()
-        enc_edges = []
-        for i, j, m in self.edges:
-            a, b = label[i], label[j]
-            enc_edges.append((a, b, m) if a < b else (b, a, m))
-        enc_edges.sort()
-        return (self.k, tuple(enc_legs), tuple(enc_edges))
-
     def in_orbit(self, v, targets, level):
         # Orbit of v under the automorphisms found so far that fix
         # path[:level] pointwise; such an automorphism maps the subtree of
@@ -352,7 +365,7 @@ class _Search:
 
     def leaf(self, order):
         self.leaves += 1
-        enc = self.encode(order)
+        enc = _encode(self.legs, self.edges, order)
         if self.best is None or enc < self.best:
             self.best = enc
         first = self.first_leaf.setdefault(enc, order)

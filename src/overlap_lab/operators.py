@@ -20,7 +20,9 @@ the leg degrees alone and are listed once per degree tuple.
 
 ``big_delta`` is wick_contract after delta twice; on leg-free input it
 produces the leg-free polynomial whose quenched average measures the
-deviation from stochastic stability.
+deviation from stochastic stability.  It applies delta's rule twice to a
+labelled term and contracts the results before it canonicalizes anything;
+the closed form ``delta_formula_direct`` stays an independent check.
 
 ``theorem_verify`` checks, by exact polynomial arithmetic on canonical
 classes, that contracting 2n derivations equals (2n-1)!! applications of
@@ -34,6 +36,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .graphs import (
@@ -301,16 +304,15 @@ class _MatrixCount:
         return total
 
 
-@functools.lru_cache(maxsize=None)
-def _wick_term(g: Multigraph) -> GraphPolynomial:
-    """Wick contraction of one canonical monomial: each pair-count matrix of
-    its leg degrees, listed or reused, adds its edges to the base edges
-    with its count of labelled pairings, and is counted in ``work``."""
-    verts = [v for v, _ in g.legs]
-    degrees = tuple(n for _, n in g.legs)
+def _contractions(base: dict, legs: tuple):
+    """Wick contraction of the labelled monomial with edges ``base`` and
+    sorted ``legs``: per pair-count matrix, listed or reused and counted in
+    ``work``, the sorted edges it adds to ``base`` and its pairings."""
+    verts = [v for v, _ in legs]
+    degrees = tuple(n for _, n in legs)
     total = sum(degrees)
     if total % 2:
-        return GraphPolynomial.zero()
+        return
     if double_factorial(total - 1) > MAX_PAIR_COUNT_MATRICES:
         # More pairings than the bound: count the matrices before building
         # any outcome.
@@ -319,23 +321,23 @@ def _wick_term(g: Multigraph) -> GraphPolynomial:
                 f"contracting {total} legs on {len(verts)} vertices needs more "
                 f"than {MAX_PAIR_COUNT_MATRICES} pair-count matrices"
             )
-    base = g.edge_dict()
     numerator = math.prod(math.factorial(n) for n in degrees)
     matrices = _pair_count_matrices(degrees)
     work["pair_count_matrices"] += len(matrices)
-    # Every count is positive, so nothing cancels: outcomes add into this
-    # dict as they come instead of being listed, one per pair-count matrix,
-    # for GraphPolynomial._sum.
-    acc: dict[Multigraph, int] = {}
     for off, denom in matrices:
         counts = dict(base)
         for a, b, k in off:
             key = (verts[a], verts[b])
             counts[key] = counts.get(key, 0) + k
-        edges = sorted((i, j, m) for (i, j), m in counts.items())
-        key = _canonical_form(edges, ())
-        acc[key] = acc.get(key, 0) + numerator // denom
-    return GraphPolynomial._sum(acc.items())
+        yield tuple(sorted((i, j, m) for (i, j), m in counts.items())), numerator // denom
+
+
+@functools.lru_cache(maxsize=None)
+def _wick_term(g: Multigraph) -> GraphPolynomial:
+    """Wick contraction of one canonical monomial: its contractions,
+    canonicalized and added by class."""
+    return GraphPolynomial._sum((_canonical_form(edges, ()), n)
+                                for edges, n in _contractions(g.edge_dict(), g.legs))
 
 
 def wick_contract(p) -> GraphPolynomial:
@@ -348,14 +350,38 @@ def wick_contract(p) -> GraphPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def _big_delta_term(g: Multigraph) -> GraphPolynomial:
-    return wick_contract(delta(delta(GraphPolynomial.monomial(g))))
+    """big_delta of one canonical monomial: delta's rule, +1 a leg on each
+    support vertex and -|support| one on the first vertex outside, twice on
+    labelled terms ``{legs: coefficient}``; equal terms, then equal
+    contracted outcomes, merge, and only nonzero outcomes are canonicalized."""
+    base = g.edge_dict()
+    edge_support = set(chain.from_iterable(base))
+    terms = {g.legs: 1}
+    for _ in range(2):
+        grown_terms: dict[tuple, int] = {}
+        for legs, c in terms.items():
+            support = edge_support.union(v for v, _ in legs)
+            fresh = min(set(range(1, len(support) + 2)) - support)
+            for v, n in [(v, c) for v in sorted(support)] + [(fresh, -len(support) * c)]:
+                grown = dict(legs)
+                grown[v] = grown.get(v, 0) + 1
+                grown = tuple(sorted(grown.items()))
+                grown_terms[grown] = grown_terms.get(grown, 0) + n
+        terms = grown_terms
+    acc: dict[tuple, int] = {}
+    for legs, c in terms.items():
+        if c:
+            for edges, n in _contractions(base, legs):
+                acc[edges] = acc.get(edges, 0) + c * n
+    return GraphPolynomial._sum((_canonical_form(e, ()), c) for e, c in acc.items() if c)
 
 
 def big_delta(p) -> GraphPolynomial:
     """The composite wick_contract(delta(delta(p))).
 
-    Intended for leg-free input, where the result is again leg-free; terms
-    with legs are accepted and handled by plain composition.
+    delta is applied twice in labelled form, then contracted.  Intended for
+    leg-free input, where the result is again leg-free; terms with legs are
+    accepted and handled by plain composition.
     """
     return _extend(_big_delta_term, p)
 

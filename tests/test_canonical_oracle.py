@@ -5,9 +5,10 @@ graphs, K4,4, the Petersen graph, the 3-cube, and copies with doubled edges
 and with legs), two multigraphs get the same canonical form exactly when
 ``networkx.is_isomorphic`` says they are isomorphic, edge multiplicity and
 leg count carried as attributes.  The search itself is checked by the
-leaves it visits, not by wall time.  The component memo, keyed by labels
-normalized to 1..k in label order, is checked against a memo-free search on
-the raw labels.
+leaves it visits, not by wall time.  The two component memos, keyed by
+labels normalized to 1..k in label order and then in the order of the root
+refinement's cells, are checked against a memo-free search on the raw
+labels.
 """
 
 import random
@@ -146,7 +147,7 @@ def test_canonical_form_is_a_complete_invariant(family):
 def search_leaves(edges, legs=()):
     """Leaves one uncached canonical search visits."""
     before = graphs.work_counts()["search_leaves"]
-    graphs._component_encoding.__wrapped__(tuple(legs), tuple(edges))
+    graphs._searched_encoding.__wrapped__(tuple(legs), tuple(edges))
     return graphs.work_counts()["search_leaves"] - before
 
 
@@ -206,7 +207,7 @@ def memo_free_canonical(g):
             parts[root(v)][0].append((v, n))
         else:
             encodings.append((1, ((1, n),), ()))
-    encodings += [graphs._component_encoding.__wrapped__(tuple(legs), tuple(edges))
+    encodings += [graphs._searched_encoding.__wrapped__(tuple(legs), tuple(edges))
                   for legs, edges in parts.values()]
     out_edges, out_legs, offset = [], [], 0
     for k, legs, edges in sorted(encodings):
@@ -251,3 +252,51 @@ def test_order_preserving_relabel_reuses_the_memo(family):
     after = graphs.work_counts()
     assert after["component_encodings_computed"] == before["component_encodings_computed"]
     assert after["component_encodings_reused"] == before["component_encodings_reused"] + 1
+
+
+@given(multigraphs(max_vertices=6, max_edges=6), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_relabeled_copies_equal_memo_free_search(g, rnd):
+    # After g, each copy repeats its shapes under labels in another order,
+    # which the root-refinement memo may answer without a search.
+    canonicalize(g)
+    for _ in range(4):
+        copy = gapped(rnd, g)
+        assert canonicalize(copy) == memo_free_canonical(copy) == memo_free_canonical(g)
+
+
+SYMMETRIC_WITH_LEGS = {
+    "K4": ([(i, j, 2 if (i, j) == (1, 2) else 1) for i, j in complete(4)], [(3, 1)]),
+    "C6": ([(i, j, 2 if i == 1 else 1) for i, j in cycle(6)], [(1, 1), (4, 2)]),
+    "K3,3": ([(i, j, 2 if (i, j) == (1, 4) else 1) for i in range(1, 4) for j in range(4, 7)],
+             [(2, 1), (5, 1)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SYMMETRIC_WITH_LEGS))
+def test_symmetric_graphs_with_legs_equal_memo_free_search(family):
+    # The root refinement leaves cells of several vertices here, so copies
+    # meet the search memo under labels in several orders.
+    edges, legs = SYMMETRIC_WITH_LEGS[family]
+    base = make_multigraph(edges, legs)
+    rnd = random.Random(family)
+    for _ in range(20):
+        copy = relabeled(rnd, edges, legs)
+        assert canonicalize(copy) == memo_free_canonical(copy) == canonicalize(base)
+
+
+def test_a_shape_under_two_labelings_is_searched_once(fresh_memos):
+    # A path with a double edge and a leg, then the same path with its labels
+    # reversed: two keys of the order-normalized memo, one key once the
+    # vertices are relabeled by the root refinement, so one search.
+    a = make_multigraph([(1, 2, 2), (2, 3, 1), (3, 4, 1)], [(4, 1)])
+    b = relabel(a, {1: 4, 2: 3, 3: 2, 4: 1})
+    assert a != b
+    before = graphs.work_counts()
+    graphs.canonicalize(a)
+    leaves = graphs.work_counts()["search_leaves"]
+    assert graphs.canonicalize(b) == graphs.canonicalize(a)
+    after = graphs.work_counts()
+    assert after["search_leaves"] == leaves == before["search_leaves"] + 1
+    assert after["component_encodings_computed"] - before["component_encodings_computed"] == 2
+    assert after["component_searches"] - before["component_searches"] == 1

@@ -121,17 +121,18 @@ class TestSymbolicBudgets:
 
     def test_canonical_search_over_budget_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 3)
-        # The component memo is keyed by order-normalized labels, so K5 seen
-        # anywhere earlier would be a hit: search it in an empty memo.
-        monkeypatch.setattr(graphs, "_component_encoding", functools.lru_cache(
-            maxsize=None)(graphs._component_encoding.__wrapped__))
+        # Both component memos are keyed by normalized labels, so K5 seen
+        # anywhere earlier would be a hit: search it in empty memos.
+        for name in ("_component_encoding", "_searched_encoding"):
+            monkeypatch.setattr(graphs, name, functools.lru_cache(
+                maxsize=None)(getattr(graphs, name).__wrapped__))
         k5 = "".join(f"{{{i},{j}}}" for i in range(301, 306) for j in range(i + 1, 306))
         code, _, err = run(capsys, "expand", "--graph", k5)
         assert code == EXIT_USAGE and "canonical search" in err
 
 
 COUNTERS = ("component_encodings_computed", "component_encodings_reused",
-            "search_leaves", "pair_count_matrices", "gc_collected")
+            "component_searches", "search_leaves", "pair_count_matrices", "gc_collected")
 
 
 class TestWorkCounters:
@@ -157,9 +158,10 @@ def test_work_of_a_cold_verify_is_pinned(capsys, fresh_memos):
     # noise; the pair-count matrices are fixed by the mathematics.
     argv = ("verify", "--graph", "{1,2}{2,3}{3,4}", "--n", "3", "--json")
     timings = json.loads(run(capsys, *argv)[1])["timings"]
-    assert timings["component_encodings_computed"] <= 1599
-    assert timings["search_leaves"] <= 2505
-    assert timings["pair_count_matrices"] == 1568
+    assert timings["component_encodings_computed"] <= 1112
+    assert timings["component_searches"] <= 285
+    assert timings["search_leaves"] <= 508
+    assert timings["pair_count_matrices"] == 1906
 
 
 class TestVerify:
@@ -309,6 +311,18 @@ class TestIdentityCommand:
             "--graph", "{1,2}{3,4}", "--n", "2", "--samples", "10",
         )
         assert code == EXIT_USAGE and "refused" in err
+
+    @pytest.mark.parametrize("method", ["mc", "quadrature"])
+    @pytest.mark.parametrize("n", ["3", "4"])
+    def test_unsupported_order_exits_two(self, capsys, monkeypatch, method, n):
+        # No stencil beyond order 4 = 2n: refused before any rule is built.
+        monkeypatch.setattr(lab, "_rule", None)
+        code, out, err = run(
+            capsys, "identity", "--model", "sk", "--N", "2", "--beta", "0.5",
+            "--graph", "{1,2}", "--n", n, "--method", method,
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: n={n} is not supported: the identity is checked at orders n = 1 and 2\n"
 
     def test_violation_beyond_tolerance_exits_one(self, capsys):
         # an absurd tolerance turns the tiny stencil residual into a failure

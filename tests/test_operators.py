@@ -334,6 +334,16 @@ class TestBigDelta:
             assert len(g.support) == 5
             assert big_delta(mono(g)) == delta_formula_direct(g), g
 
+    @given(polynomials(), st.integers(-3, 3))
+    @example(mono(make_multigraph([(1, 2, 1)], [(2, 1), (3, 2)]), 2), 1)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_contraction_of_two_derivations(self, p, empty):
+        # big_delta applies delta's rule to labelled terms on its own; this
+        # keeps it equal to the canonical delta, legs and the empty graph
+        # included.
+        p = p + mono(EMPTY, empty)
+        assert big_delta(p) == wick_contract(delta(delta(p)))
+
     @given(leg_free_multigraphs())
     @settings(max_examples=60, deadline=None)
     def test_leg_free_in_leg_free_out(self, g):

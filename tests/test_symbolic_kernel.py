@@ -52,9 +52,9 @@ def test_search_answers_and_work_are_pinned(fresh_memos, monkeypatch):
     for g in (K6, K7, K44, PETERSEN):
         operators.apply_word([], GraphPolynomial.monomial(g))
     digest = hashlib.sha256(repr(sorted(memo.items())).encode()).hexdigest()
-    assert len(memo) == 2374
-    assert digest == "a7dd3a6cf734d106dc55e79f3a884fa2efca0b71064db0eb1555d128de7a12ea"
-    assert graphs.work_counts()["search_leaves"] - before == 3833
+    assert len(memo) == 1630
+    assert digest == "9bcd198ac6385aa5256e986f5cb283c39f403381149bed7f1bca3fc14d7ea4f8"
+    assert graphs.work_counts()["search_leaves"] - before == 786
 
 
 def _refused_wick():
