@@ -235,15 +235,14 @@ def format_polynomial(p: GraphPolynomial) -> str:
 # coefficients travel inside polynomial text (decimal strings); floats rely
 # on repr round-tripping.
 
-#: The report class of each type tag.  The lab's two resolve on first use,
-#: so theorem reports are written and read without loading numpy.
+#: The report class of each type tag; a report's tag is looked up in it by
+#: class, in order.  The lab's two resolve on first use, so theorem reports,
+#: listed first, are written and read without loading numpy.
 _REPORTS = {
     "theorem_report": lambda: _ops.TheoremReport,
     "quenched_estimate": lambda: _lab().QuenchedEstimate,
     "identity_report": lambda: _lab().IdentityReport,
 }
-_TAGS = {"TheoremReport": "theorem_report", "QuenchedEstimate": "quenched_estimate",
-         "IdentityReport": "identity_report"}
 
 
 def _model_dict(model) -> dict[str, Any]:
@@ -293,8 +292,8 @@ def _encode(value):
 def as_jsonable(obj) -> dict[str, Any]:
     """Convert a report object to a JSON-ready dict with a ``type`` tag and
     a ``payload``/``timings`` split (timestamps stay out of the payload)."""
-    tag = _TAGS.get(type(obj).__name__)
-    if tag is None or _REPORTS[tag]() is not type(obj):
+    tag = next((t for t, cls in _REPORTS.items() if cls() is type(obj)), None)
+    if tag is None:
         raise TypeError(f"no JSON form for {type(obj).__name__}")
     payload = _encode(obj)
     timings = {"wall_s": payload.pop("wall_time_s")} if "wall_time_s" in payload else {}

@@ -19,27 +19,23 @@ components' encodings, memoized twice: first keyed by the component with its
 vertices relabeled 1..k in label order, which catches a shape that comes back
 under shifted labels, then, on a miss, relabeled in the order of its root
 refinement's cells, which catches it under labels in another order.  Only a
-miss of both is searched; a relabeling is an isomorphism, so a hit is sound.
-A lone vertex carrying only legs is encoded directly.  Each component of a
-canonical graph is its encoding, shifted, on a block of consecutive labels,
-so a caller that changes one component (the derivation adds one leg) encodes
-only that one again and reassembles the rest as they are, without splitting
-the whole graph.  The search prunes by automorphisms (McKay & Piperno,
-*Practical graph isomorphism II*, 2014): two leaves with equal encodings give
-an automorphism, and a child whose orbit, under the automorphisms found so
-far that fix the vertices individualized above it, meets a searched sibling
-is skipped, or abandoned once such an automorphism turns up.  Its subtree
-holds the same encodings as the sibling's, so the minimum is the one the full
-search finds.  K_k then takes k leaves instead of k!.  A search that needs
-more than ``MAX_SEARCH_NODES`` tree nodes raises :class:`BudgetError`.
+miss of both is searched; a relabeling is an isomorphism, so a hit is sound. A
+lone vertex carrying only legs is encoded directly.  Each component of a
+canonical graph is its encoding, shifted, on a block of consecutive labels, so
+the derivation's growth by one leg (:func:`_grow_leg`) encodes only the
+component that gains it again and reassembles the rest as they are, without
+splitting the whole graph.  The search prunes by automorphisms (McKay &
+Piperno, *Practical graph isomorphism II*, 2014): two leaves with equal
+encodings give an automorphism, and a child whose orbit, under the
+automorphisms found so far that fix the vertices individualized above it,
+meets a searched sibling is skipped, or abandoned once such an automorphism
+turns up.  Its subtree holds the same encodings as the sibling's, so the
+minimum is the one the full search finds.  K_k then takes k leaves instead of
+k!.  A search that needs more than ``MAX_SEARCH_NODES`` tree nodes raises
+:class:`BudgetError`.
 
-A search holds no reference cycle: its state is one small object whose
-methods reach each other through it, and the refinement is a module-level
-function, so reference counting frees the search's working state the moment
-it returns.  A nested function that called itself would hold itself in its
-closure and leave a cycle per search, thousands per cold ``verify``; only
-the cyclic garbage collector frees those, and its collections, which grow
-with the garbage, took about a tenth of the benchmark's symbolic pass.
+A search holds no reference cycle, so reference counting frees its working
+state the moment it returns.
 """
 
 from __future__ import annotations
@@ -488,6 +484,27 @@ def _encodings(g: Multigraph) -> list:
                               tuple((i - s, j - s, m) for i, j, m in edges[b:b2])))
             s, a, b = v, a2, b2
     return encodings
+
+
+def _grow_leg(g: Multigraph) -> tuple[list, Multigraph]:
+    """For a canonical ``g``: the ``(canonical graph, count)`` pairs that one
+    leg more on a support vertex makes, and g with a leg on the fresh vertex.
+    Only the component that gains the leg is encoded again (a lone vertex
+    directly); identical components are grown once, times their copies."""
+    encodings = _encodings(g)
+    pairs = []
+    for enc, copies in Counter(encodings).items():
+        rest = list(encodings)
+        rest.remove(enc)
+        k, enc_legs, enc_edges = enc
+        grown: Counter = Counter()
+        for u in range(1, k + 1):
+            at = dict(enc_legs)
+            at[u] = at.get(u, 0) + 1
+            at = tuple(sorted(at.items()))
+            grown[_component_encoding(at, enc_edges) if enc_edges else (1, at, ())] += 1
+        pairs.extend((_assemble(rest + [e]), copies * n) for e, n in grown.items())
+    return pairs, _assemble(encodings + [(1, ((1, 1),), ())])
 
 
 @functools.lru_cache(maxsize=None)

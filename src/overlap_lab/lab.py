@@ -509,53 +509,9 @@ _CHUNK_FLOATS = 2**14
 #: ``hermgauss`` returns NaN weights (its smallest ones underflow).
 MAX_QUADRATURE_NODES = 256
 
-_MC_ABS_FLOOR = 1e-12  # roundoff guard when the CRN difference is exactly constant
-
 #: Most Monte Carlo samples in one run: each sample index enters the seeding
 #: of its stream as one 32-bit word.
 MAX_MC_SAMPLES = 2**32
-
-
-class _MonteCarlo:
-    """Node i is disorder sample i, drawn from ``default_rng((seed, i))`` in
-    C order; equal weights, standard error from the spread over nodes.
-
-    ``draws`` reproduces those streams without a generator per sample
-    (:class:`overlap_lab.streams.Streams`); tier-1 tests hold them equal to
-    ``default_rng`` bit for bit."""
-
-    method = "mc"
-
-    def __init__(self, n_samples, seed):
-        if n_samples < 2:
-            raise ValueError(
-                f"need at least two disorder samples for a standard error, got {n_samples}")
-        if n_samples > MAX_MC_SAMPLES:
-            raise BudgetError(
-                f"{n_samples} disorder samples exceed the bound of {MAX_MC_SAMPLES} "
-                "(2^32) Monte Carlo samples per run"
-            )
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        self.size = self.samples = n_samples
-        from .streams import Streams  # loaded here, so that commands drawing nothing skip it
-        self._streams = Streams(self.seed, n_samples)
-
-    def draws(self, lo, hi, shape) -> np.ndarray:
-        return self._streams.draws(lo, hi, shape)
-
-    def stats(self, col) -> tuple[float, float]:
-        m = len(col)
-        mean = math.fsum(col.tolist()) / m
-        var = math.fsum(((col - mean) ** 2).tolist()) / (m - 1)
-        return mean, math.sqrt(var / m)
-
-    def tolerance(self, diff_err, tol) -> float:
-        return max(3.0 * diff_err, _MC_ABS_FLOOR)
-
-    def refined(self):
-        return None
 
 
 # With two SK spins, -H = J11 + J22 + u s and the field is (K + v s) / 2, where
@@ -636,6 +592,7 @@ class _GaussHermite:
 
 def _rule(method, model, n_samples, seed, n_nodes, axes=_deformation_axes):
     if method == "mc":
+        from .streams import _MonteCarlo  # loaded here, so that commands drawing nothing skip it
         return _MonteCarlo(n_samples, seed)
     if method == "quadrature":
         if model.kind != "sk" or model.n_sites != 2:
@@ -1032,7 +989,7 @@ def gaussian_ibp_check(n_samples=20000, seed=0) -> IdentityReport:
     E(h_l f) = sum_m c_{l,m} E(df/dh_m), with prescribed covariance and both
     sides estimated from the same draws."""
     t0 = time.perf_counter()
-    rule = _MonteCarlo(n_samples, seed)
+    rule = _rule("mc", None, n_samples, seed, None)
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     chol = np.linalg.cholesky(cov)
     lam = 0.3

@@ -43,10 +43,8 @@ from .graphs import (
     BudgetError,
     GraphPolynomial,
     Multigraph,
-    _assemble,
     _canonical_form,
-    _component_encoding,
-    _encodings,
+    _grow_leg,
     canonicalize,
     compose,
     edge,
@@ -144,29 +142,11 @@ def delta_v_minus(g: Multigraph, v: int) -> GraphPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def _delta_term(g: Multigraph) -> GraphPolynomial:
-    """delta of one canonical monomial, built from its component encodings.
-
-    As g is canonical, its support is {1..R} and the fresh vertex is R+1.
-    A leg changes only its own component, so only that one is encoded again
-    (a lone vertex directly, others through the component memo) and the
-    untouched encodings are reassembled as they are.  Identical components
-    give identical outputs, listed once with their multiplicity.
-    """
-    encodings, r = _encodings(g), len(g.support)
-    pairs = []
-    for enc, copies in collections.Counter(encodings).items():
-        rest = list(encodings)
-        rest.remove(enc)
-        k, enc_legs, enc_edges = enc
-        grown: collections.Counter = collections.Counter()
-        for u in range(1, k + 1):
-            at = dict(enc_legs)
-            at[u] = at.get(u, 0) + 1
-            at = tuple(sorted(at.items()))
-            grown[_component_encoding(at, enc_edges) if enc_edges else (1, at, ())] += 1
-        pairs.extend((_assemble(rest + [e]), copies * n) for e, n in grown.items())
-    pairs.append((_assemble(encodings + [(1, ((1, 1),), ())]), -r))
-    return GraphPolynomial._sum(pairs)
+    """delta of one canonical monomial: g with a leg more on each support
+    vertex (:func:`graphs._grow_leg`), minus |support| times g with a leg on
+    the fresh vertex."""
+    grown, fresh = _grow_leg(g)
+    return GraphPolynomial._sum([*grown, (fresh, -len(g.support))])
 
 
 def delta(p) -> GraphPolynomial:
@@ -304,40 +284,43 @@ class _MatrixCount:
         return total
 
 
-def _contractions(base: dict, legs: tuple):
-    """Wick contraction of the labelled monomial with edges ``base`` and
-    sorted ``legs``: per pair-count matrix, listed or reused and counted in
-    ``work``, the sorted edges it adds to ``base`` and its pairings."""
-    verts = [v for v, _ in legs]
-    degrees = tuple(n for _, n in legs)
-    total = sum(degrees)
-    if total % 2:
-        return
-    if double_factorial(total - 1) > MAX_PAIR_COUNT_MATRICES:
-        # More pairings than the bound: count the matrices before building
-        # any outcome.
-        if _matrix_count(tuple(sorted(degrees))) > MAX_PAIR_COUNT_MATRICES:
+def _contract(base: dict, terms: dict) -> GraphPolynomial:
+    """Wick contraction of the labelled terms ``{legs: coefficient}``, each
+    with the edges ``base`` and sorted legs.  Each nonzero term's pair-count
+    matrices, listed or reused and counted in ``work``, add edges to
+    ``base``; equal labelled outcomes add up, and only the nonzero ones are
+    canonicalized."""
+    acc: dict[tuple, int] = {}
+    for legs, c in terms.items():
+        degrees = tuple(n for _, n in legs)
+        total = sum(degrees)
+        if not c or total % 2:
+            continue
+        # More pairings than the bound: count the matrices before building any outcome.
+        if (double_factorial(total - 1) > MAX_PAIR_COUNT_MATRICES
+                and _matrix_count(tuple(sorted(degrees))) > MAX_PAIR_COUNT_MATRICES):
             raise BudgetError(
-                f"contracting {total} legs on {len(verts)} vertices needs more "
+                f"contracting {total} legs on {len(legs)} vertices needs more "
                 f"than {MAX_PAIR_COUNT_MATRICES} pair-count matrices"
             )
-    numerator = math.prod(math.factorial(n) for n in degrees)
-    matrices = _pair_count_matrices(degrees)
-    work["pair_count_matrices"] += len(matrices)
-    for off, denom in matrices:
-        counts = dict(base)
-        for a, b, k in off:
-            key = (verts[a], verts[b])
-            counts[key] = counts.get(key, 0) + k
-        yield tuple(sorted((i, j, m) for (i, j), m in counts.items())), numerator // denom
+        verts = [v for v, _ in legs]
+        numerator = math.prod(math.factorial(n) for n in degrees)
+        matrices = _pair_count_matrices(degrees)
+        work["pair_count_matrices"] += len(matrices)
+        for off, denom in matrices:
+            counts = dict(base)
+            for a, b, k in off:
+                key = (verts[a], verts[b])
+                counts[key] = counts.get(key, 0) + k
+            edges = tuple(sorted((i, j, m) for (i, j), m in counts.items()))
+            acc[edges] = acc.get(edges, 0) + c * (numerator // denom)
+    return GraphPolynomial._sum((_canonical_form(e, ()), c) for e, c in acc.items() if c)
 
 
 @functools.lru_cache(maxsize=None)
 def _wick_term(g: Multigraph) -> GraphPolynomial:
-    """Wick contraction of one canonical monomial: its contractions,
-    canonicalized and added by class."""
-    return GraphPolynomial._sum((_canonical_form(edges, ()), n)
-                                for edges, n in _contractions(g.edge_dict(), g.legs))
+    """Wick contraction of one canonical monomial."""
+    return _contract(g.edge_dict(), {g.legs: 1})
 
 
 def wick_contract(p) -> GraphPolynomial:
@@ -352,8 +335,8 @@ def wick_contract(p) -> GraphPolynomial:
 def _big_delta_term(g: Multigraph) -> GraphPolynomial:
     """big_delta of one canonical monomial: delta's rule, +1 a leg on each
     support vertex and -|support| one on the first vertex outside, twice on
-    labelled terms ``{legs: coefficient}``; equal terms, then equal
-    contracted outcomes, merge, and only nonzero outcomes are canonicalized."""
+    labelled terms ``{legs: coefficient}``, equal terms merged, then
+    :func:`_contract`."""
     base = g.edge_dict()
     edge_support = set(chain.from_iterable(base))
     terms = {g.legs: 1}
@@ -368,12 +351,7 @@ def _big_delta_term(g: Multigraph) -> GraphPolynomial:
                 grown = tuple(sorted(grown.items()))
                 grown_terms[grown] = grown_terms.get(grown, 0) + n
         terms = grown_terms
-    acc: dict[tuple, int] = {}
-    for legs, c in terms.items():
-        if c:
-            for edges, n in _contractions(base, legs):
-                acc[edges] = acc.get(edges, 0) + c * n
-    return GraphPolynomial._sum((_canonical_form(e, ()), c) for e, c in acc.items() if c)
+    return _contract(base, terms)
 
 
 def big_delta(p) -> GraphPolynomial:
@@ -411,14 +389,29 @@ def delta_formula_direct(g: Multigraph) -> GraphPolynomial:
     return GraphPolynomial(terms)
 
 
+def _check_vertices(r: int, added: int, name: str) -> None:
+    """Refuse a support of r vertices that may grow by ``added`` past
+    ``DEFAULT_MAX_VERTICES``."""
+    if r + added > DEFAULT_MAX_VERTICES:
+        raise BudgetError(f"|support|+{name} = {r + added} exceeds "
+                          f"max_vertices={DEFAULT_MAX_VERTICES}")
+
+
 def apply_word(word: Sequence[str], p) -> GraphPolynomial:
     """Apply a composition of operators written in the usual notation order,
-    i.e. the last element of ``word`` acts first."""
+    i.e. the last element of ``word`` acts first.
+
+    Each delta may add a vertex: a word with deltas is refused, before any
+    work, when the largest support of ``p`` plus its deltas exceeds
+    ``DEFAULT_MAX_VERTICES``, the bound of :func:`theorem_verify`."""
     ops = {DELTA: delta, WICK: wick_contract}
     for tok in word:
         if tok not in ops:
             raise ValueError(f"unknown operator token {tok!r}")
     out = _as_poly(p)
+    deltas = word.count(DELTA)
+    if deltas:
+        _check_vertices(max((len(g.support) for g in out._terms), default=0), deltas, "deltas")
     for tok in reversed(word):
         out = ops[tok](out)
     return out
@@ -469,10 +462,7 @@ def theorem_verify(g: Multigraph, n: int) -> TheoremReport:
         raise BudgetError(f"n={n} exceeds the configured bound max_n={DEFAULT_MAX_N}")
     gc = canonicalize(g)
     r = len(gc.support)
-    if r + 2 * n > DEFAULT_MAX_VERTICES:
-        raise BudgetError(
-            f"|support|+2n = {r + 2 * n} exceeds max_vertices={DEFAULT_MAX_VERTICES}"
-        )
+    _check_vertices(r, 2 * n, "2n")
     t0 = time.perf_counter()
     lhs = GraphPolynomial.monomial(gc)
     for _ in range(2 * n):

@@ -1,10 +1,11 @@
-"""The Monte Carlo disorder streams, reproduced in numpy arrays bit for bit.
+"""The Monte Carlo rule, its disorder streams reproduced in numpy arrays bit
+for bit.
 
 Sample i of a run with seed s draws its couplings, in C order, from
 ``numpy.random.default_rng((s, i))``: a PCG64 seeded from
 ``SeedSequence((s, i))``, read through numpy's 256-layer ziggurat for
-``standard_normal``.  :class:`Streams` reproduces those streams a block of
-samples at a time without a generator per sample.  It replays the seeding
+``standard_normal``.  :class:`_MonteCarlo` reproduces those streams a block
+of samples at a time without a generator per sample.  It replays the seeding
 and PCG64's 128-bit LCG in uint64 limbs (O'Neill 2014), then the ziggurat
 (Marsaglia & Tsang 2000) with tables read off numpy's own sampler.  The few
 samples that need the ziggurat's tail, a wedge test too close to call, or
@@ -22,6 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .graphs import BudgetError
+from .lab import MAX_MC_SAMPLES
+
 # numpy has no 128-bit integers, so a 128-bit value is a (hi, lo) pair of
 # uint64 arrays.
 _M32 = 0xFFFFFFFF
@@ -31,11 +35,11 @@ _M128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
 
-#: Samples whose stream states ``Streams`` computes together: the seeding's
+#: Samples whose stream states ``_MonteCarlo`` computes together: the seeding's
 #: array operations cost about the same for one sample as for a block.
 _SEED_BLOCK = 1024
 
-#: Normals per lane sub-block of ``Streams.draws``, so that the
+#: Normals per lane sub-block of ``_MonteCarlo.draws``, so that the
 #: (outputs, lanes) uint64 temporaries of ``_normals`` stay in cache.
 _LANE_NORMALS = 2**13
 
@@ -43,6 +47,8 @@ _LANE_NORMALS = 2**13
 #: left to numpy's own sampler: the table ``fi`` and ``np.exp`` may differ
 #: from numpy's C values in the last bits.  A test certifies the margin.
 _WEDGE_MARGIN = 1e-12
+
+_MC_ABS_FLOOR = 1e-12  # roundoff guard when the CRN difference is exactly constant
 
 
 def _factor(values):
@@ -256,14 +262,30 @@ def _normals(state, k, out):
     return np.flatnonzero(numpy_lanes)
 
 
-class Streams:
-    """The streams of samples 0..size-1 of seed ``seed``.  Their states are
-    seeded ``_SEED_BLOCK`` samples at a time and their normals drawn by
-    :func:`_normals` into a buffer; the lanes it leaves are redrawn whole by
-    one ``Generator`` set to each lane's seeded state."""
+class _MonteCarlo:
+    """The Monte Carlo rule: node i is disorder sample i, drawn from
+    ``default_rng((seed, i))`` in C order; equal weights, standard error from
+    the spread over nodes.
 
-    def __init__(self, seed, size):
-        self.seed, self.size = seed, size
+    ``draws`` seeds the samples' states ``_SEED_BLOCK`` at a time and draws
+    their normals by :func:`_normals` into a buffer; the lanes it leaves are
+    redrawn whole by one ``Generator`` set to each lane's seeded state."""
+
+    method = "mc"
+
+    def __init__(self, n_samples, seed):
+        if n_samples < 2:
+            raise ValueError(
+                f"need at least two disorder samples for a standard error, got {n_samples}")
+        if n_samples > MAX_MC_SAMPLES:
+            raise BudgetError(
+                f"{n_samples} disorder samples exceed the bound of {MAX_MC_SAMPLES} "
+                "(2^32) Monte Carlo samples per run"
+            )
+        self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        self.size = self.samples = n_samples
         self._bitgen = np.random.PCG64(0)
         self._gen = np.random.Generator(self._bitgen)
         self._block, self._states = None, ()
@@ -301,3 +323,15 @@ class Streams:
                 "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
             self._gen.standard_normal(out=buf[lane])
         self._lo, self._k, self._buf = i, k, buf
+
+    def stats(self, col) -> tuple[float, float]:
+        m = len(col)
+        mean = math.fsum(col.tolist()) / m
+        var = math.fsum(((col - mean) ** 2).tolist()) / (m - 1)
+        return mean, math.sqrt(var / m)
+
+    def tolerance(self, diff_err, tol) -> float:
+        return max(3.0 * diff_err, _MC_ABS_FLOOR)
+
+    def refined(self):
+        return None

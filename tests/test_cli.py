@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import time
 import tracemalloc
 from math import comb, factorial
 
@@ -81,6 +82,17 @@ class TestSymbolicBudgets:
         )
         assert parse_polynomial(out.strip()) == expected
         assert expected.coefficient_sum() == double_factorial(19)
+
+    @pytest.mark.parametrize("word, vertices", [(" ".join(["d"] * 27), 29),
+                                                ("D D D D d", 11)])
+    def test_runaway_derivation_word_refused_at_once(self, capsys, word, vertices):
+        # Each derivation may add a vertex, so the word is refused before any
+        # work where its expansion would take about half a minute (27 d's).
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--graph", "{1,2}", "--word", word)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_USAGE and out == ""
+        assert f"|support|+deltas = {vertices} exceeds max_vertices=10" in err
 
     def test_wick_over_budget_refused_before_enumerating(self, capsys):
         # 20 legs on 10 vertices: about 1.4e6 pair-count matrices.

@@ -30,7 +30,6 @@ from overlap_lab import (
 from overlap_lab.lab import (
     _CHUNK_FLOATS,
     MAX_MC_SAMPLES,
-    _MonteCarlo,
     _PolyMoments,
     _stencil_nodes,
     _term_plan,
@@ -38,6 +37,7 @@ from overlap_lab.lab import (
 from overlap_lab.streams import (
     _SEED_BLOCK,
     _WEDGE_MARGIN,
+    _MonteCarlo,
     _crafted_state,
     _normals,
     _pcg64_outputs,

@@ -44,8 +44,7 @@ def test_search_answers_and_work_are_pinned(fresh_memos, monkeypatch):
         return enc
 
     recorded = functools.lru_cache(maxsize=None)(recording)
-    for module in (graphs, operators):
-        monkeypatch.setattr(module, "_component_encoding", recorded)
+    monkeypatch.setattr(graphs, "_component_encoding", recorded)
     before = graphs.work_counts()["search_leaves"]
     for g in (P4, C4):
         assert operators.theorem_verify(g, 3).equal

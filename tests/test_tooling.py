@@ -6,7 +6,8 @@ reads ``graphs.canonicalize.cache_info()`` in every pass; renaming or
 deleting one of them would otherwise surface only in a benchmark run.  The
 package itself holds no ``assert`` statement, so its checks run under
 ``python -O`` as well, and no nested function that reaches itself through
-its closure, so no call leaves a reference cycle behind.
+its closure, so no call leaves a reference cycle behind.  ``operators``
+takes none of graphs' component-encoding internals.
 """
 
 import ast
@@ -121,3 +122,24 @@ def test_no_nested_function_reaches_itself():
                 if name in reached:
                     found.append(f"{path}:{f.lineno} {scope.name}.{name}")
     assert found == []
+
+
+#: graphs' component-encoding internals: the ``(k, legs, edges)`` format
+#: stays inside graphs.
+ENCODING_INTERNALS = {"_assemble", "_encodings", "_encode", "_component_encoding",
+                      "_searched_encoding"}
+
+
+def test_operators_reads_no_component_encoding():
+    # The derivation grows its leg through graphs._grow_leg, so operators
+    # never unpacks a component encoding itself.
+    path = os.path.join(ROOT, "src", "overlap_lab", "operators.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    taken = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "graphs"
+             for alias in node.names}
+    taken |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "graphs"}
+    assert "_grow_leg" in taken
+    assert not taken & ENCODING_INTERNALS
