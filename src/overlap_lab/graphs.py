@@ -12,7 +12,7 @@ order on encodings, over candidate labelings produced by partition refinement
 with individualization, run independently on each edge-connected component.
 The candidate set is itself an isomorphism invariant, which makes the minimum
 a complete invariant while keeping the search tiny for the sparse graphs that
-occur here (at most ~10 vertices).
+occur here.
 
 The canonical form of a multigraph is the sorted concatenation of its
 components' encodings, memoized twice: first keyed by the component with its
@@ -31,8 +31,17 @@ automorphisms found so far that fix the vertices individualized above it,
 meets a searched sibling is skipped, or abandoned once such an automorphism
 turns up.  Its subtree holds the same encodings as the sibling's, so the
 minimum is the one the full search finds.  K_k then takes k leaves instead of
-k!.  A search that needs more than ``MAX_SEARCH_NODES`` tree nodes raises
-:class:`BudgetError`.
+k!.
+
+One work budget bounds the symbolic stack.  An outermost call (a
+:func:`canonicalize` miss here; ``delta``, ``wick_contract``, ``big_delta``,
+``apply_word`` or ``theorem_verify`` in :mod:`operators`) may spend
+``WORK_BUDGET`` units through :func:`_spend`, and the calls inside it share
+them: a unit is a canonical-search node, a step of counting pair-count
+matrices, a pair-count matrix applied, or a term visited by a linear
+extension.  Past the budget the call raises :class:`BudgetError`.  Memo hits
+spend nothing, so a cold process spends the same units on every run, and a
+warm call can pass where the same call, cold, was refused.
 
 A search holds no reference cycle, so reference counting frees its working
 state the moment it returns.
@@ -63,7 +72,7 @@ __all__ = [
     "relabel",
     "canonicalize",
     "work_counts",
-    "MAX_SEARCH_NODES",
+    "WORK_BUDGET",
     "sort_key",
     "enumerate_pairings",
     "poly_add",
@@ -210,14 +219,19 @@ def sort_key(g: Multigraph) -> tuple:
     return (len(g.support), g.legs, g.edges)
 
 
-#: Bound on the nodes of one component's canonical search tree.
-MAX_SEARCH_NODES = 100_000
+#: Work units one outermost call of the symbolic stack may spend.
+WORK_BUDGET = 250_000
 
 #: Running totals of work done in this process, under the keys
-#: ``search_leaves`` (canonical-search leaves visited) and
-#: ``pair_count_matrices`` (Wick pair-count matrices enumerated).  Readers
-#: take differences of :func:`work_counts` snapshots.
+#: ``search_leaves`` (canonical-search leaves visited),
+#: ``pair_count_matrices`` (Wick pair-count matrices enumerated) and
+#: ``work_units`` (units spent).  Readers take differences of
+#: :func:`work_counts` snapshots.
 work: Counter[str] = Counter()
+
+#: The ``work_units`` total at which the running call's budget is spent;
+#: None while no budgeted call runs.
+_budget_end = None
 
 
 class BudgetError(RuntimeError):
@@ -225,9 +239,33 @@ class BudgetError(RuntimeError):
     bound.  Callers get an explicit refusal, never a silent truncation."""
 
 
+def _spend(units: int = 1) -> None:
+    """Spend work units of the running call's budget; past its end, refuse."""
+    work["work_units"] += units
+    if _budget_end is not None and work["work_units"] > _budget_end:
+        raise BudgetError(f"the call needs more than WORK_BUDGET = {WORK_BUDGET} work units")
+
+
+def _budgeted(f):
+    """Wrap ``f`` to run in a budget of ``WORK_BUDGET`` units of its own when
+    no budgeted call is running, and in the running one otherwise."""
+    @functools.wraps(f)
+    def call(*args, **kwargs):
+        global _budget_end
+        if _budget_end is not None:
+            return f(*args, **kwargs)
+        _budget_end = work["work_units"] + WORK_BUDGET
+        try:
+            return f(*args, **kwargs)
+        finally:
+            _budget_end = None
+    return call
+
+
 def work_counts() -> dict[str, int]:
     """Running totals: component encodings computed and reused (first memo
-    misses, hits), searches (second memo misses), leaves, Wick matrices."""
+    misses, hits), searches (second memo misses), leaves, Wick matrices and
+    work units."""
     info = _component_encoding.cache_info()
     return {
         "component_encodings_computed": info.misses,
@@ -235,6 +273,7 @@ def work_counts() -> dict[str, int]:
         "component_searches": _searched_encoding.cache_info().misses,
         "search_leaves": work["search_leaves"],
         "pair_count_matrices": work["pair_count_matrices"],
+        "work_units": work["work_units"],
     }
 
 
@@ -326,21 +365,21 @@ class _Search:
     other through the instance, never through a closure, so nothing in it
     refers back to it."""
 
-    __slots__ = ("adj", "legs", "edges", "k", "best", "first_leaf",
-                 "automorphisms", "path", "explored", "nodes", "leaves", "abandon")
+    __slots__ = ("adj", "legs", "edges", "best", "first_leaf",
+                 "automorphisms", "path", "explored", "leaves", "abandon")
 
     def __init__(self, legs: tuple, edges: tuple):
         adj = defaultdict(list)
         for i, j, m in edges:
             adj[i].append((j, m))
             adj[j].append((i, m))
-        self.adj, self.legs, self.edges, self.k = adj, legs, edges, len(adj)
+        self.adj, self.legs, self.edges = adj, legs, edges
         self.best = None
         self.first_leaf = {}  # encoding -> first leaf's order
         self.automorphisms = []
         self.path = []  # vertices individualized on the way to this node
         self.explored = []  # per level of path: children searched
-        self.nodes = self.leaves = 0
+        self.leaves = 0
         self.abandon = None  # level whose current child repeats a searched sibling
 
     def in_orbit(self, v, targets, level):
@@ -380,12 +419,7 @@ class _Search:
                 return
 
     def search(self, cells):
-        self.nodes += 1
-        if self.nodes > MAX_SEARCH_NODES:
-            raise BudgetError(
-                f"canonical search of a {self.k}-vertex component exceeds "
-                f"{MAX_SEARCH_NODES} nodes"
-            )
+        _spend()
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
@@ -508,6 +542,7 @@ def _grow_leg(g: Multigraph) -> tuple[list, Multigraph]:
 
 
 @functools.lru_cache(maxsize=None)
+@_budgeted
 def canonicalize(g: Multigraph) -> Multigraph:
     """Canonical representative of the isomorphism class of ``g``.
 

@@ -191,6 +191,11 @@ def _check_finite(name: str, value: float):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_tol(tol: float):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _neg_energy(model: ModelInstance, couplings: np.ndarray) -> np.ndarray:
     """-H = sum_b J_b sigma_i sigma_j per configuration; leading axes of
     ``couplings`` are batch axes."""
@@ -606,12 +611,18 @@ def _evaluate(rule, draw_shape, width, per_node, fill) -> np.ndarray:
 
     Nodes run in chunks of ``_CHUNK_FLOATS // per_node``; ``fill(draws)``
     turns a chunk's (nodes, *draw_shape) draws into its (nodes, width) rows.
+    numpy's floating-point warnings are off: an exponent that overflows is
+    refused by :func:`_softmax_last`'s check, and any other value that is
+    not finite here.
     """
     slots = np.empty((rule.size, width), dtype=np.float64)
     chunk = max(1, _CHUNK_FLOATS // per_node)
-    for lo in range(0, rule.size, chunk):
-        hi = min(lo + chunk, rule.size)
-        slots[lo:hi] = fill(rule.draws(lo, hi, draw_shape))
+    with np.errstate(all="ignore"):
+        for lo in range(0, rule.size, chunk):
+            hi = min(lo + chunk, rule.size)
+            slots[lo:hi] = fill(rule.draws(lo, hi, draw_shape))
+    if not np.isfinite(slots).all():
+        raise ValueError("a disorder node gives a value that is not finite")
     return slots
 
 
@@ -761,12 +772,16 @@ def _stencil_nodes(config: DeformationConfig, order: int, at_lambda: float):
         scales = mags
     if not scales:
         raise ValueError(f"grid too small for derivative order {order}")
+    stencil = _STENCILS[order]
     rows = []
     for h in scales:
-        coeffs: dict[float, float] = {}
-        for off, c in _STENCILS[order].items():
-            node = at_lambda + off * h
-            coeffs[node] = coeffs.get(node, 0.0) + c / h**order
+        try:
+            coeffs = {at_lambda + off * h: c / h**order for off, c in stencil.items()}
+        except ArithmeticError:  # h**order overflows, or underflows to zero
+            coeffs = {}
+        if len(coeffs) < len(stencil):
+            raise ValueError(f"step {h} collapses the order-{order} stencil at "
+                             f"{at_lambda}: its nodes coincide or its scale is out of range")
         rows.append(coeffs)
     for level in range(1, len(scales)):
         factor = 4.0**level
@@ -780,6 +795,9 @@ def _stencil_nodes(config: DeformationConfig, order: int, at_lambda: float):
             nxt.append(combo)
         rows = nxt
     final = rows[-1]
+    if not all(map(math.isfinite, final.values())):
+        raise ValueError(f"the order-{order} stencil at {at_lambda} has a coefficient "
+                         "that is not finite")
     final.setdefault(at_lambda, 0.0)
     return final
 
@@ -913,9 +931,10 @@ def identity_check(
 
     MC rows pass when |diff| is within 3 combined standard errors (computed
     from per-sample differences under common random numbers); quadrature rows
-    pass when |diff| <= tol.
+    pass when |diff| <= tol, a finite tol >= 0.
     """
     t0 = time.perf_counter()
+    _check_tol(tol)
     if n not in (1, 2):
         # The stencils stop at order 4 = 2n.
         raise ValueError(f"n={n} is not supported: the identity is checked at orders n = 1 and 2")
@@ -966,8 +985,10 @@ def wick_baseline_check(
 ) -> IdentityReport:
     """Check the two pairing baselines that tie Gaussian field moments to
     overlap moments: the squared first bracket against the two-replica
-    overlap, and the three-bracket chain against the three-replica chain."""
+    overlap, and the three-bracket chain against the three-replica chain.
+    Quadrature rows pass when |diff| <= tol, a finite tol >= 0."""
     t0 = time.perf_counter()
+    _check_tol(tol)
     rule = _rule(method, model, n_samples, seed, n_nodes, _baseline_axes)
     ev2, ev3 = (_PolyMoments(model, GraphPolynomial.monomial(Multigraph(edges, ())))
                 for edges in (((1, 2, 1),), ((1, 2, 1), (2, 3, 1))))

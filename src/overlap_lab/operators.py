@@ -15,8 +15,9 @@ pairs within v.  With n_v legs at v, Isserlis' theorem gives
 
 labelled pairings per matrix, so the contraction enumerates matrices, not
 the (2m-1)!! pairings, and refuses with :class:`BudgetError` a term that
-has more than ``MAX_PAIR_COUNT_MATRICES`` of them.  The matrices depend on
-the leg degrees alone and are listed once per degree tuple.
+has more than ``MAX_PAIR_COUNT_MATRICES`` of them, the bound on one term's
+listing and on the listings kept.  The matrices depend on the leg degrees
+alone and are listed once per degree tuple.
 
 ``big_delta`` is wick_contract after delta twice; on leg-free input it
 produces the leg-free polynomial whose quenched average measures the
@@ -27,6 +28,12 @@ the closed form ``delta_formula_direct`` stays an independent check.
 ``theorem_verify`` checks, by exact polynomial arithmetic on canonical
 classes, that contracting 2n derivations equals (2n-1)!! applications of
 ``big_delta``.
+
+Time is bounded by the work budget of :mod:`graphs` alone, at any n and
+any support: ``delta``, ``wick_contract``, ``big_delta``, ``apply_word`` and
+``theorem_verify`` each open one when none is running.  The linear
+extension spends a unit per term it visits, the contraction one per
+pair-count matrix it applies and one per step of counting them.
 """
 
 from __future__ import annotations
@@ -43,8 +50,10 @@ from .graphs import (
     BudgetError,
     GraphPolynomial,
     Multigraph,
+    _budgeted,
     _canonical_form,
     _grow_leg,
+    _spend,
     canonicalize,
     compose,
     edge,
@@ -69,20 +78,14 @@ __all__ = [
     "apply_word",
     "theorem_verify",
     "term_count_report",
-    "DEFAULT_MAX_N",
-    "DEFAULT_MAX_VERTICES",
     "MAX_PAIR_COUNT_MATRICES",
 ]
 
 DELTA = "delta"
 WICK = "wick"
 
-DEFAULT_MAX_N = 3
-DEFAULT_MAX_VERTICES = 10
 #: Bound on the pair-count matrices one term's Wick contraction may enumerate.
 MAX_PAIR_COUNT_MATRICES = 50_000
-#: Bound on the steps of counting them before a contraction enumerates them.
-MAX_MATRIX_COUNT_STEPS = 100_000
 
 
 def double_factorial(k: int) -> int:
@@ -113,17 +116,24 @@ def _as_poly(p) -> GraphPolynomial:
     raise TypeError(f"expected GraphPolynomial or Multigraph, got {type(p).__name__}")
 
 
+@_budgeted
 def _extend(term_map, p) -> GraphPolynomial:
     """Linear extension of ``term_map``, a map from one canonical monomial to
     a polynomial, over the terms of ``p``.
 
     Terms are read in dict order, not sorted: integer sums do not depend on
     the order, and printing sorts through :meth:`GraphPolynomial.items`."""
-    return GraphPolynomial._sum(
-        (h, c * c2)
-        for g, c in _as_poly(p)._terms.items()
-        for h, c2 in term_map(g)._terms.items()
-    )
+    return GraphPolynomial._sum(_images(term_map, _as_poly(p)))
+
+
+def _images(term_map, p: GraphPolynomial):
+    """The terms of ``term_map``'s image of each term of ``p``, times its
+    coefficient, each visit spending a work unit."""
+    for g, c in p._terms.items():
+        image = term_map(g)._terms
+        _spend(len(image))
+        for h, c2 in image.items():
+            yield h, c * c2
 
 
 def delta_v_plus(g: Multigraph, v: int) -> GraphPolynomial:
@@ -209,8 +219,8 @@ def _list_matrices(rem: list, a: int, b: int, denom: int, off: list, listed: lis
 def _matrix_count(degrees: tuple[int, ...]) -> int:
     """How many matrices :func:`_pair_count_matrices` lists for these
     degrees, sorted, without enumerating them; a count over
-    ``MAX_PAIR_COUNT_MATRICES`` reads as that bound plus one.  Counting past
-    ``MAX_MATRIX_COUNT_STEPS`` steps raises :class:`BudgetError`.
+    ``MAX_PAIR_COUNT_MATRICES`` reads as that bound plus one.  Each step of
+    the count spends a work unit.
 
     An odd number of legs has no matrix.  Otherwise a perfect matching of
     the a odd-degree vertices, one pair each, and one of the b positive
@@ -232,64 +242,48 @@ def _matrix_count(degrees: tuple[int, ...]) -> int:
     even = sum(d > 0 and d % 2 == 0 for d in degrees)
     if double_factorial(odd - 1) * double_factorial(even - even % 2 - 1) > bound:
         return bound + 1
-    return _MatrixCount(len(degrees)).count(degrees)
+    return _count_matrices(degrees, {})
 
 
-class _MatrixCount:
-    """The memoized count of :func:`_matrix_count` and its step budget.  The
-    recursion goes through the instance, not a closure, so it leaves no
-    reference cycle behind."""
-
-    __slots__ = ("vertices", "memo", "steps")
-
-    def __init__(self, vertices: int):
-        self.vertices = vertices
-        self.memo = {}
-        self.steps = 0
-
-    def count(self, sub: tuple[int, ...]) -> int:
-        if not sub:
-            return 1
-        memo = self.memo
-        if sub in memo:
-            return memo[sub]
-        bound = MAX_PAIR_COUNT_MATRICES
-        cap = len(sub) * bound + 1
-        rows = {(sub[0], ()): 1}  # (legs of the first vertex left, multiset left): ways
-        for d in sub[1:]:
-            grown: collections.Counter = collections.Counter()
-            prefixes = 0
-            for (r, left), ways in rows.items():
-                prefixes += ways * (min(r, d) + 1)
-                self.steps += min(r, d) + 1
-                if prefixes > cap:
-                    memo[sub] = bound + 1
-                    return bound + 1
-                if self.steps > MAX_MATRIX_COUNT_STEPS:
-                    raise BudgetError(
-                        f"counting the pair-count matrices of {self.vertices} vertices "
-                        f"takes more than {MAX_MATRIX_COUNT_STEPS} steps"
-                    )
-                for k in range(min(r, d) + 1):
-                    grown[r - k, tuple(sorted(left + (d - k,) if d > k else left))] += ways
-            rows = grown
-        total = 0
+def _count_matrices(sub: tuple[int, ...], memo: dict) -> int:
+    """The count of :func:`_matrix_count` for the sorted degrees ``sub``,
+    past its matching bound, memoized in ``memo`` by degree tuple."""
+    if not sub:
+        return 1
+    if sub in memo:
+        return memo[sub]
+    bound = MAX_PAIR_COUNT_MATRICES
+    cap = len(sub) * bound + 1
+    rows = {(sub[0], ()): 1}  # (legs of the first vertex left, multiset left): ways
+    for d in sub[1:]:
+        grown: collections.Counter = collections.Counter()
+        prefixes = 0
         for (r, left), ways in rows.items():
-            if r % 2 == 0:
-                total += ways * self.count(left)
-                if total > bound:
-                    total = bound + 1
-                    break
-        memo[sub] = total
-        return total
+            prefixes += ways * (min(r, d) + 1)
+            if prefixes > cap:
+                memo[sub] = bound + 1
+                return bound + 1
+            _spend(min(r, d) + 1)
+            for k in range(min(r, d) + 1):
+                grown[r - k, tuple(sorted(left + (d - k,) if d > k else left))] += ways
+        rows = grown
+    total = 0
+    for (r, left), ways in rows.items():
+        if r % 2 == 0:
+            total += ways * _count_matrices(left, memo)
+            if total > bound:
+                total = bound + 1
+                break
+    memo[sub] = total
+    return total
 
 
 def _contract(base: dict, terms: dict) -> GraphPolynomial:
     """Wick contraction of the labelled terms ``{legs: coefficient}``, each
     with the edges ``base`` and sorted legs.  Each nonzero term's pair-count
-    matrices, listed or reused and counted in ``work``, add edges to
-    ``base``; equal labelled outcomes add up, and only the nonzero ones are
-    canonicalized."""
+    matrices, listed or reused, counted in ``work`` and paid a work unit
+    each, add edges to ``base``; equal labelled outcomes add up, and only
+    the nonzero ones are canonicalized."""
     acc: dict[tuple, int] = {}
     for legs, c in terms.items():
         degrees = tuple(n for _, n in legs)
@@ -307,6 +301,7 @@ def _contract(base: dict, terms: dict) -> GraphPolynomial:
         numerator = math.prod(math.factorial(n) for n in degrees)
         matrices = _pair_count_matrices(degrees)
         work["pair_count_matrices"] += len(matrices)
+        _spend(len(matrices))
         for off, denom in matrices:
             counts = dict(base)
             for a, b, k in off:
@@ -389,29 +384,15 @@ def delta_formula_direct(g: Multigraph) -> GraphPolynomial:
     return GraphPolynomial(terms)
 
 
-def _check_vertices(r: int, added: int, name: str) -> None:
-    """Refuse a support of r vertices that may grow by ``added`` past
-    ``DEFAULT_MAX_VERTICES``."""
-    if r + added > DEFAULT_MAX_VERTICES:
-        raise BudgetError(f"|support|+{name} = {r + added} exceeds "
-                          f"max_vertices={DEFAULT_MAX_VERTICES}")
-
-
+@_budgeted
 def apply_word(word: Sequence[str], p) -> GraphPolynomial:
     """Apply a composition of operators written in the usual notation order,
-    i.e. the last element of ``word`` acts first.
-
-    Each delta may add a vertex: a word with deltas is refused, before any
-    work, when the largest support of ``p`` plus its deltas exceeds
-    ``DEFAULT_MAX_VERTICES``, the bound of :func:`theorem_verify`."""
+    i.e. the last element of ``word`` acts first, in one work budget."""
     ops = {DELTA: delta, WICK: wick_contract}
     for tok in word:
         if tok not in ops:
             raise ValueError(f"unknown operator token {tok!r}")
     out = _as_poly(p)
-    deltas = word.count(DELTA)
-    if deltas:
-        _check_vertices(max((len(g.support) for g in out._terms), default=0), deltas, "deltas")
     for tok in reversed(word):
         out = ops[tok](out)
     return out
@@ -446,23 +427,20 @@ class TermCounts(NamedTuple):
     canonical_rhs: int
 
 
+@_budgeted
 def theorem_verify(g: Multigraph, n: int) -> TheoremReport:
     """Exact check that contracting 2n derivations of ``g`` equals
     (2n-1)!! iterated ``big_delta``.
 
-    ``g`` must be leg-free.  Requests beyond ``DEFAULT_MAX_N`` or
-    ``DEFAULT_MAX_VERTICES`` raise :class:`BudgetError` instead of silently
-    truncating.
+    ``g`` must be leg-free.  Both sides share one work budget; a check that
+    needs more raises :class:`BudgetError` instead of silently truncating.
     """
     if not g.is_leg_free():
         raise ValueError("theorem_verify expects a leg-free monomial")
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if n > DEFAULT_MAX_N:
-        raise BudgetError(f"n={n} exceeds the configured bound max_n={DEFAULT_MAX_N}")
     gc = canonicalize(g)
     r = len(gc.support)
-    _check_vertices(r, 2 * n, "2n")
     t0 = time.perf_counter()
     lhs = GraphPolynomial.monomial(gc)
     for _ in range(2 * n):

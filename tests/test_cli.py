@@ -1,8 +1,10 @@
 """CLI harness: golden output, exit codes, JSON payload stability, config."""
 
-import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from math import comb, factorial
@@ -17,10 +19,11 @@ from overlap_lab import (
     graphs,
     lab,
     make_multigraph,
-    operators,
     parse_polynomial,
 )
 from overlap_lab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -83,16 +86,19 @@ class TestSymbolicBudgets:
         assert parse_polynomial(out.strip()) == expected
         assert expected.coefficient_sum() == double_factorial(19)
 
-    @pytest.mark.parametrize("word, vertices", [(" ".join(["d"] * 27), 29),
-                                                ("D D D D d", 11)])
-    def test_runaway_derivation_word_refused_at_once(self, capsys, word, vertices):
-        # Each derivation may add a vertex, so the word is refused before any
-        # work where its expansion would take about half a minute (27 d's).
+    @pytest.mark.parametrize("word, budget", [(" ".join(["d"] * 27), 29),
+                                              ("D D D D d", 11)])
+    def test_runaway_derivation_word_refused_at_once(self, capsys, monkeypatch,
+                                                     fresh_memos, word, budget):
+        # The word's expansion spends its units as it goes and stops at the
+        # budget, here a few units; at the default budget the 27 d's are
+        # refused after about 250,000 units, several seconds.
+        monkeypatch.setattr(graphs, "WORK_BUDGET", budget)
         t0 = time.perf_counter()
         code, out, err = run(capsys, "expand", "--graph", "{1,2}", "--word", word)
         assert time.perf_counter() - t0 < 1.0
         assert code == EXIT_USAGE and out == ""
-        assert f"|support|+deltas = {vertices} exceeds max_vertices=10" in err
+        assert err == f"refused: the call needs more than WORK_BUDGET = {budget} work units\n"
 
     def test_wick_over_budget_refused_before_enumerating(self, capsys):
         # 20 legs on 10 vertices: about 1.4e6 pair-count matrices.
@@ -119,8 +125,9 @@ class TestSymbolicBudgets:
         assert code == EXIT_USAGE and "more than 50000 pair-count matrices" in err
         assert peak < 2**20, peak
 
-    def test_wick_count_over_step_budget_refused(self, capsys, monkeypatch):
-        monkeypatch.setattr(operators, "MAX_MATRIX_COUNT_STEPS", 1000)
+    def test_wick_count_over_step_budget_refused(self, capsys, monkeypatch, fresh_memos):
+        # Counting the matrices of three 1000-leg vertices spends a unit a step.
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 1000)
         tracemalloc.start()
         try:
             code, _, err = run(capsys, "expand", "--graph", "{1}^1000{2}^1000{3}^1000",
@@ -128,19 +135,17 @@ class TestSymbolicBudgets:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == EXIT_USAGE and "takes more than 1000 steps" in err
+        assert code == EXIT_USAGE and "WORK_BUDGET = 1000 work units" in err
         assert peak < 2**20, peak
 
-    def test_canonical_search_over_budget_refused(self, capsys, monkeypatch):
-        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", 3)
+    def test_canonical_search_over_budget_refused(self, capsys, monkeypatch, fresh_memos):
         # Both component memos are keyed by normalized labels, so K5 seen
-        # anywhere earlier would be a hit: search it in empty memos.
-        for name in ("_component_encoding", "_searched_encoding"):
-            monkeypatch.setattr(graphs, name, functools.lru_cache(
-                maxsize=None)(getattr(graphs, name).__wrapped__))
+        # anywhere earlier would be a hit: search it in empty memos.  Its
+        # search visits more than 3 tree nodes, a unit each.
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 3)
         k5 = "".join(f"{{{i},{j}}}" for i in range(301, 306) for j in range(i + 1, 306))
         code, _, err = run(capsys, "expand", "--graph", k5)
-        assert code == EXIT_USAGE and "canonical search" in err
+        assert code == EXIT_USAGE and "WORK_BUDGET = 3 work units" in err
 
 
 COUNTERS = ("component_encodings_computed", "component_encodings_reused",
@@ -174,6 +179,12 @@ def test_work_of_a_cold_verify_is_pinned(capsys, fresh_memos):
     assert timings["component_searches"] <= 285
     assert timings["search_leaves"] <= 508
     assert timings["pair_count_matrices"] == 1906
+
+
+def test_work_units_of_a_cold_verify_are_pinned(capsys, fresh_memos):
+    # Memo hits spend nothing, so a cold run spends the same units each time.
+    argv = ("verify", "--graph", "{1,2}{2,3}{3,4}", "--n", "3", "--json")
+    assert json.loads(run(capsys, *argv)[1])["timings"]["work_units"] == 4840
 
 
 class TestVerify:
@@ -290,6 +301,16 @@ class TestEstimate:
         )
         assert code == EXIT_OK and "mean=0.0 " in out
 
+    def test_overflowing_exponent_leaves_one_stderr_line(self):
+        # beta * energy overflows; numpy's warnings must not reach stderr.
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "overlap_lab.cli", "estimate", "--model", "sk",
+             "--N", "3", "--graph", "{1,2}", "--samples", "10", "--beta", "1e308"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert proc.stderr == "error: Gibbs weights are not finite or do not sum to one\n"
+
     def test_invalid_model_size_exits_two(self, capsys):
         code, _, err = run(
             capsys, "estimate", "--model", "sk", "--N", "9", "--beta", "0.5",
@@ -335,6 +356,16 @@ class TestIdentityCommand:
         )
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: n={n} is not supported: the identity is checked at orders n = 1 and 2\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_dishonest_tolerance_exits_two(self, capsys, tol):
+        # nan and -1 would fail every row, inf would pass every one.
+        code, out, err = run(
+            capsys, "identity", "--model", "sk", "--N", "2", "--method", "quadrature",
+            "--nodes", "8", "--graph", "{1,2}", "--tol", tol,
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: tol must be finite and >= 0")
 
     def test_violation_beyond_tolerance_exits_one(self, capsys):
         # an absurd tolerance turns the tiny stencil residual into a failure

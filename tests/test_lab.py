@@ -494,6 +494,15 @@ class TestFdDerivative:
         with pytest.raises(ValueError):
             fd_derivative(sk_model(2, 0.5), C12, 5, n_samples=5, seed=0)
 
+    def test_collapsed_stencil_rejected(self):
+        # lam0 +- 0.2 round to lam0 at 1e17; 1e-320 squared underflows to 0.
+        model = sk_model(2, 0.5)
+        with pytest.raises(ValueError, match="collapses the order-1 stencil"):
+            fd_derivative(model, C12, 1, at_lambda=1e17, method="quadrature", n_nodes=8)
+        tiny = DeformationConfig(lambda_grid=(1e-320, -1e-320, 5e-321, -5e-321))
+        with pytest.raises(ValueError, match="collapses the order-2 stencil"):
+            fd_derivative(model, C12, 2, tiny, method="quadrature", n_nodes=8)
+
 
 class TestIdentityCheck:
     def test_quadrature_n1_tight(self):
@@ -552,6 +561,22 @@ class TestIdentityCheck:
         g = make_multigraph([(1, 2, 1), (3, 4, 1)])
         with pytest.raises(BudgetError):
             identity_check(model, g, 2, n_samples=10, seed=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_dishonest_tolerance_rejected(self, tol):
+        model = sk_model(2, 0.5)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            identity_check(model, C12, 1, method="quadrature", n_nodes=8, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            wick_baseline_check(model, method="quadrature", n_nodes=8, tol=tol)
+
+    def test_collapsed_stencil_rejected(self):
+        model = sk_model(2, 0.5)
+        with pytest.raises(ValueError, match="collapses the order-1 stencil at 1e"):
+            identity_check(model, C12, 1, method="quadrature", n_nodes=8, lemma_lambda=1e17)
+        tiny = DeformationConfig(lambda_grid=(1e-320, -1e-320, 5e-321, -5e-321))
+        with pytest.raises(ValueError, match="collapses the order-2 stencil"):
+            identity_check(model, C12, 1, method="quadrature", n_nodes=8, config=tiny)
 
 
 class TestWickBaselines:

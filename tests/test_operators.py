@@ -2,6 +2,7 @@
 
 import functools
 import random
+import traceback
 import tracemalloc
 from itertools import combinations_with_replacement, product
 
@@ -34,7 +35,7 @@ from overlap_lab import (
     theorem_verify,
     wick_contract,
 )
-from overlap_lab import operators
+from overlap_lab import graphs, operators
 from overlap_lab.graphs import _canonical_form
 from overlap_lab.operators import _delta_term, _matrix_count, _pair_count_matrices
 
@@ -294,11 +295,13 @@ class TestWickAgainstPairings:
         assert _matrix_count((2,) * 10) == 1_436_714
 
     def test_matrix_count_over_its_step_budget_refused(self, monkeypatch):
-        monkeypatch.setattr(operators, "MAX_MATRIX_COUNT_STEPS", 10_000)
-        assert _matrix_count((1, 31, 32, 100)) == 9112  # about 8,000 steps
-        monkeypatch.setattr(operators, "MAX_MATRIX_COUNT_STEPS", 1000)
-        with pytest.raises(BudgetError, match="of 4 vertices takes more than 1000 steps"):
-            _matrix_count((1, 31, 32, 100))
+        # The count spends a work unit per step, 8,064 of them here.
+        count = graphs._budgeted(_matrix_count)
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 10_000)
+        assert count((1, 31, 32, 100)) == 9112
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 1000)
+        with pytest.raises(BudgetError, match="WORK_BUDGET = 1000 work units"):
+            count((1, 31, 32, 100))
 
 
 class TestBigDelta:
@@ -432,12 +435,26 @@ class TestTheorem:
                 rep = theorem_verify(g, n)
                 assert rep.equal, (g, n)
 
-    def test_budget_refusals(self):
-        with pytest.raises(BudgetError):
+    def test_budget_refusals(self, monkeypatch, fresh_memos):
+        # Cold, n=4 on one edge needs about 3,900 units and three disjoint
+        # edges at n=3 more still.
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 1000)
+        with pytest.raises(BudgetError, match="WORK_BUDGET = 1000 work units"):
             theorem_verify(G12, 4)
         wide = make_multigraph([(1, 2, 1), (3, 4, 1), (5, 6, 1)])
-        with pytest.raises(BudgetError):
-            theorem_verify(wide, 3)  # 6 + 6 vertices > 10
+        with pytest.raises(BudgetError, match="WORK_BUDGET = 1000 work units"):
+            theorem_verify(wide, 3)
+
+    @pytest.mark.parametrize("g", [G12, edge(1, 2, 2),
+                                   make_multigraph([(1, 2, 1), (1, 3, 1), (2, 3, 1)])],
+                             ids=["edge", "double-edge", "triangle"])
+    def test_n4_exact_against_the_closed_form(self, g):
+        rep = theorem_verify(g, 4)
+        direct = mono(g)
+        for _ in range(4):
+            direct = sum((c * delta_formula_direct(h) for h, c in direct.items()),
+                         GraphPolynomial.zero())
+        assert rep.equal and rep.rhs == double_factorial(7) * direct
 
     def test_legs_rejected(self):
         with pytest.raises(ValueError):
@@ -448,6 +465,59 @@ class TestTheorem:
         counts = term_count_report(G12, 1)
         assert counts.raw_rhs == 4  # R(R-1)/2 + R + 1 at R=2
         assert counts.canonical_lhs == 3  # the worked example's three classes
+
+
+def raised_in(exc_info) -> list[str]:
+    """The names of the functions a raised exception passed through."""
+    return [frame.name for frame in traceback.extract_tb(exc_info.tb)]
+
+
+class TestWorkBudget:
+    def test_refused_inside_the_linear_extension(self, monkeypatch):
+        p = delta(delta(mono(G12)))
+        delta(p)  # warm: now only the terms delta visits spend
+        before = graphs.work["work_units"]
+        delta(p)
+        visits = graphs.work["work_units"] - before
+        assert visits == sum(len(_delta_term(g)) for g, _ in p.items())
+        monkeypatch.setattr(graphs, "WORK_BUDGET", visits - 1)
+        with pytest.raises(BudgetError) as exc:
+            delta(p)
+        assert raised_in(exc)[-2:] == ["_images", "_spend"]
+
+    # fresh_memos gives the package's modules fresh memos, not the names
+    # this module imported: canonicalize is called through graphs.
+
+    def test_refused_inside_a_canonical_search(self, monkeypatch, fresh_memos):
+        k5 = make_multigraph([(i, j, 1) for i in range(1, 6) for j in range(i + 1, 6)])
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 3)
+        with pytest.raises(BudgetError) as exc:
+            graphs.canonicalize(k5)
+        assert raised_in(exc)[-2:] == ["search", "_spend"]
+
+    def test_refused_inside_a_matrix_count(self, monkeypatch, fresh_memos):
+        g = make_multigraph([], [(1, 1), (2, 31), (3, 32), (4, 100)])
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 1000)
+        with pytest.raises(BudgetError) as exc:
+            wick_contract(mono(g))
+        assert raised_in(exc)[-2:] == ["_count_matrices", "_spend"]
+
+    def test_memo_hits_spend_nothing(self, monkeypatch, fresh_memos):
+        k5 = make_multigraph([(i, j, 1) for i in range(1, 6) for j in range(i + 1, 6)])
+        before = graphs.work["work_units"]
+        graphs.canonicalize(k5)
+        cold = graphs.work["work_units"] - before
+        graphs.canonicalize(k5)
+        assert cold > 0 and graphs.work["work_units"] - before == cold
+        # So a warm call can pass where the same call, cold, was refused.
+        default = graphs.WORK_BUDGET
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 600)
+        with pytest.raises(BudgetError):
+            theorem_verify(G12, 3)
+        monkeypatch.setattr(graphs, "WORK_BUDGET", default)
+        theorem_verify(G12, 3)
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 600)
+        assert theorem_verify(G12, 3).equal
 
 
 class TestDoubleFactorial:

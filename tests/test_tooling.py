@@ -7,11 +7,14 @@ deleting one of them would otherwise surface only in a benchmark run.  The
 package itself holds no ``assert`` statement, so its checks run under
 ``python -O`` as well, and no nested function that reaches itself through
 its closure, so no call leaves a reference cycle behind.  ``operators``
-takes none of graphs' component-encoding internals.
+takes none of graphs' component-encoding internals.  Every constant the
+README names in backticks is defined in a module of the package.
 """
 
 import ast
+import importlib
 import os
+import re
 import sys
 
 import overlap_lab
@@ -143,3 +146,15 @@ def test_operators_reads_no_component_encoding():
               and isinstance(node.value, ast.Name) and node.value.id == "graphs"}
     assert "_grow_leg" in taken
     assert not taken & ENCODING_INTERNALS
+
+
+def test_readme_names_only_defined_constants():
+    # A bound the README names by its constant must exist, so that deleting
+    # or renaming one shows here and not to a reader.
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", fh.read()))
+    modules = [importlib.import_module(f"overlap_lab.{name[:-3]}")
+               for name in os.listdir(os.path.join(ROOT, "src", "overlap_lab"))
+               if name.endswith(".py") and name != "__init__.py"]
+    undefined = {name for name in named if not any(hasattr(m, name) for m in modules)}
+    assert undefined == set()
