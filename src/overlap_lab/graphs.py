@@ -37,11 +37,16 @@ One work budget bounds the symbolic stack.  An outermost call (a
 :func:`canonicalize` miss here; ``delta``, ``wick_contract``, ``big_delta``,
 ``apply_word`` or ``theorem_verify`` in :mod:`operators`) may spend
 ``WORK_BUDGET`` units through :func:`_spend`, and the calls inside it share
-them: a unit is a canonical-search node, a step of counting pair-count
-matrices, a pair-count matrix applied, or a term visited by a linear
-extension.  Past the budget the call raises :class:`BudgetError`.  Memo hits
-spend nothing, so a cold process spends the same units on every run, and a
-warm call can pass where the same call, cold, was refused.
+them.  Units are spent in proportion to the work done, so that one costs
+about the same on a wide graph as on a deep derivation: a refinement round
+spends a unit per vertex and per neighbour it keys, a canonical form one
+per edge and leg (in :func:`canonicalize`, and in the Wick outcome it is
+built for), and growing a leg on each vertex of g one per vertex times g's
+edges and legs; :mod:`operators` spends for the terms, Wick outcomes,
+listings and big-integer coefficients it handles.  Past the budget the call
+raises :class:`BudgetError`.  Memo hits spend nothing, so a cold process
+spends the same units on every run, and a warm call can pass where the same
+call, cold, was refused.
 
 A search holds no reference cycle, so reference counting frees its working
 state the moment it returns.
@@ -220,17 +225,20 @@ def sort_key(g: Multigraph) -> tuple:
 
 
 #: Work units one outermost call of the symbolic stack may spend.
-WORK_BUDGET = 250_000
+WORK_BUDGET = 4_500_000
 
 #: Running totals of work done in this process, under the keys
-#: ``search_leaves`` (canonical-search leaves visited),
-#: ``pair_count_matrices`` (Wick pair-count matrices enumerated) and
-#: ``work_units`` (units spent).  Readers take differences of
-#: :func:`work_counts` snapshots.
+#: ``search_leaves`` (canonical-search leaves visited) and
+#: ``pair_count_matrices`` (Wick pair-count matrices enumerated).  Readers
+#: take differences of :func:`work_counts` snapshots.
 work: Counter[str] = Counter()
 
-#: The ``work_units`` total at which the running call's budget is spent;
-#: None while no budgeted call runs.
+#: Work units spent in this process, a plain int: :func:`_spend` is the
+#: hottest call of the symbolic stack.
+_units = 0
+
+#: The ``_units`` total at which the running call's budget is spent; None
+#: while no budgeted call runs.
 _budget_end = None
 
 
@@ -241,8 +249,9 @@ class BudgetError(RuntimeError):
 
 def _spend(units: int = 1) -> None:
     """Spend work units of the running call's budget; past its end, refuse."""
-    work["work_units"] += units
-    if _budget_end is not None and work["work_units"] > _budget_end:
+    global _units
+    _units += units
+    if _budget_end is not None and _units > _budget_end:
         raise BudgetError(f"the call needs more than WORK_BUDGET = {WORK_BUDGET} work units")
 
 
@@ -254,7 +263,7 @@ def _budgeted(f):
         global _budget_end
         if _budget_end is not None:
             return f(*args, **kwargs)
-        _budget_end = work["work_units"] + WORK_BUDGET
+        _budget_end = _units + WORK_BUDGET
         try:
             return f(*args, **kwargs)
         finally:
@@ -273,7 +282,7 @@ def work_counts() -> dict[str, int]:
         "component_searches": _searched_encoding.cache_info().misses,
         "search_leaves": work["search_leaves"],
         "pair_count_matrices": work["pair_count_matrices"],
-        "work_units": work["work_units"],
+        "work_units": _units,
     }
 
 
@@ -331,10 +340,10 @@ def _refine(cells: list, adj: dict) -> list:
     ``(multiplicity, neighbour's cell)`` lists, the parts in decreasing key
     order, until no cell splits.  Each part is filled in order from a sorted
     cell, so it is sorted too, and a cell that does not split is kept as it
-    is."""
+    is.  Each round spends a unit per vertex and per neighbour keyed."""
     while True:
         color = {v: c for c, cell in enumerate(cells) for v in cell}
-        out, changed = [], False
+        out, changed, keyed = [], False, len(color)
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
@@ -342,6 +351,7 @@ def _refine(cells: list, adj: dict) -> list:
             buckets = {}
             for v in cell:
                 key = [(m, color[u]) for u, m in adj[v]]
+                keyed += len(key)
                 key.sort(reverse=True)
                 key = tuple(key)
                 bucket = buckets.get(key)
@@ -355,6 +365,7 @@ def _refine(cells: list, adj: dict) -> list:
                 changed = True
                 for key in sorted(buckets, reverse=True):
                     out.append(buckets[key])
+        _spend(keyed)
         if not changed:
             return out
         cells = out
@@ -419,7 +430,6 @@ class _Search:
                 return
 
     def search(self, cells):
-        _spend()
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
@@ -524,7 +534,9 @@ def _grow_leg(g: Multigraph) -> tuple[list, Multigraph]:
     """For a canonical ``g``: the ``(canonical graph, count)`` pairs that one
     leg more on a support vertex makes, and g with a leg on the fresh vertex.
     Only the component that gains the leg is encoded again (a lone vertex
-    directly); identical components are grown once, times their copies."""
+    directly); identical components are grown once, times their copies.
+    It spends a unit per vertex of g times its edges and legs, plus one."""
+    _spend(len(g.support) * (1 + len(g.edges) + len(g.legs)))
     encodings = _encodings(g)
     pairs = []
     for enc, copies in Counter(encodings).items():
@@ -553,6 +565,7 @@ def canonicalize(g: Multigraph) -> Multigraph:
     """
     if not g.edges and not g.legs:
         return g
+    _spend(len(g.edges) + len(g.legs))
     return _canonical_form(g.edges, g.legs)
 
 

@@ -29,11 +29,18 @@ the closed form ``delta_formula_direct`` stays an independent check.
 classes, that contracting 2n derivations equals (2n-1)!! applications of
 ``big_delta``.
 
-Time is bounded by the work budget of :mod:`graphs` alone, at any n and
-any support: ``delta``, ``wick_contract``, ``big_delta``, ``apply_word`` and
-``theorem_verify`` each open one when none is running.  The linear
-extension spends a unit per term it visits, the contraction one per
-pair-count matrix it applies and one per step of counting them.
+Time is bounded by the work budget of :mod:`graphs`: ``delta``,
+``wick_contract``, ``big_delta``, ``apply_word`` and ``theorem_verify``
+each open one when none is running.  Units follow the work, at any n and
+any support.  An operator's application spends one.  A term it visits
+spends, for each term of its image, one per edge and leg of the visited
+term, plus one.  big_delta's rule spends (|support| + 1)(legs + 1) for each
+labelled term it grows.  A pair-count matrix applied spends one per edge
+and leg (legs counted with multiplicity) of its term, plus one, for its
+outcome and that outcome's canonical form, and one per 2^20 squared bits
+of its long division; a listing spends one per matrix times the vertices
+squared, and a step of counting matrices one.  ``double_factorial`` spends
+one per 2^14 bit-steps of its product, before it multiplies.
 """
 
 from __future__ import annotations
@@ -89,14 +96,12 @@ MAX_PAIR_COUNT_MATRICES = 50_000
 
 
 def double_factorial(k: int) -> int:
-    """k!! for k >= -1, with (-1)!! = 0!! = 1."""
+    """k!! for k >= -1, with (-1)!! = 0!! = 1.  Its k/2 multiplications, of
+    k^2 log2(k) / 8 bit-steps in all, spend a work unit per 2^14 of them."""
     if k < -1:
         raise ValueError(f"double factorial undefined for {k}")
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    _spend(k * k * k.bit_length() >> 17)
+    return math.prod(range(k, 1, -2))
 
 
 def fresh_vertex(g: Multigraph) -> int:
@@ -128,10 +133,12 @@ def _extend(term_map, p) -> GraphPolynomial:
 
 def _images(term_map, p: GraphPolynomial):
     """The terms of ``term_map``'s image of each term of ``p``, times its
-    coefficient, each visit spending a work unit."""
+    coefficient.  The application spends a unit, and each term visited, per
+    term of its image, a unit per edge and leg of the visited term, plus one."""
+    _spend()
     for g, c in p._terms.items():
         image = term_map(g)._terms
-        _spend(len(image))
+        _spend(len(image) * (1 + len(g.edges) + len(g.legs)))
         for h, c2 in image.items():
             yield h, c * c2
 
@@ -179,13 +186,16 @@ def _pair_count_matrices(degrees: tuple[int, ...]) -> list:
     ``off_diagonal`` lists ``(u, v, k_uv)`` for u < v and k_uv > 0, and
     ``denominator`` is prod_{u<v} k_uv! * prod_v k_vv! 2^k_vv.  The matrices
     depend on the degrees alone, so every term with these degrees reuses
-    one listing, kept in ``_matrix_lists``; callers only read it.
+    one listing, kept in ``_matrix_lists``; callers only read it.  A listing
+    spends a unit per matrix times the number of vertices squared, the
+    cells its recursion fills.
     """
     listed = _matrix_lists.get(degrees)
     if listed is not None:
         return listed
     listed = []
     _list_matrices(list(degrees), 0, 1, 1, [], listed)
+    _spend(len(listed) * len(degrees) ** 2)
     if sum(map(len, _matrix_lists.values())) + len(listed) <= MAX_PAIR_COUNT_MATRICES:
         _matrix_lists[degrees] = listed
     return listed
@@ -235,13 +245,12 @@ def _matrix_count(degrees: tuple[int, ...]) -> int:
     at most n - 1 times as many, plus one, so past n * bound + 1 partial
     rows of n vertices the count is over the bound.
     """
-    bound = MAX_PAIR_COUNT_MATRICES
     odd = sum(d % 2 for d in degrees)
     if odd % 2:
         return 0
     even = sum(d > 0 and d % 2 == 0 for d in degrees)
-    if double_factorial(odd - 1) * double_factorial(even - even % 2 - 1) > bound:
-        return bound + 1
+    if double_factorial(odd - 1) * double_factorial(even - even % 2 - 1) > MAX_PAIR_COUNT_MATRICES:
+        return MAX_PAIR_COUNT_MATRICES + 1
     return _count_matrices(degrees, {})
 
 
@@ -301,7 +310,10 @@ def _contract(base: dict, terms: dict) -> GraphPolynomial:
         numerator = math.prod(math.factorial(n) for n in degrees)
         matrices = _pair_count_matrices(degrees)
         work["pair_count_matrices"] += len(matrices)
-        _spend(len(matrices))
+        # A matrix's outcome, built and canonicalized, spends a unit per edge
+        # and leg (with multiplicity), plus one, and its long division one per
+        # 2^20 squared numerator bits.
+        _spend(len(matrices) * (1 + len(base) + total + (numerator.bit_length() ** 2 >> 20)))
         for off, denom in matrices:
             counts = dict(base)
             for a, b, k in off:
@@ -340,6 +352,7 @@ def _big_delta_term(g: Multigraph) -> GraphPolynomial:
         for legs, c in terms.items():
             support = edge_support.union(v for v, _ in legs)
             fresh = min(set(range(1, len(support) + 2)) - support)
+            _spend((len(support) + 1) * (1 + len(legs)))
             for v, n in [(v, c) for v in sorted(support)] + [(fresh, -len(support) * c)]:
                 grown = dict(legs)
                 grown[v] = grown.get(v, 0) + 1
@@ -439,6 +452,7 @@ def theorem_verify(g: Multigraph, n: int) -> TheoremReport:
         raise ValueError("theorem_verify expects a leg-free monomial")
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
+    scale = double_factorial(2 * n - 1)
     gc = canonicalize(g)
     r = len(gc.support)
     t0 = time.perf_counter()
@@ -449,7 +463,7 @@ def theorem_verify(g: Multigraph, n: int) -> TheoremReport:
     rhs = GraphPolynomial.monomial(gc)
     for _ in range(n):
         rhs = big_delta(rhs)
-    rhs = rhs * double_factorial(2 * n - 1)
+    rhs = rhs * scale
     elapsed = time.perf_counter() - t0
     return TheoremReport(
         graph=gc,
@@ -457,7 +471,7 @@ def theorem_verify(g: Multigraph, n: int) -> TheoremReport:
         lhs=lhs,
         rhs=rhs,
         equal=(lhs == rhs),
-        raw_lhs_terms=double_factorial(2 * n - 1) * 4**n,
+        raw_lhs_terms=scale * 4**n,
         raw_rhs_terms=(r * (r - 1) // 2 + r + 1) ** n,
         canonical_lhs_terms=len(lhs),
         canonical_rhs_terms=len(rhs),

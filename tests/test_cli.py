@@ -92,7 +92,7 @@ class TestSymbolicBudgets:
                                                      fresh_memos, word, budget):
         # The word's expansion spends its units as it goes and stops at the
         # budget, here a few units; at the default budget the 27 d's are
-        # refused after about 250,000 units, several seconds.
+        # refused after 4,500,000 units, about 6 s.
         monkeypatch.setattr(graphs, "WORK_BUDGET", budget)
         t0 = time.perf_counter()
         code, out, err = run(capsys, "expand", "--graph", "{1,2}", "--word", word)
@@ -141,11 +141,42 @@ class TestSymbolicBudgets:
     def test_canonical_search_over_budget_refused(self, capsys, monkeypatch, fresh_memos):
         # Both component memos are keyed by normalized labels, so K5 seen
         # anywhere earlier would be a hit: search it in empty memos.  Its
-        # search visits more than 3 tree nodes, a unit each.
-        monkeypatch.setattr(graphs, "WORK_BUDGET", 3)
+        # canonical form and two root refinements spend 10 + 25 + 25 units,
+        # and the search's first child refinement is over the budget.
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 60)
         k5 = "".join(f"{{{i},{j}}}" for i in range(301, 306) for j in range(i + 1, 306))
         code, _, err = run(capsys, "expand", "--graph", k5)
-        assert code == EXIT_USAGE and "WORK_BUDGET = 3 work units" in err
+        assert code == EXIT_USAGE and "WORK_BUDGET = 60 work units" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--word", "d d"),
+        ("verify", "--n", "1"),
+    ], ids=["expand-d-d", "verify-n1"])
+    def test_wide_support_spends_in_proportion(self, capsys, monkeypatch, fresh_memos, argv):
+        # A 60-edge path: each refinement round and each term visited spends
+        # a unit per vertex, edge or leg it handles, so a unit stays cheap on
+        # wide graphs and a tenth of the default budget is spent in well
+        # under a second (about 0.1 s, at 0.25 us a unit).
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 400_000)
+        path = "".join(f"{{{i},{i + 1}}}" for i in range(1, 61))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--graph", path, *argv[1:])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_USAGE and out == ""
+        assert err == "refused: the call needs more than WORK_BUDGET = 400000 work units\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--graph", "1", "--n", "1000000"),
+        ("expand", "--graph", "{1}^300000", "--word", "C"),
+    ], ids=["empty-monomial-n1e6", "leg-power-3e5"])
+    def test_big_integer_work_refused_at_once(self, capsys, argv):
+        # (2n-1)!! and the Wick coefficient of 300,000 legs spend units for
+        # their multiplications and divisions before they are computed.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("refused: the call needs more than WORK_BUDGET")
 
 
 COUNTERS = ("component_encodings_computed", "component_encodings_reused",
@@ -184,7 +215,7 @@ def test_work_of_a_cold_verify_is_pinned(capsys, fresh_memos):
 def test_work_units_of_a_cold_verify_are_pinned(capsys, fresh_memos):
     # Memo hits spend nothing, so a cold run spends the same units each time.
     argv = ("verify", "--graph", "{1,2}{2,3}{3,4}", "--n", "3", "--json")
-    assert json.loads(run(capsys, *argv)[1])["timings"]["work_units"] == 4840
+    assert json.loads(run(capsys, *argv)[1])["timings"]["work_units"] == 70943
 
 
 class TestVerify:

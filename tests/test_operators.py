@@ -475,11 +475,12 @@ def raised_in(exc_info) -> list[str]:
 class TestWorkBudget:
     def test_refused_inside_the_linear_extension(self, monkeypatch):
         p = delta(delta(mono(G12)))
-        delta(p)  # warm: now only the terms delta visits spend
-        before = graphs.work["work_units"]
+        delta(p)  # warm: now only the application and the terms it visits spend
+        before = graphs.work_counts()["work_units"]
         delta(p)
-        visits = graphs.work["work_units"] - before
-        assert visits == sum(len(_delta_term(g)) for g, _ in p.items())
+        visits = graphs.work_counts()["work_units"] - before
+        assert visits == 1 + sum(len(_delta_term(g)) * (1 + len(g.edges) + len(g.legs))
+                                 for g, _ in p.items())
         monkeypatch.setattr(graphs, "WORK_BUDGET", visits - 1)
         with pytest.raises(BudgetError) as exc:
             delta(p)
@@ -490,10 +491,12 @@ class TestWorkBudget:
 
     def test_refused_inside_a_canonical_search(self, monkeypatch, fresh_memos):
         k5 = make_multigraph([(i, j, 1) for i in range(1, 6) for j in range(i + 1, 6)])
-        monkeypatch.setattr(graphs, "WORK_BUDGET", 3)
+        # Its canonical form and two root refinements spend 10 + 25 + 25
+        # units; the search's first child refinement is over.
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 60)
         with pytest.raises(BudgetError) as exc:
             graphs.canonicalize(k5)
-        assert raised_in(exc)[-2:] == ["search", "_spend"]
+        assert raised_in(exc)[-3:] == ["search", "_refine", "_spend"]
 
     def test_refused_inside_a_matrix_count(self, monkeypatch, fresh_memos):
         g = make_multigraph([], [(1, 1), (2, 31), (3, 32), (4, 100)])
@@ -504,19 +507,19 @@ class TestWorkBudget:
 
     def test_memo_hits_spend_nothing(self, monkeypatch, fresh_memos):
         k5 = make_multigraph([(i, j, 1) for i in range(1, 6) for j in range(i + 1, 6)])
-        before = graphs.work["work_units"]
+        before = graphs.work_counts()["work_units"]
         graphs.canonicalize(k5)
-        cold = graphs.work["work_units"] - before
+        cold = graphs.work_counts()["work_units"] - before
         graphs.canonicalize(k5)
-        assert cold > 0 and graphs.work["work_units"] - before == cold
+        assert cold > 0 and graphs.work_counts()["work_units"] - before == cold
         # So a warm call can pass where the same call, cold, was refused.
         default = graphs.WORK_BUDGET
-        monkeypatch.setattr(graphs, "WORK_BUDGET", 600)
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 2000)  # cold 9,663, warm 1,871
         with pytest.raises(BudgetError):
             theorem_verify(G12, 3)
         monkeypatch.setattr(graphs, "WORK_BUDGET", default)
         theorem_verify(G12, 3)
-        monkeypatch.setattr(graphs, "WORK_BUDGET", 600)
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 2000)
         assert theorem_verify(G12, 3).equal
 
 
