@@ -12,6 +12,7 @@ whose sha256 is stable across reruns; wall times live under ``timings``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import hashlib
@@ -210,6 +211,23 @@ def _emit(opts: dict, text_lines: list[str], doc: dict) -> None:
         sys.stdout.write(output)
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Let integers of any length be written as text inside the block.
+    Python refuses by default to convert one of more than 4,300 digits,
+    which an exact coefficient or term count can pass; the work budget
+    bounds them instead.  Input is parsed outside the block, under
+    Python's limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _work_counts() -> dict:
     """Running totals of work (see ``graphs.work_counts``) and, under
     ``gc_collected``, of the objects the cyclic garbage collector freed."""
@@ -230,17 +248,18 @@ def cmd_expand(opts: dict) -> int:
     t0 = time.perf_counter()
     result = apply_word(word, GraphPolynomial.monomial(graph))
     wall = time.perf_counter() - t0
-    text = exprio.format_polynomial(result)
-    doc = {
-        "type": "expansion",
-        "payload": {
-            "input": opts["graph"],
-            "word": opts["word"],
-            "result_polynomial": text,
-        },
-        "timings": {"wall_s": wall, **_work_since(before)},
-    }
-    _emit(opts, [text], doc)
+    with _exact_digits():
+        text = exprio.format_polynomial(result)
+        doc = {
+            "type": "expansion",
+            "payload": {
+                "input": opts["graph"],
+                "word": opts["word"],
+                "result_polynomial": text,
+            },
+            "timings": {"wall_s": wall, **_work_since(before)},
+        }
+        _emit(opts, [text], doc)
     return EXIT_OK
 
 
@@ -248,19 +267,20 @@ def cmd_verify(opts: dict) -> int:
     graph = exprio.parse_monomial(opts["graph"])
     before = _work_counts()
     report = theorem_verify(graph, opts["n"])
-    doc = exprio.as_jsonable(report)
-    doc["timings"].update(_work_since(before))
-    lines = [
-        f"graph: {exprio.format_monomial(report.graph)}",
-        f"n: {report.n}",
-        f"equal: {str(report.equal).lower()}",
-        f"raw terms: lhs={report.raw_lhs_terms} rhs={report.raw_rhs_terms}",
-        f"canonical terms: lhs={report.canonical_lhs_terms} "
-        f"rhs={report.canonical_rhs_terms}",
-        f"lhs: {exprio.format_polynomial(report.lhs)}",
-        f"rhs: {exprio.format_polynomial(report.rhs)}",
-    ]
-    _emit(opts, lines, doc)
+    with _exact_digits():
+        doc = exprio.as_jsonable(report)
+        doc["timings"].update(_work_since(before))
+        lines = [
+            f"graph: {exprio.format_monomial(report.graph)}",
+            f"n: {report.n}",
+            f"equal: {str(report.equal).lower()}",
+            f"raw terms: lhs={report.raw_lhs_terms} rhs={report.raw_rhs_terms}",
+            f"canonical terms: lhs={report.canonical_lhs_terms} "
+            f"rhs={report.canonical_rhs_terms}",
+            f"lhs: {exprio.format_polynomial(report.lhs)}",
+            f"rhs: {exprio.format_polynomial(report.rhs)}",
+        ]
+        _emit(opts, lines, doc)
     return EXIT_OK if report.equal else EXIT_VIOLATION
 
 
@@ -268,17 +288,18 @@ def cmd_counts(opts: dict) -> int:
     graph = exprio.parse_monomial(opts["graph"])
     before = _work_counts()
     report = theorem_verify(graph, opts["n"])
-    doc = exprio.as_jsonable(report)
-    doc["type"] = "term_counts"
-    doc["timings"].update(_work_since(before))
-    for key in ("lhs", "rhs", "equal"):
-        del doc["payload"][key]
-    lines = [
-        f"raw_lhs={report.raw_lhs_terms} raw_rhs={report.raw_rhs_terms} "
-        f"canonical_lhs={report.canonical_lhs_terms} "
-        f"canonical_rhs={report.canonical_rhs_terms}"
-    ]
-    _emit(opts, lines, doc)
+    with _exact_digits():
+        doc = exprio.as_jsonable(report)
+        doc["type"] = "term_counts"
+        doc["timings"].update(_work_since(before))
+        for key in ("lhs", "rhs", "equal"):
+            del doc["payload"][key]
+        lines = [
+            f"raw_lhs={report.raw_lhs_terms} raw_rhs={report.raw_rhs_terms} "
+            f"canonical_lhs={report.canonical_lhs_terms} "
+            f"canonical_rhs={report.canonical_rhs_terms}"
+        ]
+        _emit(opts, lines, doc)
     return EXIT_OK
 
 

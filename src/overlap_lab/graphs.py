@@ -15,23 +15,24 @@ a complete invariant while keeping the search tiny for the sparse graphs that
 occur here.
 
 The canonical form of a multigraph is the sorted concatenation of its
-components' encodings, memoized twice: first keyed by the component with its
-vertices relabeled 1..k in label order, which catches a shape that comes back
-under shifted labels, then, on a miss, relabeled in the order of its root
-refinement's cells, which catches it under labels in another order.  Only a
-miss of both is searched; a relabeling is an isomorphism, so a hit is sound. A
-lone vertex carrying only legs is encoded directly.  Each component of a
-canonical graph is its encoding, shifted, on a block of consecutive labels, so
-the derivation's growth by one leg (:func:`_grow_leg`) encodes only the
-component that gains it again and reassembles the rest as they are, without
-splitting the whole graph.  The search prunes by automorphisms (McKay &
-Piperno, *Practical graph isomorphism II*, 2014): two leaves with equal
-encodings give an automorphism, and a child whose orbit, under the
-automorphisms found so far that fix the vertices individualized above it,
-meets a searched sibling is skipped, or abandoned once such an automorphism
-turns up.  Its subtree holds the same encodings as the sibling's, so the
-minimum is the one the full search finds.  K_k then takes k leaves instead of
-k!.
+components' encodings, held in one memo under two keys per component: the
+component with its vertices relabeled 1..k in label order, which catches a
+shape that comes back under shifted labels, and, on a miss, the component
+relabeled in the order of its root refinement's cells, which catches it under
+labels in another order.  Only a miss of both is searched, from the root
+refinement already computed; every key is a labelled component, so a hit under
+either kind of key is sound.  A lone vertex carrying only legs is encoded
+directly.  Each component of a canonical graph is its encoding, shifted, on a
+block of consecutive labels, so the derivation's growth by one leg
+(:func:`_grow_leg`) encodes only the component that gains it again and
+reassembles the rest as they are, without splitting the whole graph.  The
+search prunes by automorphisms (McKay & Piperno, *Practical graph isomorphism
+II*, 2014): two leaves with equal encodings give an automorphism, and a child
+whose orbit, under the automorphisms found so far that fix the vertices
+individualized above it, meets a searched sibling is skipped, or abandoned
+once such an automorphism turns up.  Its subtree holds the same encodings as
+the sibling's, so the minimum is the one the full search finds.  K_k then
+takes k leaves instead of k!.
 
 One work budget bounds the symbolic stack.  An outermost call (a
 :func:`canonicalize` miss here; ``delta``, ``wick_contract``, ``big_delta``,
@@ -227,11 +228,15 @@ def sort_key(g: Multigraph) -> tuple:
 #: Work units one outermost call of the symbolic stack may spend.
 WORK_BUDGET = 4_500_000
 
-#: Running totals of work done in this process, under the keys
-#: ``search_leaves`` (canonical-search leaves visited) and
+#: Running totals of work done in this process: ``component_encodings_computed``
+#: and ``component_encodings_reused`` (component memo misses and hits under
+#: the label-order key), ``component_searches`` (misses under the root-order
+#: key too), ``search_leaves`` (canonical-search leaves visited) and
 #: ``pair_count_matrices`` (Wick pair-count matrices enumerated).  Readers
 #: take differences of :func:`work_counts` snapshots.
-work: Counter[str] = Counter()
+work: Counter[str] = Counter(dict.fromkeys((
+    "component_encodings_computed", "component_encodings_reused",
+    "component_searches", "search_leaves", "pair_count_matrices"), 0))
 
 #: Work units spent in this process, a plain int: :func:`_spend` is the
 #: hottest call of the symbolic stack.
@@ -272,21 +277,16 @@ def _budgeted(f):
 
 
 def work_counts() -> dict[str, int]:
-    """Running totals: component encodings computed and reused (first memo
-    misses, hits), searches (second memo misses), leaves, Wick matrices and
-    work units."""
-    info = _component_encoding.cache_info()
-    return {
-        "component_encodings_computed": info.misses,
-        "component_encodings_reused": info.hits,
-        "component_searches": _searched_encoding.cache_info().misses,
-        "search_leaves": work["search_leaves"],
-        "pair_count_matrices": work["pair_count_matrices"],
-        "work_units": _units,
-    }
+    """Running totals: the counters of ``work`` and the work units spent."""
+    return {**work, "work_units": _units}
 
 
-@functools.lru_cache(maxsize=None)
+#: The encoding of every component met, under each of its two keys: its
+#: ``(legs, edges)`` on labels 1..k in label order, and on labels in its
+#: root refinement's order.
+_component_memo: dict[tuple, tuple] = {}
+
+
 def _component_encoding(legs: tuple, edges: tuple) -> tuple:
     """Minimal encoding ``(k, legs, edges)`` of one edge-connected component,
     given by its labelled, sorted legs and edges.
@@ -294,22 +294,26 @@ def _component_encoding(legs: tuple, edges: tuple) -> tuple:
     The encoding is a complete invariant and does not depend on the input
     labels; :func:`_canonical_form` passes the vertices relabeled 1..k in
     label order, so components that differ by an order-preserving
-    relabeling share one entry of this first memo.  A miss relabels them in
-    the order of the root refinement's cells, for the second memo."""
-    adj = _Search(legs, edges).adj
-    cells = _refine(_initial_cells(adj, dict(legs)), adj)
-    _, root_legs, root_edges = _encode(legs, edges, list(chain.from_iterable(cells)))
-    return _searched_encoding(root_legs, root_edges)
-
-
-@functools.lru_cache(maxsize=None)
-def _searched_encoding(legs: tuple, edges: tuple) -> tuple:
-    """:func:`_component_encoding` by the canonical search.  Its state, a
+    relabeling share one entry of the memo.  A miss refines the root once,
+    looks the component up again relabeled in the order of the root's
+    cells, and searches from those cells only when that key is new too; the
+    answer is stored under both keys.  The search state, a
     :class:`_Search`, holds no reference cycle, so it is freed on return."""
+    enc = _component_memo.get((legs, edges))
+    if enc is not None:
+        work["component_encodings_reused"] += 1
+        return enc
+    work["component_encodings_computed"] += 1
     search = _Search(legs, edges)
-    search.search(_refine(_initial_cells(search.adj, dict(legs)), search.adj))
-    work["search_leaves"] += search.leaves
-    return search.best
+    cells = _refine(_initial_cells(search.adj, dict(legs)), search.adj)
+    _, root_legs, root_edges = _encode(legs, edges, list(chain.from_iterable(cells)))
+    enc = _component_memo.get((root_legs, root_edges))
+    if enc is None:
+        work["component_searches"] += 1
+        search.search(cells)
+        enc = _component_memo[root_legs, root_edges] = search.best
+    _component_memo[legs, edges] = enc
+    return enc
 
 
 def _encode(legs: tuple, edges: tuple, order: list) -> tuple:
@@ -377,7 +381,7 @@ class _Search:
     refers back to it."""
 
     __slots__ = ("adj", "legs", "edges", "best", "first_leaf",
-                 "automorphisms", "path", "explored", "leaves", "abandon")
+                 "automorphisms", "path", "explored", "abandon")
 
     def __init__(self, legs: tuple, edges: tuple):
         adj = defaultdict(list)
@@ -390,7 +394,6 @@ class _Search:
         self.automorphisms = []
         self.path = []  # vertices individualized on the way to this node
         self.explored = []  # per level of path: children searched
-        self.leaves = 0
         self.abandon = None  # level whose current child repeats a searched sibling
 
     def in_orbit(self, v, targets, level):
@@ -410,7 +413,7 @@ class _Search:
         return not orbit.isdisjoint(targets)
 
     def leaf(self, order):
-        self.leaves += 1
+        work["search_leaves"] += 1
         enc = _encode(self.legs, self.edges, order)
         if self.best is None or enc < self.best:
             self.best = enc

@@ -7,7 +7,10 @@ they cross-check.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import product
@@ -18,20 +21,39 @@ from hypothesis import strategies as st
 from overlap_lab import GraphPolynomial, Multigraph, make_multigraph
 
 
-@pytest.fixture
-def fresh_memos(monkeypatch):
-    """Give every memoized function of the package an empty memo, shared by
-    all the modules that import it, for the duration of a test."""
-    from overlap_lab import cli, exprio, graphs, lab, operators
+def package_modules() -> list:
+    """The package and each of its modules."""
+    import overlap_lab
 
-    fresh = {}
-    for module in (graphs, operators, exprio, lab, cli):
-        for name, f in list(vars(module).items()):
-            if hasattr(f, "cache_info") and hasattr(f, "__wrapped__"):
-                if id(f) not in fresh:
-                    fresh[id(f)] = functools.lru_cache(maxsize=None)(f.__wrapped__)
-                monkeypatch.setattr(module, name, fresh[id(f)])
-    monkeypatch.setattr(operators, "_matrix_lists", {})
+    return [overlap_lab] + [importlib.import_module(f"overlap_lab.{info.name}")
+                            for info in pkgutil.iter_modules(overlap_lab.__path__)]
+
+
+@contextlib.contextmanager
+def empty_memos():
+    """Give every memoized function of the package an empty memo, shared by
+    all the modules that import it, and the component and pair-count matrix
+    memos empty dicts, until the block exits."""
+    from overlap_lab import graphs, operators
+
+    with pytest.MonkeyPatch.context() as patch:
+        fresh = {}
+        for module in package_modules():
+            for name, f in list(vars(module).items()):
+                if hasattr(f, "cache_info") and hasattr(f, "__wrapped__"):
+                    if id(f) not in fresh:
+                        fresh[id(f)] = functools.lru_cache(maxsize=None)(f.__wrapped__)
+                    patch.setattr(module, name, fresh[id(f)])
+        patch.setattr(graphs, "_component_memo", {})
+        patch.setattr(operators, "_matrix_lists", {})
+        yield
+
+
+@pytest.fixture
+def fresh_memos():
+    """:func:`empty_memos` for the duration of a test."""
+    with empty_memos():
+        yield
 
 
 def random_multigraph(rnd: random.Random, max_vertices=5, max_edges=3,

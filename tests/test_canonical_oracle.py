@@ -5,21 +5,21 @@ graphs, K4,4, the Petersen graph, the 3-cube, and copies with doubled edges
 and with legs), two multigraphs get the same canonical form exactly when
 ``networkx.is_isomorphic`` says they are isomorphic, edge multiplicity and
 leg count carried as attributes.  The search itself is checked by the
-leaves it visits, not by wall time.  The two component memos, keyed by
-labels normalized to 1..k in label order and then in the order of the root
-refinement's cells, are checked against a memo-free search on the raw
+leaves it visits, not by wall time.  The component memo, keyed by labels
+normalized to 1..k in label order and by labels in the order of the root
+refinement's cells, is checked against a memo-free search on the raw
 labels.
 """
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import multigraphs
+from conftest import empty_memos, multigraphs
 from overlap_lab import Multigraph, canonicalize, compose, graphs, make_multigraph, relabel
 
 
@@ -144,10 +144,18 @@ def test_canonical_form_is_a_complete_invariant(family):
             assert same == isomorphic(a, b), (family, name, a, b)
 
 
+def searched_encoding(legs, edges):
+    """A component's encoding by a fresh canonical search on its own labels,
+    with no memo read or written."""
+    search = graphs._Search(tuple(legs), tuple(edges))
+    search.search(graphs._refine(graphs._initial_cells(search.adj, dict(legs)), search.adj))
+    return search.best
+
+
 def search_leaves(edges, legs=()):
     """Leaves one uncached canonical search visits."""
     before = graphs.work_counts()["search_leaves"]
-    graphs._searched_encoding.__wrapped__(tuple(legs), tuple(edges))
+    searched_encoding(legs, edges)
     return graphs.work_counts()["search_leaves"] - before
 
 
@@ -207,8 +215,7 @@ def memo_free_canonical(g):
             parts[root(v)][0].append((v, n))
         else:
             encodings.append((1, ((1, n),), ()))
-    encodings += [graphs._searched_encoding.__wrapped__(tuple(legs), tuple(edges))
-                  for legs, edges in parts.values()]
+    encodings += [searched_encoding(legs, edges) for legs, edges in parts.values()]
     out_edges, out_legs, offset = [], [], 0
     for k, legs, edges in sorted(encodings):
         out_legs += [(v + offset, n) for v, n in legs]
@@ -276,7 +283,7 @@ SYMMETRIC_WITH_LEGS = {
 @pytest.mark.parametrize("family", sorted(SYMMETRIC_WITH_LEGS))
 def test_symmetric_graphs_with_legs_equal_memo_free_search(family):
     # The root refinement leaves cells of several vertices here, so copies
-    # meet the search memo under labels in several orders.
+    # meet the root-order key under labels in several orders.
     edges, legs = SYMMETRIC_WITH_LEGS[family]
     base = make_multigraph(edges, legs)
     rnd = random.Random(family)
@@ -300,3 +307,48 @@ def test_a_shape_under_two_labelings_is_searched_once(fresh_memos):
     assert after["search_leaves"] == leaves == before["search_leaves"] + 1
     assert after["component_encodings_computed"] - before["component_encodings_computed"] == 2
     assert after["component_searches"] - before["component_searches"] == 1
+
+
+def test_a_cold_miss_refines_the_root_once(fresh_memos, monkeypatch):
+    # The search starts from the root refinement the memo's second key is
+    # read from; the refinement is not computed again for it.
+    initial_cells, calls = graphs._initial_cells, []
+
+    def counted(adj, leg_at):
+        calls.append(len(adj))
+        return initial_cells(adj, leg_at)
+
+    monkeypatch.setattr(graphs, "_initial_cells", counted)
+    graphs.canonicalize(make_multigraph([(i, j, 1) for i, j in complete(5)]))
+    assert calls == [5]
+
+
+def test_a_copy_on_its_root_order_is_reused(fresh_memos):
+    # The memo holds each component under its root-order key as well, so a
+    # copy labelled in the order of the root refinement's cells is a hit.
+    a = make_multigraph([(1, 2, 2), (2, 3, 1), (3, 4, 1)], [(4, 1)])
+    adj = graphs._Search(a.legs, a.edges).adj
+    cells = graphs._refine(graphs._initial_cells(adj, dict(a.legs)), adj)
+    copy = relabel(a, {v: pos for pos, v in enumerate(chain.from_iterable(cells), 1)})
+    assert copy != a
+    graphs.canonicalize(a)
+    before = graphs.work_counts()
+    assert graphs.canonicalize(copy) == graphs.canonicalize(a)
+    after = graphs.work_counts()
+    assert after["component_encodings_computed"] == before["component_encodings_computed"]
+    assert after["component_encodings_reused"] == before["component_encodings_reused"] + 1
+
+
+@given(st.lists(multigraphs(max_vertices=6, max_edges=6), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_lookup_order_does_not_change_a_form(gs, rnd):
+    # A shape met first under one key answers later lookups under the other
+    # kind; canonicalizing the same graphs in another order, from empty
+    # memos, must give every graph the same form.
+    inputs = [h for g in gs for h in (g, gapped(rnd, g), gapped(rnd, g))]
+    forms = []
+    for order in (inputs, rnd.sample(inputs, len(inputs))):
+        with empty_memos():
+            forms.append({g: graphs.canonicalize(g) for g in order})
+    assert forms[0] == forms[1]

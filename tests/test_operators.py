@@ -491,8 +491,9 @@ class TestWorkBudget:
 
     def test_refused_inside_a_canonical_search(self, monkeypatch, fresh_memos):
         k5 = make_multigraph([(i, j, 1) for i in range(1, 6) for j in range(i + 1, 6)])
-        # Its canonical form and two root refinements spend 10 + 25 + 25
-        # units; the search's first child refinement is over.
+        # Its canonical form, root refinement and the search's first child
+        # refinement spend 10 + 25 + 21 units; the grandchild's refinement
+        # (17 more) is over.
         monkeypatch.setattr(graphs, "WORK_BUDGET", 60)
         with pytest.raises(BudgetError) as exc:
             graphs.canonicalize(k5)
@@ -514,7 +515,7 @@ class TestWorkBudget:
         assert cold > 0 and graphs.work_counts()["work_units"] - before == cold
         # So a warm call can pass where the same call, cold, was refused.
         default = graphs.WORK_BUDGET
-        monkeypatch.setattr(graphs, "WORK_BUDGET", 2000)  # cold 9,663, warm 1,871
+        monkeypatch.setattr(graphs, "WORK_BUDGET", 2000)  # cold 9,306, warm 1,871
         with pytest.raises(BudgetError):
             theorem_verify(G12, 3)
         monkeypatch.setattr(graphs, "WORK_BUDGET", default)

@@ -7,7 +7,6 @@ check below runs with the collector off and asks it afterwards whether it
 finds anything to free.
 """
 
-import functools
 import gc
 import hashlib
 
@@ -32,19 +31,19 @@ PETERSEN = graph([(i, i % 5 + 1) for i in range(1, 6)]
 
 
 def test_search_answers_and_work_are_pinned(fresh_memos, monkeypatch):
-    # The memo's entries and the leaves visited after the cold verify of P4
-    # and C4 at n=3 and the four empty-word graphs of the benchmark's
-    # algebra workload.  A rewrite of the search must find the same minimum
-    # for every component it meets, by the same walk.
+    # The encodings of the components looked up, by their label-order keys,
+    # and the leaves visited in the cold verify of P4 and C4 at n=3 and the
+    # four empty-word graphs of the benchmark's algebra workload.  A rewrite
+    # of the search must find the same minimum for every component it
+    # meets, by the same walk.
     memo = {}
-    search = graphs._component_encoding.__wrapped__
+    encoding = graphs._component_encoding
 
     def recording(legs, edges):
-        memo[legs, edges] = enc = search(legs, edges)
+        memo[legs, edges] = enc = encoding(legs, edges)
         return enc
 
-    recorded = functools.lru_cache(maxsize=None)(recording)
-    monkeypatch.setattr(graphs, "_component_encoding", recorded)
+    monkeypatch.setattr(graphs, "_component_encoding", recording)
     before = graphs.work_counts()["search_leaves"]
     for g in (P4, C4):
         assert operators.theorem_verify(g, 3).equal

@@ -8,7 +8,8 @@ package itself holds no ``assert`` statement, so its checks run under
 ``python -O`` as well, and no nested function that reaches itself through
 its closure, so no call leaves a reference cycle behind.  ``operators``
 takes none of graphs' component-encoding internals.  Every constant the
-README names in backticks is defined in a module of the package.
+README names in backticks is defined in a module of the package.  The
+``fresh_memos`` fixture empties every memo of the package.
 """
 
 import ast
@@ -19,6 +20,7 @@ import sys
 
 import overlap_lab
 import overlap_lab.cli  # the worker imports it before tracing
+from conftest import package_modules
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -130,7 +132,7 @@ def test_no_nested_function_reaches_itself():
 #: graphs' component-encoding internals: the ``(k, legs, edges)`` format
 #: stays inside graphs.
 ENCODING_INTERNALS = {"_assemble", "_encodings", "_encode", "_component_encoding",
-                      "_searched_encoding"}
+                      "_component_memo"}
 
 
 def test_operators_reads_no_component_encoding():
@@ -158,3 +160,21 @@ def test_readme_names_only_defined_constants():
                if name.endswith(".py") and name != "__init__.py"]
     undefined = {name for name in named if not any(hasattr(m, name) for m in modules)}
     assert undefined == set()
+
+
+def test_fresh_memos_empties_every_memo(request):
+    # A memo the fixture left warm would let a test of a cold path read hits.
+    graphs, operators = overlap_lab.graphs, overlap_lab.operators
+    p4 = overlap_lab.make_multigraph([(1, 2, 1), (2, 3, 1), (3, 4, 1)])
+    assert operators.theorem_verify(p4, 2).equal
+    assert graphs._component_memo and operators._delta_term.cache_info().currsize
+    request.getfixturevalue("fresh_memos")
+    warm = [f"{module.__name__}.{name}" for module in package_modules()
+            for name, f in vars(module).items()
+            if hasattr(f, "cache_info") and f.cache_info().currsize]
+    assert warm == []
+    filled = [f"{module.__name__}.{name}" for module in (graphs, operators)
+              for name, value in vars(module).items()
+              if isinstance(value, dict) and not name.startswith("__")
+              and value is not graphs.work and value]
+    assert filled == []
