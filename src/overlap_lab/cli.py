@@ -6,7 +6,13 @@ violation beyond tolerance, 2 usage, parse, or budget errors.  Option
 precedence: command-line flags override the JSON config file, whose values
 are converted and checked like the flags they name, which overrides the
 defaults declared on the parser.  JSON output carries a ``payload`` section
-whose sha256 is stable across reruns; wall times live under ``timings``.
+whose sha256 is stable across reruns.
+
+Each ``cmd_*`` function parses its inputs, computes, and returns its exit
+code, JSON report and text lines.  :func:`main` alone builds the envelope
+of every report: it lifts Python's limit on the digits of an integer
+written as text around the command, puts the command's wall time and the
+work it counted under ``timings``, and writes the output once.
 """
 
 from __future__ import annotations
@@ -82,23 +88,23 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="quadrature nodes per dimension")
 
     p = sub.add_parser("expand", help="apply an operator word to a monomial")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph")
     p.add_argument("--word", default="",
                    help="tokens: d (derivation), C (contraction), D (C d d)")
     add_common(p)
 
     p = sub.add_parser("verify", help="check the contraction-power identity")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph")
     p.add_argument("--n", type=int, default=1)
     add_common(p)
 
     p = sub.add_parser("counts", help="term counts for the identity's two sides")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph")
     p.add_argument("--n", type=int, default=1)
     add_common(p)
 
     p = sub.add_parser("estimate", help="quenched/deformed expectation of a polynomial")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph")
     p.add_argument("--lam", type=float, default=0.0, help="deformation strength")
     p.add_argument("--lambda-grid", dest="lambda_grid", type=lambda_grid,
                    help="comma-separated magnitudes for --curve-out "
@@ -109,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("identity", help="derivative vs stability-moment identity")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-6,
                    help="absolute tolerance (quadrature rows)")
@@ -170,6 +176,8 @@ def _options(argv: list[str]) -> dict:
         # The command is the first token; flags come after the config's.
         argv = [argv[0], *_config_argv(opts["config"], opts), *argv[1:]]
         opts = vars(parser.parse_args(argv))
+    if "graph" in opts and opts["graph"] is None:
+        raise ValueError("the following arguments are required: --graph")
     return opts
 
 
@@ -216,8 +224,8 @@ def _exact_digits():
     """Let integers of any length be written as text inside the block.
     Python refuses by default to convert one of more than 4,300 digits,
     which an exact coefficient or term count can pass; the work budget
-    bounds them instead.  Input is parsed outside the block, under
-    Python's limit."""
+    bounds them instead.  The expression parser keeps Python's bound on
+    the literals it reads, lifted or not."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit:
         sys.set_int_max_str_digits(0)
@@ -241,76 +249,43 @@ def _work_since(before: dict) -> dict:
     return {key: n - before[key] for key, n in _work_counts().items()}
 
 
-def cmd_expand(opts: dict) -> int:
+#: What a command returns: exit code, JSON report and text lines.
+Result = tuple[int, dict, list[str]]
+
+
+def cmd_expand(opts: dict) -> Result:
     word = _parse_word(opts["word"])
     graph = exprio.parse_monomial(opts["graph"])
-    before = _work_counts()
-    t0 = time.perf_counter()
-    result = apply_word(word, GraphPolynomial.monomial(graph))
-    wall = time.perf_counter() - t0
-    with _exact_digits():
-        text = exprio.format_polynomial(result)
-        doc = {
-            "type": "expansion",
-            "payload": {
-                "input": opts["graph"],
-                "word": opts["word"],
-                "result_polynomial": text,
-            },
-            "timings": {"wall_s": wall, **_work_since(before)},
-        }
-        _emit(opts, [text], doc)
-    return EXIT_OK
+    text = exprio.format_polynomial(apply_word(word, GraphPolynomial.monomial(graph)))
+    payload = {"input": opts["graph"], "word": opts["word"], "result_polynomial": text}
+    return EXIT_OK, {"type": "expansion", "payload": payload, "timings": {}}, [text]
 
 
-def cmd_verify(opts: dict) -> int:
-    graph = exprio.parse_monomial(opts["graph"])
-    before = _work_counts()
-    report = theorem_verify(graph, opts["n"])
-    with _exact_digits():
-        doc = exprio.as_jsonable(report)
-        doc["timings"].update(_work_since(before))
-        lines = [
-            f"graph: {exprio.format_monomial(report.graph)}",
-            f"n: {report.n}",
-            f"equal: {str(report.equal).lower()}",
-            f"raw terms: lhs={report.raw_lhs_terms} rhs={report.raw_rhs_terms}",
-            f"canonical terms: lhs={report.canonical_lhs_terms} "
-            f"rhs={report.canonical_rhs_terms}",
-            f"lhs: {exprio.format_polynomial(report.lhs)}",
-            f"rhs: {exprio.format_polynomial(report.rhs)}",
-        ]
-        _emit(opts, lines, doc)
-    return EXIT_OK if report.equal else EXIT_VIOLATION
+def cmd_verify(opts: dict) -> Result:
+    report = theorem_verify(exprio.parse_monomial(opts["graph"]), opts["n"])
+    doc = exprio.as_jsonable(report)
+    p = doc["payload"]
+    lines = [
+        f"graph: {p['graph']}",
+        f"n: {p['n']}",
+        f"equal: {str(p['equal']).lower()}",
+        f"raw terms: lhs={p['raw_lhs_terms']} rhs={p['raw_rhs_terms']}",
+        f"canonical terms: lhs={p['canonical_lhs_terms']} rhs={p['canonical_rhs_terms']}",
+        f"lhs: {p['lhs']}",
+        f"rhs: {p['rhs']}",
+    ]
+    return EXIT_OK if report.equal else EXIT_VIOLATION, doc, lines
 
 
-def cmd_counts(opts: dict) -> int:
-    graph = exprio.parse_monomial(opts["graph"])
-    before = _work_counts()
-    report = theorem_verify(graph, opts["n"])
-    with _exact_digits():
-        doc = exprio.as_jsonable(report)
-        doc["type"] = "term_counts"
-        doc["timings"].update(_work_since(before))
-        for key in ("lhs", "rhs", "equal"):
-            del doc["payload"][key]
-        lines = [
-            f"raw_lhs={report.raw_lhs_terms} raw_rhs={report.raw_rhs_terms} "
-            f"canonical_lhs={report.canonical_lhs_terms} "
-            f"canonical_rhs={report.canonical_rhs_terms}"
-        ]
-        _emit(opts, lines, doc)
-    return EXIT_OK
-
-
-def _estimate_text(est: lab.QuenchedEstimate) -> str:
-    line = (
-        f"mean={est.mean!r} stderr={est.stderr!r} samples={est.samples} "
-        f"seed={est.seed} method={est.method}"
-    )
-    if est.truncation is not None:
-        line += f" truncation={est.truncation!r}"
-    return line
+def cmd_counts(opts: dict) -> Result:
+    report = theorem_verify(exprio.parse_monomial(opts["graph"]), opts["n"])
+    doc = exprio.as_jsonable(report, omit=("lhs", "rhs", "equal"))
+    doc["type"] = "term_counts"
+    p = doc["payload"]
+    line = (f"raw_lhs={p['raw_lhs_terms']} raw_rhs={p['raw_rhs_terms']} "
+            f"canonical_lhs={p['canonical_lhs_terms']} "
+            f"canonical_rhs={p['canonical_rhs_terms']}")
+    return EXIT_OK, doc, [line]
 
 
 def _lambda_grid(opts: dict) -> tuple[float, ...]:
@@ -322,7 +297,7 @@ def _lambda_grid(opts: dict) -> tuple[float, ...]:
     return lab.DeformationConfig().lambda_grid if grid is None else grid
 
 
-def cmd_estimate(opts: dict) -> int:
+def cmd_estimate(opts: dict) -> Result:
     from . import lab
 
     model = _build_model(opts)
@@ -333,15 +308,13 @@ def cmd_estimate(opts: dict) -> int:
             return lab.quadrature_expectation(model, poly, lam, opts["nodes"])
         return lab.deformed_expectation(model, poly, lam, opts["samples"], opts["seed"])
 
-    t0 = time.perf_counter()
     est = estimate(opts["lam"])
-    wall = time.perf_counter() - t0
     doc = exprio.as_jsonable(est)
-    doc["payload"]["model"] = exprio._model_dict(model)
-    doc["payload"]["graph"] = opts["graph"]
-    doc["payload"]["lambda"] = opts["lam"]
-    doc["timings"]["wall_s"] = wall
-    lines = [_estimate_text(est)]
+    doc["payload"].update({"model": exprio._model_dict(model), "graph": opts["graph"],
+                           "lambda": opts["lam"]})
+    line = (f"mean={est.mean!r} stderr={est.stderr!r} samples={est.samples} "
+            f"seed={est.seed} method={est.method}")
+    lines = [line if est.truncation is None else f"{line} truncation={est.truncation!r}"]
     if opts["curve_out"]:
         grid = sorted(set(_lambda_grid(opts)) | {0.0})
         with open(opts["curve_out"], "w", encoding="utf-8") as fh:
@@ -350,11 +323,11 @@ def cmd_estimate(opts: dict) -> int:
                 row = estimate(lam)
                 fh.write(f"{lam!r},{row.mean!r},{row.stderr!r}\n")
         lines.append(f"curve written to {opts['curve_out']}")
-    _emit(opts, lines, doc)
-    return EXIT_OK
+    return EXIT_OK, doc, lines
 
 
-def _identity_lines(report: lab.IdentityReport) -> list[str]:
+def _check(report: lab.IdentityReport) -> Result:
+    """Exit code, JSON report and text lines of an identity or baseline check."""
     lines = [f"check: {report.label}  method={report.method} "
              f"samples={report.samples} seed={report.seed}"]
     if report.model is not None:
@@ -366,34 +339,29 @@ def _identity_lines(report: lab.IdentityReport) -> list[str]:
             f"tol {row.tolerance:.3g}) -> {'ok' if row.passed else 'VIOLATION'}"
         )
     lines.append(f"passed: {str(report.passed).lower()}")
-    return lines
+    return EXIT_OK if report.passed else EXIT_VIOLATION, exprio.as_jsonable(report), lines
 
 
-def cmd_identity(opts: dict) -> int:
+def cmd_identity(opts: dict) -> Result:
     from . import lab
 
     model = _build_model(opts)
     graph = exprio.parse_monomial(opts["graph"])
     config = lab.DeformationConfig(lambda_grid=_lambda_grid(opts))
-    report = lab.identity_check(
+    return _check(lab.identity_check(
         model, graph, opts["n"], opts["samples"], opts["seed"],
         config=config, method=opts["method"],
         tol=opts["tol"], lemma_lambda=opts["lemma_lambda"], n_nodes=opts["nodes"],
-    )
-    _emit(opts, _identity_lines(report), exprio.as_jsonable(report))
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    ))
 
 
-def cmd_baseline(opts: dict) -> int:
+def cmd_baseline(opts: dict) -> Result:
     from . import lab
 
-    model = _build_model(opts)
-    report = lab.wick_baseline_check(
-        model, opts["samples"], opts["seed"],
+    return _check(lab.wick_baseline_check(
+        _build_model(opts), opts["samples"], opts["seed"],
         method=opts["method"], n_nodes=opts["nodes"],
-    )
-    _emit(opts, _identity_lines(report), exprio.as_jsonable(report))
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    ))
 
 
 _COMMANDS = {
@@ -409,7 +377,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         opts = _options(sys.argv[1:] if argv is None else list(argv))
-        return _COMMANDS[opts["command"]](opts)
+        before = _work_counts()
+        t0 = time.perf_counter()
+        with _exact_digits():
+            code, doc, lines = _COMMANDS[opts["command"]](opts)
+            doc["timings"].update(wall_s=time.perf_counter() - t0, **_work_since(before))
+            _emit(opts, lines, doc)
+        return code
     except SystemExit as exc:  # argparse has printed its message
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except BudgetError as exc:

@@ -11,7 +11,9 @@ Grammar (ASCII only, whitespace ignored):
 ``1`` denotes the empty monomial; exponents bind to the immediately
 preceding factor and must be positive; vertex labels are positive integers.
 Repeated factors accumulate their multiplicities.  Parse errors carry the
-byte offset of the offending character.
+byte offset of the offending character.  An integer literal longer than
+the interpreter's bound on integer digits (4,300 by default) is refused
+whether or not a caller has lifted that bound.
 
 A JSON report is ``{"type", "payload", "timings"}``.  The payload holds the
 fields of the report dataclass (``TheoremReport``, ``QuenchedEstimate``,
@@ -25,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 import types
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -74,12 +77,20 @@ def _skip_ws(s: str, i: int) -> int:
     return i
 
 
+#: The interpreter's bound on the digits of an integer read from text, as
+#: set at import (0: no bound).
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _scan_int(s: str, i: int) -> tuple[int, int]:
     start = i
     while i < len(s) and s[i].isdigit():
         i += 1
     if i == start:
         raise ExpressionParseError("expected an integer", start)
+    if _MAX_DIGITS and i - start > _MAX_DIGITS:
+        raise ExpressionParseError(
+            f"integer of {i - start} digits exceeds the limit ({_MAX_DIGITS} digits)", start)
     return int(s[start:i]), i
 
 
@@ -289,13 +300,15 @@ def _encode(value):
     return value
 
 
-def as_jsonable(obj) -> dict[str, Any]:
+def as_jsonable(obj, omit: tuple[str, ...] = ()) -> dict[str, Any]:
     """Convert a report object to a JSON-ready dict with a ``type`` tag and
-    a ``payload``/``timings`` split (timestamps stay out of the payload)."""
+    a ``payload``/``timings`` split (timestamps stay out of the payload);
+    the fields named in ``omit`` are left out unencoded."""
     tag = next((t for t, cls in _REPORTS.items() if cls() is type(obj)), None)
     if tag is None:
         raise TypeError(f"no JSON form for {type(obj).__name__}")
-    payload = _encode(obj)
+    payload = {f.name: _encode(getattr(obj, f.name))
+               for f in dataclasses.fields(obj) if f.name not in omit}
     timings = {"wall_s": payload.pop("wall_time_s")} if "wall_time_s" in payload else {}
     return {"type": tag, "payload": payload, "timings": timings}
 

@@ -201,6 +201,26 @@ class TestWorkCounters:
         assert warm["component_encodings_computed"] == warm["pair_count_matrices"] == 0
         assert docs[0]["payload_sha256"] == docs[1]["payload_sha256"]
 
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--graph", "{1,2}", "--word", "D"),
+        ("verify", "--graph", "{1,2}", "--n", "1"),
+        ("counts", "--graph", "{1,2}", "--n", "1"),
+        ("estimate", "--N", "2", "--graph", "{1,2}", "--samples", "16"),
+        ("identity", "--N", "2", "--graph", "{1,2}", "--method", "quadrature",
+         "--nodes", "8"),
+        ("baseline", "--N", "2", "--samples", "16"),
+    ], ids=lambda argv: argv[0])
+    def test_every_command_reports_the_same_timings(self, capsys, fresh_memos, argv):
+        docs = [json.loads(run(capsys, *argv, "--json")[1]) for _ in range(2)]
+        for doc in docs:
+            assert {"wall_s", "work_units", *COUNTERS} <= set(doc["timings"])
+            assert doc["timings"]["wall_s"] > 0
+            assert not set(COUNTERS) & set(doc["payload"])
+        assert docs[0]["payload_sha256"] == docs[1]["payload_sha256"]
+        # A cold identity counts the contractions of its big_delta too.
+        contracts = argv[0] in ("expand", "verify", "counts", "identity")
+        assert (docs[0]["timings"]["pair_count_matrices"] > 0) == contracts
+
 
 def test_work_of_a_cold_verify_is_pinned(capsys, fresh_memos):
     # Deterministic work counts guard the operators' savings without timing
@@ -219,6 +239,14 @@ def test_work_units_of_a_cold_verify_are_pinned(capsys, fresh_memos):
     assert json.loads(run(capsys, *argv)[1])["timings"]["work_units"] == 66059
 
 
+def assert_graph_required(capsys, command):
+    """``command`` without a graph, by flag or config, exits 2 with one
+    ``error:`` line that names ``--graph``."""
+    code, out, err = run(capsys, command)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "--graph" in err
+
+
 class TestVerify:
     def test_equal_exits_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--graph", "{1,2}", "--n", "2")
@@ -235,7 +263,11 @@ class TestVerify:
         assert code == EXIT_USAGE and "refused" in err
 
     def test_missing_required_flag_exits_two(self, capsys):
-        assert main(["verify"]) == EXIT_USAGE
+        assert_graph_required(capsys, "verify")
+
+    @pytest.mark.parametrize("command", ["expand", "counts", "estimate", "identity"])
+    def test_other_commands_require_a_graph(self, capsys, command):
+        assert_graph_required(capsys, command)
 
 
 class TestVerifyPayloads:
@@ -507,6 +539,20 @@ class TestConfigPrecedence:
             "--workers", "2",
         )
         assert code == EXIT_USAGE and "--workers" in err
+
+    def test_config_graph_takes_effect(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "{1,2}", "word": "C d d"}))
+        code, out, _ = run(capsys, "expand", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == "2{1,2}^2 - 8{1,2}{1,3} + 6{1,2}{3,4}\n"
+
+    def test_graph_flag_overrides_config_graph(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "{1,2}{2,3}", "word": "C d d"}))
+        code, out, _ = run(capsys, "expand", "--graph", "{1,2}", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == "2{1,2}^2 - 8{1,2}{1,3} + 6{1,2}{3,4}\n"
 
     @pytest.mark.parametrize("key", ["sampels", "workers"])
     def test_unknown_config_key_refused(self, capsys, tmp_path, key):

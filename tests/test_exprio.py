@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,25 @@ class TestParseMonomial:
     def test_unicode_minus_rejected(self):
         with pytest.raises(ExpressionParseError, match="non-ASCII"):
             parse_monomial("{1,2}−{1,3}")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python has no int digit limit")
+    @pytest.mark.parametrize("parse, text, offset", [
+        (parse_monomial, "{1}^" + "9" * 4400, 4),
+        (parse_polynomial, "9" * 4400 + "{1,2}", 0),
+    ], ids=["exponent", "coefficient"])
+    def test_long_literal_refused_with_the_limit_lifted(self, parse, text, offset):
+        # The parser keeps the interpreter's bound on integer digits itself,
+        # so a caller that lifts it to write long results still reads
+        # bounded input.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ExpressionParseError, match=f"{limit} digits") as exc:
+                parse(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert exc.value.offset == offset
 
 
 class TestPolynomialText:

@@ -6,7 +6,9 @@ reads ``graphs.canonicalize.cache_info()`` in every pass; renaming or
 deleting one of them would otherwise surface only in a benchmark run.  The
 package itself holds no ``assert`` statement, so its checks run under
 ``python -O`` as well, and no nested function that reaches itself through
-its closure, so no call leaves a reference cycle behind.  ``operators``
+its closure, so no call leaves a reference cycle behind.  Only
+``cli.main`` times a command, counts its work, lifts the digit limit and
+writes its output.  ``operators``
 takes none of graphs' component-encoding internals.  Every constant the
 README names in backticks is defined in a module of the package.  The
 ``fresh_memos`` fixture empties every memo of the package.
@@ -126,6 +128,32 @@ def test_no_nested_function_reaches_itself():
                         frontier.append(callee)
                 if name in reached:
                     found.append(f"{path}:{f.lineno} {scope.name}.{name}")
+    assert found == []
+
+
+#: The parts of a report's envelope that only ``cli.main`` may use.
+ENVELOPE = {"_emit", "_exact_digits", "_work_counts", "_work_since", "perf_counter"}
+
+
+def test_only_main_builds_a_report_envelope():
+    # Each command returns its report; building the envelope in one place
+    # keeps every command's timings, digit limit and output alike.
+    path = os.path.join(ROOT, "src", "overlap_lab", "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+
+    def used(node):
+        return ({sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+                | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)})
+
+    main = next(node for node in tree.body
+                if isinstance(node, FUNCTIONS) and node.name == "main")
+    assert ENVELOPE <= used(main)
+    # The envelope's own helpers may call each other (_work_since reads
+    # _work_counts); no other code may reach them.
+    found = [f"{path}:{node.lineno} {sorted(used(node) & ENVELOPE)}" for node in tree.body
+             if not (isinstance(node, FUNCTIONS) and node.name in ENVELOPE | {"main"})
+             and used(node) & ENVELOPE]
     assert found == []
 
 
