@@ -25,11 +25,12 @@ print("-" * 62)
 t_total = time.perf_counter()
 for g in GRAPHS:
     for n in (0, 1, 2, 3):
+        t0 = time.perf_counter()
         rep = theorem_verify(g, n)
         print(
             f"{format_monomial(g):>18} {n:>2} {str(rep.equal):>6} "
             f"{rep.raw_lhs_terms:>5}/{rep.raw_rhs_terms:<6} "
-            f"{rep.canonical_lhs_terms:>5} {rep.wall_time_s:>7.3f}s"
+            f"{rep.canonical_lhs_terms:>5} {time.perf_counter() - t0:>7.3f}s"
         )
         assert rep.equal
 

@@ -17,9 +17,9 @@ whether or not a caller has lifted that bound.
 
 A JSON report is ``{"type", "payload", "timings"}``.  The payload holds the
 fields of the report dataclass (``TheoremReport``, ``QuenchedEstimate``,
-``IdentityReport`` with its ``IdentityRow``s), except ``wall_time_s``, which
-goes to ``timings.wall_s``; :func:`from_json` reads the same fields back,
-checked against their type hints.
+``IdentityReport`` with its ``IdentityRow``s); the command line puts its
+wall time and work counters under ``timings``.  :func:`from_json` reads the
+payload fields back, checked against their type hints.
 """
 
 from __future__ import annotations
@@ -301,16 +301,15 @@ def _encode(value):
 
 
 def as_jsonable(obj, omit: tuple[str, ...] = ()) -> dict[str, Any]:
-    """Convert a report object to a JSON-ready dict with a ``type`` tag and
-    a ``payload``/``timings`` split (timestamps stay out of the payload);
-    the fields named in ``omit`` are left out unencoded."""
+    """Convert a report object to a JSON-ready dict with a ``type`` tag, a
+    ``payload`` of its fields, less those named in ``omit``, and empty
+    ``timings`` for the caller to fill."""
     tag = next((t for t, cls in _REPORTS.items() if cls() is type(obj)), None)
     if tag is None:
         raise TypeError(f"no JSON form for {type(obj).__name__}")
     payload = {f.name: _encode(getattr(obj, f.name))
                for f in dataclasses.fields(obj) if f.name not in omit}
-    timings = {"wall_s": payload.pop("wall_time_s")} if "wall_time_s" in payload else {}
-    return {"type": tag, "payload": payload, "timings": timings}
+    return {"type": tag, "payload": payload, "timings": {}}
 
 
 def to_json(obj) -> str:
@@ -374,7 +373,5 @@ def from_json(text: str):
     if tag not in _REPORTS:
         raise JsonSchemaError(f"unknown report type {tag!r}")
     cls = _REPORTS[tag]()
-    payload = dict(_need(doc, "payload", dict))
-    if "wall_time_s" in {f.name for f in dataclasses.fields(cls)}:
-        payload["wall_time_s"] = (_need(doc, "timings", dict | None) or {}).get("wall_s", 0.0)
-    return _decode_fields(cls, payload, "")
+    _need(doc, "timings", dict | None)  # the command line's; if present, an object
+    return _decode_fields(cls, _need(doc, "payload", dict), "")

@@ -36,12 +36,17 @@ Conventions that the reproducibility contract depends on:
   once per process, and the rules are read-only.
 * Whenever an identity compares two estimates, both sides are computed from
   the same draws within each sample (common random numbers).
+* One budget bounds what the lab runs: ``LAB_WORK_BUDGET`` units of
+  floating-point work (multiply-adds) and ``LAB_MEMORY_BUDGET`` bytes.  A
+  model is refused on its site count, when its 2^N x 2^N overlap cannot
+  fit; a run is refused when its nodes times their work per node, or its
+  arrays and result slots, are over the budget.  Both checks come before
+  anything of that size is built or any node is drawn.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import product
@@ -52,8 +57,8 @@ from .graphs import GraphPolynomial, Multigraph, canonicalize
 from .operators import BudgetError, _as_poly, big_delta, double_factorial
 
 __all__ = [
-    "DEFAULT_REPLICA_BUDGET",
-    "MAX_ENUMERATED_SITES",
+    "LAB_MEMORY_BUDGET",
+    "LAB_WORK_BUDGET",
     "MAX_MC_SAMPLES",
     "MAX_QUADRATURE_NODES",
     "ModelInstance",
@@ -77,13 +82,21 @@ __all__ = [
     "stability_deviation",
 ]
 
-#: Refuse replica sums needing more than this many joint Gibbs states.
-DEFAULT_REPLICA_BUDGET = 2**24
+#: Most units of floating-point work (one per multiply-add) in one run.
+LAB_WORK_BUDGET = 2**39
 
-#: Exact enumeration keeps the full 2^N x 2^N overlap matrix in memory.
-MAX_ENUMERATED_SITES = 10
+#: Most bytes one model or run may hold.
+LAB_MEMORY_BUDGET = 2**30
 
-_SK_MIN_SPINS, _SK_MAX_SPINS = 2, 5
+
+def _check_budget(what: str, units: int, nbytes: int):
+    """Refuse ``what`` if it needs more than ``LAB_WORK_BUDGET`` units of
+    work or ``LAB_MEMORY_BUDGET`` bytes, naming each size as a power of two.
+    Callers count before they build anything of that size."""
+    if units > LAB_WORK_BUDGET or nbytes > LAB_MEMORY_BUDGET:
+        units, nbytes = (f"2^{math.log2(max(x, 1)):.1f}" for x in (units, nbytes))
+        raise BudgetError(f"{what} needs at least {units} work units and {nbytes} bytes, "
+                          "over LAB_WORK_BUDGET or LAB_MEMORY_BUDGET")
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,13 @@ class ModelInstance:
     beta: float
     n_sites: int
     dims: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        # The overlap holds 4^N floats, built with at least one unit each.
+        # N is capped just past the budget's bit length first, so that a
+        # huge N is refused without forming 2^N.
+        n, k = self.n_sites, min(self.n_sites, LAB_MEMORY_BUDGET.bit_length())
+        _check_budget(f"{self.kind} model with a 2^{n} x 2^{n} overlap", 4**k, 8 * 4**k)
 
     @property
     def n_configs(self) -> int:
@@ -156,11 +176,9 @@ class ModelInstance:
 
 
 def sk_model(n_spins: int, beta: float) -> ModelInstance:
-    if not _SK_MIN_SPINS <= n_spins <= _SK_MAX_SPINS:
-        raise ValueError(
-            f"SK spin count must be in [{_SK_MIN_SPINS}, {_SK_MAX_SPINS}], got {n_spins}"
-        )
-    _check_beta(beta)
+    if n_spins < 2:
+        raise ValueError(f"SK needs at least 2 spins, got {n_spins}")
+    _check_nonnegative("beta", beta)
     return ModelInstance(kind="sk", beta=float(beta), n_sites=n_spins)
 
 
@@ -168,22 +186,11 @@ def ea_model(dims, beta: float) -> ModelInstance:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"lattice dimensions must be positive, got {dims}")
-    n_sites = math.prod(dims)
-    if n_sites > MAX_ENUMERATED_SITES:
-        raise BudgetError(
-            f"{n_sites} sites exceed the exact-enumeration bound of "
-            f"{MAX_ENUMERATED_SITES}"
-        )
-    _check_beta(beta)
-    model = ModelInstance(kind="ea", beta=float(beta), n_sites=n_sites, dims=dims)
+    _check_nonnegative("beta", beta)
+    model = ModelInstance(kind="ea", beta=float(beta), n_sites=math.prod(dims), dims=dims)
     if not model.bonds:
         raise ValueError(f"lattice {dims} has no nearest-neighbor bonds")
     return model
-
-
-def _check_beta(beta: float):
-    if not math.isfinite(beta) or beta < 0:
-        raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
 
 
 def _check_finite(name: str, value: float):
@@ -191,9 +198,9 @@ def _check_finite(name: str, value: float):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _check_tol(tol: float):
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+def _check_nonnegative(name: str, value: float):
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _neg_energy(model: ModelInstance, couplings: np.ndarray) -> np.ndarray:
@@ -322,24 +329,27 @@ class _PolyMoments:
     per-term row count, which keeps every intermediate within
     ``_CHUNK_FLOATS`` unless one row exceeds it (K4 on 64 configurations),
     and drops each register after its last use.
+
+    The program also gives the evaluator's cost, for the lab budget:
+    ``flops`` per weight row, n_configs to the number of letters in a
+    step's inputs for each distinct step, ``powers``, the overlap powers it
+    holds, and ``row_bytes``, its widest register on one row slice.  The
+    powers are built on the first evaluation, power 1 being the model's
+    overlap itself.
     """
 
     def __init__(self, model, poly):
         nc = model.n_configs
-        registers: list = [None]  # register 0 holds the weights' row slice
-        powers: dict[int, int] = {}  # overlap power -> its register
+        self._model = model
+        self._held: list = [None]  # a register's overlap power, or None; 0 holds the weights
+        self.powers: dict[int, int] = {}  # overlap power -> its register
         shared: dict[tuple, int] = {}  # canonical step -> its register
         program = []  # (register, input registers, kernel)
         self._terms = []  # (coeff, result register)
         self._constant = 0.0
-        rows = []
+        self.flops, widest, rows = 0, 0, []
         for g, coeff in poly.items():
             r = len(g.support)
-            if nc**r > DEFAULT_REPLICA_BUDGET:
-                raise BudgetError(
-                    f"term {g!r} needs {nc}^{r} = {nc**r} joint Gibbs states, "
-                    f"over the replica budget {DEFAULT_REPLICA_BUDGET}"
-                )
             if r == 0:
                 self._constant += float(coeff)
                 continue
@@ -347,29 +357,36 @@ class _PolyMoments:
             rows.append(term_rows)
             operands = [0] * r
             for _, _, m in g.edges:
-                if m not in powers:
-                    powers[m] = len(registers)
-                    registers.append(model.overlap**m)
-                operands.append(powers[m])
+                if m not in self.powers:
+                    self.powers[m] = len(self._held)
+                    self._held.append(m)
+                operands.append(self.powers[m])
             for taken, inputs, out in steps:
                 srcs = tuple(operands.pop(k) for k in taken)
                 key = (srcs, *_renamed(inputs, out))
                 if key not in shared:
-                    shared[key] = len(registers)
-                    registers.append(None)
+                    shared[key] = len(self._held)
+                    self._held.append(None)
                     program.append((shared[key], srcs, _kernel(*key[1:])))
+                    self.flops += nc ** len({c for sub in key[1] for c in sub if c.isalpha()})
+                    widest = max(widest, nc ** (len(key[2]) - 3))
                 operands.append(shared[key])
             self._terms.append((float(coeff), operands[0]))
         # a step's register is dropped after its last reader, unless a term
         # reads it at the end of the slice
-        kept = {k for _, k in self._terms} | set(powers.values()) | {0}
+        kept = {k for _, k in self._terms} | set(self.powers.values()) | {0}
         last = {k: pos for pos, (_, srcs, _) in enumerate(program) for k in srcs}
         self._program = [
             (dst, srcs, kernel, [k for k in set(srcs) - kept if last[k] == pos])
             for pos, (dst, srcs, kernel) in enumerate(program)
         ]
-        self._registers = registers
         self._rows = min(rows, default=_CHUNK_FLOATS)
+        self.row_bytes = 8 * self._rows * widest
+
+    @cached_property
+    def _registers(self) -> list:
+        overlap = self._model.overlap if self.powers else None
+        return [None if m is None else overlap if m == 1 else overlap**m for m in self._held]
 
     def value_grid(self, weights: np.ndarray) -> np.ndarray:
         """Batched evaluation: ``weights`` has shape (..., n_configs)."""
@@ -476,14 +493,15 @@ def replica_moment(model, couplings, lam, field_couplings, g) -> float:
     values.
     """
     evaluator = _PolyMoments(model, _leg_free_polynomial(g))
+    _check_run(f"term {g!r}", model, 1, 1 + (field_couplings is not None), 0, [(evaluator, 1)])
     weights = gibbs_weights(model, couplings, lam, field_couplings)
     return float(evaluator.value_grid(weights[None])[0])
 
 
 # --------------------------------------------------------------------------
 # Disorder averages.  A rule yields weighted disorder nodes, in chunks of
-# draws laid out as (nodes, slots, *coupling_shape): slot 0 holds the
-# Hamiltonian couplings, the next slots the field couplings.  One evaluator
+# draws laid out as (nodes, blocks, *coupling_shape): block 0 holds the
+# Hamiltonian couplings, the next blocks the field couplings.  One evaluator
 # runs every estimator over any rule.
 
 @dataclass(frozen=True)
@@ -606,33 +624,57 @@ def _rule(method, model, n_samples, seed, n_nodes, axes=_deformation_axes):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _evaluate(rule, draw_shape, width, per_node, fill) -> np.ndarray:
+def _check_run(what, model, nodes, blocks, width, uses):
+    """Refuse a run over the lab budget: ``nodes`` nodes on ``model`` (None
+    for none), each drawing ``blocks`` coupling blocks, passing weight rows
+    through evaluators, ``uses`` being (evaluator, rows per node) pairs, and
+    filling ``width`` result slots.  Work per node: the energy and field
+    products and each evaluator's program per row.  Bytes: the model's
+    arrays, each overlap power once, each evaluator's widest register, and
+    the slots with one column more for the spread of a column."""
+    units = sum(rows * ev.flops for ev, rows in uses)
+    nbytes = sum(ev.row_bytes for ev, _ in uses) + 8 * nodes * (width + 1)
+    if model is not None:
+        nc, nb = model.n_configs, len(model.bonds)
+        powers = {1}.union(*(ev.powers for ev, _ in uses))
+        units += blocks * nc * nb
+        nbytes += 8 * nc * (model.n_sites + nb + nc * len(powers))
+        what += f" on {model.describe()}"
+    _check_budget(what, nodes * units, nbytes)
+
+
+def _evaluate(rule, blocks, width, per_node, fill, model=None, uses=()) -> np.ndarray:
     """Per-node result columns, shape (rule.size, width).
 
-    Nodes run in chunks of ``_CHUNK_FLOATS // per_node``; ``fill(draws)``
-    turns a chunk's (nodes, *draw_shape) draws into its (nodes, width) rows.
+    Each node draws ``blocks`` blocks of ``model``'s couplings (of one
+    coupling each without a model).  The run is refused first if it is over
+    the lab budget (:func:`_check_run`, which takes ``uses``).  Nodes run in
+    chunks of ``_CHUNK_FLOATS // per_node``; ``fill(draws)`` turns a chunk's
+    (nodes, blocks, *coupling_shape) draws into its (nodes, width) rows.
     numpy's floating-point warnings are off: an exponent that overflows is
     refused by :func:`_softmax_last`'s check, and any other value that is
     not finite here.
     """
+    _check_run(f"{rule.size} {rule.method} nodes", model, rule.size, blocks, width, uses)
+    draw_shape = (blocks, *(() if model is None else model.coupling_shape))
     slots = np.empty((rule.size, width), dtype=np.float64)
     chunk = max(1, _CHUNK_FLOATS // per_node)
     with np.errstate(all="ignore"):
         for lo in range(0, rule.size, chunk):
-            hi = min(lo + chunk, rule.size)
-            slots[lo:hi] = fill(rule.draws(lo, hi, draw_shape))
-    if not np.isfinite(slots).all():
-        raise ValueError("a disorder node gives a value that is not finite")
+            rows = slots[lo:lo + chunk]
+            rows[...] = fill(rule.draws(lo, lo + len(rows), draw_shape))
+            if not np.isfinite(rows).all():
+                raise ValueError("a disorder node gives a value that is not finite")
     return slots
 
 
-def _estimate(model, rule, per_node, fill) -> QuenchedEstimate:
+def _estimate(model, rule, per_node, fill, uses) -> QuenchedEstimate:
     """The rule's average of the one column ``fill`` computes, with the
     change under the doubled grid as truncation where the rule has one."""
     check = rule.refined()  # built, or refused, before any work
 
     def mean_err(r):
-        return r.stats(_evaluate(r, (2, *model.coupling_shape), 1, per_node, fill)[:, 0])
+        return r.stats(_evaluate(r, 2, 1, per_node, fill, model, uses)[:, 0])
 
     mean, err = mean_err(rule)
     truncation = None if check is None else abs(mean - mean_err(check)[0])
@@ -660,7 +702,7 @@ def _deformed(model, p, lam, rule, antithetic_h) -> QuenchedEstimate:
             draws[:, 1] *= -1.0
         return evaluator.value_grid(_gibbs_grid(model, draws, [lam]))
 
-    return _estimate(model, rule, model.n_configs, fill)
+    return _estimate(model, rule, model.n_configs, fill, [(evaluator, 1)])
 
 
 def deformed_expectation(
@@ -844,7 +886,7 @@ def fd_derivative(
         values = evaluator.value_grid(_gibbs_grid(model, draws, nodes))
         return _stencil_rows(values, nodes, coeffs, at_lambda)[:, None]
 
-    return _estimate(model, rule, len(nodes) * model.n_configs, fill)
+    return _estimate(model, rule, len(nodes) * model.n_configs, fill, [(evaluator, len(nodes))])
 
 
 # --------------------------------------------------------------------------
@@ -878,15 +920,15 @@ class IdentityReport:
     lambda_grid: tuple[float, ...]
     rows: tuple[IdentityRow, ...]
     passed: bool
-    wall_time_s: float
 
 
-def _identity_report(label, rule, draw_shape, per_node, row_labels, fill, t0, tol=None,
-                     model=None, graph=None, n=None, lambda_grid=()) -> IdentityReport:
-    """One identity report, a row per label, timed from ``t0``.  ``fill(draws)``
-    returns a chunk's sides as lists ``(lhs, rhs)``, one (nodes,) array or
-    constant per row; each row compares the rule's averages of both sides and
-    of their per-node difference (common random numbers)."""
+def _identity_report(label, rule, blocks, per_node, row_labels, fill, tol=None,
+                     model=None, graph=None, n=None, lambda_grid=(), uses=()) -> IdentityReport:
+    """One identity report, a row per label.  ``fill(draws)`` returns a
+    chunk's sides as lists ``(lhs, rhs)``, one (nodes,) array or constant per
+    row; each row compares the rule's averages of both sides and of their
+    per-node difference (common random numbers).  ``uses`` are the
+    evaluators ``fill`` runs, as :func:`_check_run` takes them."""
     k = len(row_labels)
 
     def columns(draws):
@@ -894,7 +936,7 @@ def _identity_report(label, rule, draw_shape, per_node, row_labels, fill, t0, to
         sides = np.stack(np.broadcast_arrays(*lhs, *rhs), axis=1)
         return np.concatenate([sides, sides[:, :k] - sides[:, k:]], axis=1)
 
-    slots = _evaluate(rule, draw_shape, 3 * k, per_node, columns)
+    slots = _evaluate(rule, blocks, 3 * k, per_node, columns, model, uses)
     rows = []
     for pos, row_label in enumerate(row_labels):
         (lhs, lhs_err), (rhs, rhs_err), (diff, diff_err) = (
@@ -904,8 +946,7 @@ def _identity_report(label, rule, draw_shape, per_node, row_labels, fill, t0, to
                                 tolerance, abs(diff) <= tolerance))
     return IdentityReport(label=label, model=model, graph=graph, n=n, method=rule.method,
                           samples=rule.samples, seed=rule.seed, lambda_grid=lambda_grid,
-                          rows=tuple(rows), passed=all(r.passed for r in rows),
-                          wall_time_s=time.perf_counter() - t0)
+                          rows=tuple(rows), passed=all(r.passed for r in rows))
 
 
 def identity_check(
@@ -933,8 +974,7 @@ def identity_check(
     from per-sample differences under common random numbers); quadrature rows
     pass when |diff| <= tol, a finite tol >= 0.
     """
-    t0 = time.perf_counter()
-    _check_tol(tol)
+    _check_nonnegative("tol", tol)
     if n not in (1, 2):
         # The stencils stop at order 4 = 2n.
         raise ValueError(f"n={n} is not supported: the identity is checked at orders n = 1 and 2")
@@ -968,10 +1008,10 @@ def identity_check(
         return ([_stencil_rows(f, nodes, coeffs, point) for _, coeffs, point, _ in rows],
                 [factor * d[:, k] for k, (*_, factor) in enumerate(rows)])
 
-    return _identity_report("stability-moment identity", rule, (2, *model.coupling_shape),
-                            len(nodes) * model.n_configs, [r[0] for r in rows], fill, t0,
-                            tol, model=model, graph=gc, n=n,
-                            lambda_grid=config.lambda_grid)
+    return _identity_report("stability-moment identity", rule, 2, len(nodes) * model.n_configs,
+                            [r[0] for r in rows], fill, tol, model=model, graph=gc, n=n,
+                            lambda_grid=config.lambda_grid,
+                            uses=[(ev_g, len(nodes)), (ev_d, len(at))])
 
 
 def wick_baseline_check(
@@ -987,8 +1027,7 @@ def wick_baseline_check(
     overlap moments: the squared first bracket against the two-replica
     overlap, and the three-bracket chain against the three-replica chain.
     Quadrature rows pass when |diff| <= tol, a finite tol >= 0."""
-    t0 = time.perf_counter()
-    _check_tol(tol)
+    _check_nonnegative("tol", tol)
     rule = _rule(method, model, n_samples, seed, n_nodes, _baseline_axes)
     ev2, ev3 = (_PolyMoments(model, GraphPolynomial.monomial(Multigraph(edges, ())))
                 for edges in (((1, 2, 1),), ((1, 2, 1), (2, 3, 1))))
@@ -1001,15 +1040,14 @@ def wick_baseline_check(
         b12 = np.einsum("sc,sc,sc->s", w, hv[:, 0], hv[:, 1])
         return [b1 * b1, b1 * b12 * b2], [ev2.value_grid(w), ev3.value_grid(w)]
 
-    return _identity_report("wick baselines", rule, (3, *model.coupling_shape),
-                            2 * model.n_configs, labels, fill, t0, tol, model=model)
+    return _identity_report("wick baselines", rule, 3, 2 * model.n_configs, labels, fill, tol,
+                            model=model, uses=[(ev2, 1), (ev3, 1)])
 
 
 def gaussian_ibp_check(n_samples=20000, seed=0) -> IdentityReport:
     """Gaussian integration by parts on a fixed two-field test family:
     E(h_l f) = sum_m c_{l,m} E(df/dh_m), with prescribed covariance and both
     sides estimated from the same draws."""
-    t0 = time.perf_counter()
     rule = _rule("mc", None, n_samples, seed, None)
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     chol = np.linalg.cholesky(cov)
@@ -1040,5 +1078,5 @@ def gaussian_ibp_check(n_samples=20000, seed=0) -> IdentityReport:
             rhs.append(cov[l, 0] * d1 + cov[l, 1] * d2)
         return lhs, rhs
 
-    return _identity_report("gaussian integration by parts", rule, (2,), 3 * len(family),
-                            [label for label, _, _ in family], fill, t0)
+    return _identity_report("gaussian integration by parts", rule, 2, 3 * len(family),
+                            [label for label, _, _ in family], fill)

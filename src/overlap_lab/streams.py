@@ -326,8 +326,8 @@ class _MonteCarlo:
 
     def stats(self, col) -> tuple[float, float]:
         m = len(col)
-        mean = math.fsum(col.tolist()) / m
-        var = math.fsum(((col - mean) ** 2).tolist()) / (m - 1)
+        mean = math.fsum(memoryview(col)) / m
+        var = math.fsum(memoryview((col - mean) ** 2)) / (m - 1)
         return mean, math.sqrt(var / m)
 
     def tolerance(self, diff_err, tol) -> float:

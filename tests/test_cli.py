@@ -435,10 +435,10 @@ class TestEstimate:
 
     def test_invalid_model_size_exits_two(self, capsys):
         code, _, err = run(
-            capsys, "estimate", "--model", "sk", "--N", "9", "--beta", "0.5",
+            capsys, "estimate", "--model", "sk", "--N", "30", "--beta", "0.5",
             "--graph", "{1,2}",
         )
-        assert code == EXIT_USAGE
+        assert code == EXIT_USAGE and err.startswith("refused:")
 
 
 class TestIdentityCommand:
@@ -461,11 +461,12 @@ class TestIdentityCommand:
         assert len(doc["payload"]["rows"]) == 2
 
     def test_budget_exits_two(self, capsys):
+        # about 2^28 work units a sample: 4,000 samples are over LAB_WORK_BUDGET
         code, _, err = run(
-            capsys, "identity", "--model", "sk", "--N", "5", "--beta", "0.5",
-            "--graph", "{1,2}{3,4}", "--n", "2", "--samples", "10",
+            capsys, "identity", "--model", "ea", "--lattice", "3x4", "--beta", "0.5",
+            "--graph", "{1,2}", "--n", "1", "--samples", "4000",
         )
-        assert code == EXIT_USAGE and "refused" in err
+        assert code == EXIT_USAGE and "refused" in err and "work units" in err
 
     @pytest.mark.parametrize("method", ["mc", "quadrature"])
     @pytest.mark.parametrize("n", ["3", "4"])
@@ -760,6 +761,25 @@ class TestMonteCarloSamples:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("refused:") and "bound of 4294967296" in err
         assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ea", "--lattice", "2x5", "--samples", "4000000000"],
+        ["--model", "sk", "--N", "2", "--samples", "4000000000"],
+        ["--model", "sk", "--N", "30"],
+        ["--model", "ea", "--lattice", "4x4"],
+        ["--model", "ea", "--lattice", "100000x100000"],
+    ])
+    def test_over_lab_budget_refused_before_any_draw(self, capsys, monkeypatch, argv):
+        from overlap_lab import streams
+
+        monkeypatch.setattr(streams._MonteCarlo, "draws",
+                            lambda *args: pytest.fail("drew nodes"))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "estimate", "--graph", "{1,2}", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("refused:") and err.count("\n") == 1
+        assert "work units" in err and "bytes" in err
 
     @pytest.mark.parametrize("command", [
         ["identity", "--graph", "{1,2}"],

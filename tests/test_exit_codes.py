@@ -45,12 +45,14 @@ def numerical_argv(draw):
     model = draw(mostly(["--model", "sk", "--N", "2"], ["--model", "sk", "--N", "3"],
                         ["--model", "ea", "--lattice", "4"],
                         ["--model", "ea", "--lattice", "2x2"],
-                        ["--model", "sk", "--N", "1"], ["--model", "ea", "--lattice", "0"]))
+                        ["--model", "sk", "--N", "1"], ["--model", "ea", "--lattice", "0"],
+                        ["--model", "sk", "--N", "30"], ["--model", "ea", "--lattice", "4x4"],
+                        ["--model", "ea", "--lattice", "100000x100000"]))
     argv = [command, *model,
             "--beta", draw(mostly("0.5", "0", "2", "-1", "nan", "1e308")),
             "--method", draw(st.sampled_from(["mc", "quadrature"])),
             "--nodes", draw(mostly("8", "1", "2", "0")),
-            "--samples", draw(mostly("16", "2", "-1", "1")),
+            "--samples", draw(mostly("16", "2", "-1", "1", "4000000000")),
             "--seed", str(draw(st.integers(0, 3)))]
     if command != "baseline":
         argv += ["--graph", draw(mostly("{1,2}", "{1,2}^2", "{1,2}{2,3}", "{1,2}{3,4}", "1",

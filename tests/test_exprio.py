@@ -287,9 +287,8 @@ def _decodes_or_refuses(doc):
 class TestJsonSchema:
     def test_payload_fields_are_the_dataclass_fields(self):
         for rep, doc in zip(REPORTS, DOCS):
-            names = {f.name for f in dataclasses.fields(rep)} - {"wall_time_s"}
-            assert set(doc["payload"]) == names
-            assert ("wall_s" in doc["timings"]) == hasattr(rep, "wall_time_s")
+            assert set(doc["payload"]) == {f.name for f in dataclasses.fields(rep)}
+            assert doc["timings"] == {}
 
     def test_real_reports_round_trip(self):
         for rep in REPORTS:
@@ -314,11 +313,11 @@ class TestJsonSchema:
         (0, ("payload", "graph"), "{1,1}"),
         (0, ("payload", "lhs"), "2{1,2} +"),
         (0, ("timings",), []),
-        (0, ("timings", "wall_s"), "fast"),
+        (1, ("timings",), "fast"),
         (3, ("payload", "rows", 0, "passed"), "yes"),
         (3, ("payload", "rows", 0, "lhs"), DELETE),
         (3, ("payload", "model", "kind"), "xy"),
-        (3, ("payload", "model", "n_spins"), 9),
+        (3, ("payload", "model", "n_spins"), 30),
         (3, ("payload", "model", "beta"), -1),
         (3, ("payload", "model"), {"kind": "ea", "beta": 0.5, "dims": [2, 2.5]}),
         (3, ("payload", "model"), {"kind": "ea", "beta": 0.5, "dims": [100]}),

@@ -1,6 +1,7 @@
 """Quenched laboratory: kernels, estimators, oracles, identity checks."""
 
 import math
+import time
 from itertools import combinations, product
 
 import numpy as np
@@ -116,8 +117,9 @@ class TestModels:
     def test_sk_size_bounds(self):
         with pytest.raises(ValueError):
             sk_model(1, 0.5)
-        with pytest.raises(ValueError):
-            sk_model(6, 0.5)
+        # the 2^30 x 2^30 overlap takes 2^63 bytes
+        with pytest.raises(BudgetError, match=r"2\^63\.0 bytes"):
+            sk_model(30, 0.5)
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
@@ -152,8 +154,22 @@ class TestModels:
             ea_model((1,), 0.0)
 
     def test_ea_enumeration_cap(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"2\^35\.0 bytes"):
             ea_model((4, 4), 0.0)
+
+    def test_huge_lattice_refused_on_its_site_count(self, monkeypatch):
+        # 10^10 sites: neither 2^N nor the bonds are formed before the refusal
+        monkeypatch.setattr(lab.ModelInstance, "bonds", property(
+            lambda self: pytest.fail("listed the bonds")))
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError, match="2\\^10000000000 x 2\\^10000000000 overlap"):
+            ea_model((100000, 100000), 0.5)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_every_construction_is_checked(self):
+        with pytest.raises(BudgetError):
+            lab.ModelInstance(kind="sk", beta=0.5, n_sites=14)
+        assert lab.ModelInstance(kind="sk", beta=0.5, n_sites=13).n_configs == 2**13
 
 
 class TestGibbsWeights:
@@ -278,10 +294,11 @@ class TestReplicaMoment:
         assert a == b
 
     def test_budget_refusal_names_requirement(self):
-        model = sk_model(5, 0.5)
-        chain = make_multigraph([(i, i + 1, 1) for i in range(1, 6)])  # R = 6
-        with pytest.raises(BudgetError, match="32"):
-            replica_moment(model, np.zeros((5, 5)), 0.0, None, chain)
+        # K4's widest steps on 1,024 configurations cost 1024^4 = 2^40 each
+        model = ea_model((2, 5), 0.5)
+        k4 = make_multigraph([(i, j, 1) for i, j in combinations(range(1, 5), 2)])
+        with pytest.raises(BudgetError, match=r"2\^40\.0 work units"):
+            replica_moment(model, np.zeros(len(model.bonds)), 0.0, None, k4)
 
     def test_models_with_equal_configuration_counts_keep_their_overlaps(self):
         # SK N=2 and the two-site EA chain both have 4 configurations, so they
@@ -557,10 +574,19 @@ class TestIdentityCheck:
         assert rep.rows[0].passed
 
     def test_budget_refusal(self):
-        model = sk_model(5, 0.5)
-        g = make_multigraph([(1, 2, 1), (3, 4, 1)])
-        with pytest.raises(BudgetError):
-            identity_check(model, g, 2, n_samples=10, seed=0)
+        # about 2^28 work units a sample on 4,096 configurations
+        model = ea_model((3, 4), 0.5)
+        with pytest.raises(BudgetError, match="work units"):
+            identity_check(model, C12, 1, n_samples=4000, seed=0)
+
+    @pytest.mark.parametrize("model_fn, text, n, samples", [
+        (lambda: ea_model((2, 4), 0.5), "{1,2}{3,4}", 1, 200),
+        (lambda: sk_model(5, 0.5), "{1,2}{3,4}", 2, 2000),
+    ], ids=["ea2x4-n1", "sk5-n2"])
+    def test_passes_past_the_old_replica_bound(self, model_fn, text, n, samples):
+        # the joint-state count (2^N)^R refused both; their cost is small
+        rep = identity_check(model_fn(), parse_monomial(text), n, n_samples=samples, seed=0)
+        assert rep.passed, rep.rows
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_dishonest_tolerance_rejected(self, tol):

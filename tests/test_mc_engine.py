@@ -281,6 +281,39 @@ def test_stats_are_fsum_of_the_python_floats_bit_for_bit():
     assert _MonteCarlo(2, 0).stats(col) == (mean, math.sqrt(var / len(floats)))
 
 
+def _adversarial_columns():
+    rng = np.random.default_rng(8)
+    cancel = rng.standard_normal(3000)
+    cancel[::500] = [1e150, -1e150, 2.0**-1074, 1e16, -1e16, 3.0]
+    subnormal = rng.standard_normal(2000) * 2.0**-1060
+    mixed = rng.standard_normal(4000) * 10.0 ** rng.integers(-150, 150, 4000)
+    strided = rng.standard_normal((2000, 6)) * [1e-8, 1, 1e8, -1e15, 1e-300, 7]
+    return {"cancellation": cancel, "subnormal": subnormal, "mixed": mixed,
+            "strided": strided[:, 3], "strided-tiny": strided[:, 4]}
+
+
+@pytest.mark.parametrize("name", sorted(_adversarial_columns()))
+def test_stats_reduce_columns_as_fsum_of_their_lists(name):
+    col = _adversarial_columns()[name]
+    m = len(col)
+    mean = math.fsum(col.tolist()) / m
+    var = math.fsum(((col - mean) ** 2).tolist()) / (m - 1)
+    assert _MonteCarlo(2, 0).stats(col) == (mean, math.sqrt(var / m))
+
+
+def test_stats_memory_is_one_column():
+    # a strided 1M-sample column: no Python float per sample, one float64
+    # temporary for the squared deviations (7.6 MiB)
+    slots = np.random.default_rng(9).standard_normal((1_000_000, 3))
+    tracemalloc.start()
+    try:
+        _MonteCarlo(2, 0).stats(slots[:, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("model_fn", MODELS)
@@ -471,21 +504,27 @@ def normalized_weights(model, rows, seed):
 
 def per_term(model, poly, w):
     """The polynomial summed from one single-term program per term, in the
-    program's term order."""
+    program's term order, each run on the program's row slices: a term
+    whose own slices are longer can round its matmuls differently (terms
+    of Delta({1,2}{2,3}) on the ring of 6 slice 4 and 256 rows)."""
+    rows = _PolyMoments(model, poly)._rows
     total = np.zeros(w.shape[:-1])
     for g, coeff in poly.items():
-        total += coeff * _PolyMoments(model, GraphPolynomial.monomial(g)).value_grid(w)
+        ev = _PolyMoments(model, GraphPolynomial.monomial(g))
+        total += coeff * np.concatenate(
+            [ev.value_grid(w[lo:lo + rows]) for lo in range(0, len(w), rows)])
     return total
 
 
-# The ring of 6 refuses Delta({1,2}{2,3}): its 5-replica terms need 64^5
-# joint states, over the replica budget, so the ring of 4 carries it.
+# Delta({1,2}{2,3}) has 5-replica terms; on the ring of 6 they cost a few
+# 64^2 steps per row, far inside the lab budget.
 SHARED_CASES = [
     pytest.param(lambda: sk_model(2, 0.5), "{1,2}", 1, id="sk2-delta"),
     pytest.param(lambda: sk_model(2, 0.5), "{1,2}", 2, id="sk2-delta2"),
     pytest.param(lambda: sk_model(3, 0.5), "{1,2}", 1, id="sk3-delta"),
     pytest.param(lambda: sk_model(3, 0.5), "{1,2}", 2, id="sk3-delta2"),
     pytest.param(lambda: ea_model((4,), 0.5), "{1,2}{2,3}", 1, id="ea4-delta-chain"),
+    pytest.param(lambda: ea_model((6,), 0.5), "{1,2}{2,3}", 1, id="ea6-delta-chain"),
 ]
 
 

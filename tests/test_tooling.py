@@ -157,6 +157,19 @@ def test_only_main_builds_a_report_envelope():
     assert found == []
 
 
+def test_only_main_reads_the_clock():
+    # cli.main times every command, so no report or library call keeps a
+    # timer of its own.
+    found = []
+    for path, tree in _src_trees():
+        main = [(f.lineno, f.end_lineno) for f in tree.body if isinstance(f, FUNCTIONS)
+                and f.name == "main" and path.endswith("cli.py")]
+        found += [f"{path}:{node.lineno}" for node in ast.walk(tree)
+                  if "perf_counter" in {getattr(node, key, None) for key in ("attr", "id", "name")}
+                  and not any(lo <= node.lineno <= hi for lo, hi in main)]
+    assert found == []
+
+
 #: graphs' component-encoding internals: the ``(k, legs, edges)`` format
 #: stays inside graphs.
 ENCODING_INTERNALS = {"_assemble", "_encodings", "_encode", "_component_encoding",
