@@ -672,6 +672,8 @@ def _estimate(model, rule, per_node, fill, uses) -> QuenchedEstimate:
     """The rule's average of the one column ``fill`` computes, with the
     change under the doubled grid as truncation where the rule has one."""
     check = rule.refined()  # built, or refused, before any work
+    if check is not None:  # the larger run: checked before either is evaluated
+        _check_run(f"{check.size} {check.method} nodes", model, check.size, 2, 1, uses)
 
     def mean_err(r):
         return r.stats(_evaluate(r, 2, 1, per_node, fill, model, uses)[:, 0])

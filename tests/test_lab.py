@@ -448,6 +448,23 @@ class TestQuadrature:
         with pytest.raises(BudgetError):
             quadrature_expectation(sk_model(2, 0.5), C12, 0.3, n_nodes=8192)
 
+    def test_doubled_grid_refused_before_the_grid_runs(self, monkeypatch):
+        # The truncation's doubled grid is the larger run: with a budget that
+        # admits the 64-node grid only, nothing is evaluated.
+        model = sk_model(2, 0.5)
+        units, check = {}, lab._check_budget
+
+        def recording(what, n, nbytes):
+            units[what.split()[0]] = n
+            return check(what, n, nbytes)
+
+        monkeypatch.setattr(lab, "_check_budget", recording)
+        quadrature_expectation(model, C12)
+        monkeypatch.setattr(lab, "LAB_WORK_BUDGET", units["64"])
+        monkeypatch.setattr(lab, "_evaluate", lambda *args: pytest.fail("evaluated a grid"))
+        with pytest.raises(BudgetError, match="^128 quadrature nodes"):
+            quadrature_expectation(model, C12)
+
     def test_cached_rules_are_read_only(self):
         nodes, weights = lab._hermgauss(16)
         assert lab._hermgauss(16)[0] is nodes

@@ -504,27 +504,21 @@ def normalized_weights(model, rows, seed):
 
 def per_term(model, poly, w):
     """The polynomial summed from one single-term program per term, in the
-    program's term order, each run on the program's row slices: a term
-    whose own slices are longer can round its matmuls differently (terms
-    of Delta({1,2}{2,3}) on the ring of 6 slice 4 and 256 rows)."""
-    rows = _PolyMoments(model, poly)._rows
+    program's term order."""
     total = np.zeros(w.shape[:-1])
     for g, coeff in poly.items():
-        ev = _PolyMoments(model, GraphPolynomial.monomial(g))
-        total += coeff * np.concatenate(
-            [ev.value_grid(w[lo:lo + rows]) for lo in range(0, len(w), rows)])
+        total += coeff * _PolyMoments(model, GraphPolynomial.monomial(g)).value_grid(w)
     return total
 
 
-# Delta({1,2}{2,3}) has 5-replica terms; on the ring of 6 they cost a few
-# 64^2 steps per row, far inside the lab budget.
+# The ring of 6 carries Delta({1,2}{2,3}) in its own test below: its terms
+# slice rows differently.
 SHARED_CASES = [
     pytest.param(lambda: sk_model(2, 0.5), "{1,2}", 1, id="sk2-delta"),
     pytest.param(lambda: sk_model(2, 0.5), "{1,2}", 2, id="sk2-delta2"),
     pytest.param(lambda: sk_model(3, 0.5), "{1,2}", 1, id="sk3-delta"),
     pytest.param(lambda: sk_model(3, 0.5), "{1,2}", 2, id="sk3-delta2"),
     pytest.param(lambda: ea_model((4,), 0.5), "{1,2}{2,3}", 1, id="ea4-delta-chain"),
-    pytest.param(lambda: ea_model((6,), 0.5), "{1,2}{2,3}", 1, id="ea6-delta-chain"),
 ]
 
 
@@ -536,6 +530,22 @@ def test_program_equals_per_term_contraction_bit_for_bit(model_fn, text, n, rows
     w = normalized_weights(model, rows, 5)
     got = _PolyMoments(model, poly).value_grid(w)
     assert got.tobytes() == per_term(model, poly, w).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 300])
+def test_ring_of_6_delta_chain_equals_slice_matched_terms_bit_for_bit(rows):
+    # Delta({1,2}{2,3}) on the ring of 6: the triangle term alone slices 4
+    # rows and the other terms 256, and the program runs every term on 4-row
+    # slices.  A 256-row matmul can round differently (by 4.4e-15 at 300
+    # rows), so this reference runs the terms on the program's slices.
+    model = ea_model((6,), 0.5)
+    poly = delta_power("{1,2}{2,3}", 1)
+    ev = _PolyMoments(model, poly)
+    assert ev._rows == 4
+    w = normalized_weights(model, rows, 5)
+    ref = np.concatenate([per_term(model, poly, w[lo:lo + ev._rows])
+                          for lo in range(0, rows, ev._rows)])
+    assert ev.value_grid(w).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 2, 17, 40])

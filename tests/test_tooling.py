@@ -137,36 +137,25 @@ ENVELOPE = {"_emit", "_exact_digits", "_work_counts", "_work_since", "perf_count
 
 def test_only_main_builds_a_report_envelope():
     # Each command returns its report; building the envelope in one place
-    # keeps every command's timings, digit limit and output alike.
-    path = os.path.join(ROOT, "src", "overlap_lab", "cli.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), path)
-
+    # keeps every command's timings, digit limit and output alike, and no
+    # report or library call anywhere in src keeps a timer of its own.
     def used(node):
         return ({sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-                | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)})
+                | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+                | {sub.name for sub in ast.walk(node) if isinstance(sub, ast.alias)})
 
-    main = next(node for node in tree.body
-                if isinstance(node, FUNCTIONS) and node.name == "main")
-    assert ENVELOPE <= used(main)
-    # The envelope's own helpers may call each other (_work_since reads
-    # _work_counts); no other code may reach them.
-    found = [f"{path}:{node.lineno} {sorted(used(node) & ENVELOPE)}" for node in tree.body
-             if not (isinstance(node, FUNCTIONS) and node.name in ENVELOPE | {"main"})
-             and used(node) & ENVELOPE]
-    assert found == []
-
-
-def test_only_main_reads_the_clock():
-    # cli.main times every command, so no report or library call keeps a
-    # timer of its own.
     found = []
     for path, tree in _src_trees():
-        main = [(f.lineno, f.end_lineno) for f in tree.body if isinstance(f, FUNCTIONS)
-                and f.name == "main" and path.endswith("cli.py")]
-        found += [f"{path}:{node.lineno}" for node in ast.walk(tree)
-                  if "perf_counter" in {getattr(node, key, None) for key in ("attr", "id", "name")}
-                  and not any(lo <= node.lineno <= hi for lo, hi in main)]
+        cli = path == os.path.join(ROOT, "src", "overlap_lab", "cli.py")
+        if cli:
+            main = next(node for node in tree.body
+                        if isinstance(node, FUNCTIONS) and node.name == "main")
+            assert ENVELOPE <= used(main)
+        # The envelope's own helpers may call each other (_work_since reads
+        # _work_counts); no other code may reach them.
+        found += [f"{path}:{node.lineno} {sorted(used(node) & ENVELOPE)}" for node in tree.body
+                  if not (cli and isinstance(node, FUNCTIONS) and node.name in ENVELOPE | {"main"})
+                  and used(node) & ENVELOPE]
     assert found == []
 
 
