@@ -6,7 +6,9 @@ violation beyond tolerance, 2 usage, parse, or budget errors.  Option
 precedence: command-line flags override the JSON config file, whose values
 are converted and checked like the flags they name, which overrides the
 defaults declared on the parser.  JSON output carries a ``payload`` section
-whose sha256 is stable across reruns.
+whose sha256 is stable across reruns and depends on what was computed
+alone: inputs are echoed in one normal form, and inputs a computation
+ignores are not echoed.
 
 Each ``cmd_*`` function parses its inputs, computes, and returns its exit
 code, JSON report and text lines.  :func:`main` alone builds the envelope
@@ -255,9 +257,10 @@ Result = tuple[int, dict, list[str]]
 
 def cmd_expand(opts: dict) -> Result:
     word = _parse_word(opts["word"])
-    graph = exprio.parse_monomial(opts["graph"])
-    text = exprio.format_polynomial(apply_word(word, GraphPolynomial.monomial(graph)))
-    payload = {"input": opts["graph"], "word": opts["word"], "result_polynomial": text}
+    start = GraphPolynomial.monomial(exprio.parse_monomial(opts["graph"]))
+    text = exprio.format_polynomial(apply_word(word, start))
+    payload = {"input": exprio.format_polynomial(start), "result_polynomial": text,
+               "word": " ".join("C" if op == WICK else "d" for op in word)}
     return EXIT_OK, {"type": "expansion", "payload": payload, "timings": {}}, [text]
 
 
@@ -310,8 +313,9 @@ def cmd_estimate(opts: dict) -> Result:
 
     est = estimate(opts["lam"])
     doc = exprio.as_jsonable(est)
-    doc["payload"].update({"model": exprio._model_dict(model), "graph": opts["graph"],
-                           "lambda": opts["lam"]})
+    # the graph echoed canonically, and -0.0 as 0.0
+    doc["payload"].update({"model": exprio._model_dict(model), "lambda": opts["lam"] + 0.0,
+                           "graph": exprio.format_polynomial(poly)})
     line = (f"mean={est.mean!r} stderr={est.stderr!r} samples={est.samples} "
             f"seed={est.seed} method={est.method}")
     lines = [line if est.truncation is None else f"{line} truncation={est.truncation!r}"]

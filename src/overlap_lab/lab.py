@@ -23,8 +23,9 @@ Conventions that the reproducibility contract depends on:
   nodes in chunks whose length follows from the model and the number of
   deformation nodes.  Per-node results land in preallocated slots; Monte
   Carlo reduces them with exact summation in index order, quadrature with
-  one dot product against the node weights, so estimates are bit-identical
-  across reruns at a fixed chunk size.  Batched arithmetic rounds
+  numpy's pairwise sum of the weighted column, which calls no BLAS.  So
+  estimates are bit-identical across reruns, and across BLAS thread counts,
+  at a fixed chunk size.  Batched arithmetic rounds
   differently from a one-sample-at-a-time evaluation, in the last bits
   (about 1e-14 relative, magnified by finite-difference stencils).
 * A polynomial's replica contractions run as one step program per chunk:
@@ -36,6 +37,10 @@ Conventions that the reproducibility contract depends on:
   once per process, and the rules are read-only.
 * Whenever an identity compares two estimates, both sides are computed from
   the same draws within each sample (common random numbers).
+* A report holds what was computed, in one form: the quadrature grid, which
+  draws nothing, reports seed 0; a deformation grid is stored sorted; a
+  model's beta of -0.0 is 0.0; an EA lattice drops its sides of 1, which add
+  no bond.
 * One budget bounds what the lab runs: ``LAB_WORK_BUDGET`` units of
   floating-point work (multiply-adds) and ``LAB_MEMORY_BUDGET`` bytes.  A
   model is refused on its site count, when its 2^N x 2^N overlap cannot
@@ -179,15 +184,17 @@ def sk_model(n_spins: int, beta: float) -> ModelInstance:
     if n_spins < 2:
         raise ValueError(f"SK needs at least 2 spins, got {n_spins}")
     _check_nonnegative("beta", beta)
-    return ModelInstance(kind="sk", beta=float(beta), n_sites=n_spins)
+    return ModelInstance(kind="sk", beta=float(beta) + 0.0, n_sites=n_spins)  # no -0.0
 
 
 def ea_model(dims, beta: float) -> ModelInstance:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"lattice dimensions must be positive, got {dims}")
+    # a side of 1 adds no bond and leaves the sites' C-order numbering alone
+    dims = tuple(d for d in dims if d > 1) or dims
     _check_nonnegative("beta", beta)
-    model = ModelInstance(kind="ea", beta=float(beta), n_sites=math.prod(dims), dims=dims)
+    model = ModelInstance(kind="ea", beta=float(beta) + 0.0, n_sites=math.prod(dims), dims=dims)
     if not model.bonds:
         raise ValueError(f"lattice {dims} has no nearest-neighbor bonds")
     return model
@@ -575,11 +582,17 @@ def _hermgauss(n):
 
 class _GaussHermite:
     """Tensor Gauss-Hermite grid over the axes ``axes(n_nodes)``, a map from
-    coupling positions (slot, i, j) in a draw to node counts."""
+    coupling positions (slot, i, j) in a draw to node counts.
+
+    The grid draws nothing, so its results report seed 0 whatever seed a
+    caller was given.  ``stats`` sums the weighted column with numpy's own
+    pairwise sum, not a BLAS dot, whose split over threads would move the
+    last bits with the thread count."""
 
     method = "quadrature"
+    seed = 0
 
-    def __init__(self, axes, n_nodes, seed):
+    def __init__(self, axes, n_nodes):
         if n_nodes < 1:
             raise ValueError(f"quadrature needs at least 1 node per axis, got {n_nodes}")
         counts = axes(n_nodes)
@@ -590,7 +603,7 @@ class _GaussHermite:
                 f"the bound of {MAX_QUADRATURE_NODES} nodes per axis"
             )
         self.size = math.prod(self._shape)
-        self._axes, self.samples, self.seed = axes, n_nodes, int(seed)
+        self._axes, self.samples = axes, n_nodes
         self._positions = list(counts)
         self._values = [2.0 * _hermgauss(n)[0] for n in self._shape]  # std sqrt(2)
         axis_weights = [_hermgauss(n)[1] / math.sqrt(math.pi) for n in self._shape]
@@ -604,13 +617,13 @@ class _GaussHermite:
         return out
 
     def stats(self, col) -> tuple[float, float]:
-        return float(self.weights @ col), 0.0
+        return float(np.add.reduce(self.weights * col)), 0.0
 
     def tolerance(self, diff_err, tol) -> float:
         return tol
 
     def refined(self):
-        return _GaussHermite(self._axes, 2 * self.samples, self.seed)
+        return _GaussHermite(self._axes, 2 * self.samples)
 
 
 def _rule(method, model, n_samples, seed, n_nodes, axes=_deformation_axes):
@@ -620,7 +633,7 @@ def _rule(method, model, n_samples, seed, n_nodes, axes=_deformation_axes):
     if method == "quadrature":
         if model.kind != "sk" or model.n_sites != 2:
             raise ValueError("the quadrature oracle requires an SK instance with N=2")
-        return _GaussHermite(axes, n_nodes, seed)
+        return _GaussHermite(axes, n_nodes)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -773,6 +786,8 @@ class DeformationConfig:
     Magnitudes must form a halving chain (each next one is half the
     previous), which is what the Richardson table assumes.  The center 0 is
     implicit.  Every stencil extrapolates over all the scales it can use.
+    The grid is stored sorted and without repeats, so every spelling of one
+    grid gives one config.
     """
 
     lambda_grid: tuple[float, ...] = (-0.2, -0.1, -0.05, 0.05, 0.1, 0.2)
@@ -795,6 +810,7 @@ class DeformationConfig:
                 raise ValueError(
                     f"grid magnitudes must halve, got consecutive {a} and {b}"
                 )
+        object.__setattr__(self, "lambda_grid", tuple(sorted(vals)))
 
     @property
     def magnitudes(self) -> tuple[float, ...]:
@@ -995,7 +1011,7 @@ def identity_check(
     rows = [(f"d^{2 * n}/dlam^{2 * n} at 0 vs {const} * E(Delta^{n} g)",
              _stencil_nodes(config, 2 * n, 0.0), 0.0, float(const))]
     if n == 1 and lemma_lambda is not None:
-        lam0 = float(lemma_lambda)
+        lam0 = float(lemma_lambda) + 0.0  # -0.0 becomes 0.0
         rows.append((f"d/dlam at {lam0} vs lam * E_lam(Delta g)",
                      _stencil_nodes(config, 1, lam0), lam0, lam0))
     nodes = sorted(set().union(*(coeffs for _, coeffs, _, _ in rows)))

@@ -606,7 +606,7 @@ class TestConfigValues:
         via_cfg = self.run_config(capsys, tmp_path, {"lambda_grid": grid}, *argv)
         via_flags = run(capsys, *argv, "--lambda-grid", "0.1,0.05")
         doc = json.loads(via_cfg[1])
-        assert doc["payload"]["lambda_grid"] == [0.1, -0.1, 0.05, -0.05]
+        assert doc["payload"]["lambda_grid"] == [-0.1, -0.05, 0.05, 0.1]
         assert doc["payload"] == json.loads(via_flags[1])["payload"]
 
     def test_flags_override_checked_config(self, capsys, tmp_path):
@@ -656,10 +656,8 @@ class TestLambdaGridDefault:
                                  + ",".join(map(repr, lab.DeformationConfig().lambda_grid)))[1])
         assert default["payload_sha256"] == spelled["payload_sha256"]
         assert default["payload"]["lambda_grid"] == [-0.2, -0.1, -0.05, 0.05, 0.1, 0.2]
-        # The magnitudes alone give the same rows; the payload echoes the
-        # grid in the order it was given.
         mirrored = json.loads(run(capsys, *self.IDENTITY, "--lambda-grid", "0.05,0.1,0.2")[1])
-        assert mirrored["payload"]["rows"] == default["payload"]["rows"]
+        assert mirrored["payload_sha256"] == default["payload_sha256"]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"lambda_grid": None}))
         via_null = json.loads(run(capsys, *self.IDENTITY, "--config", str(path))[1])
@@ -695,27 +693,27 @@ class TestNonFiniteDeformation:
 
 _FINE_GRID = "0.0125,0.025,0.05,0.1,0.2"
 _ORACLE = ("--model", "sk", "--N", "2", "--beta", "0.8", "--method", "quadrature")
+#: Its doubled grid sums 16,384 nodes, a length at which a BLAS dot is split
+#: over threads.
+_ESTIMATE_64 = ["estimate", *_ORACLE, "--nodes", "64", "--graph",
+                "2{1,2}^2 - 8{1,2}{1,3} + 6{1,2}{3,4}", "--lam", "0.3"]
 
 
 class TestGibbsPayloads:
     # Pinned payloads on every path that builds Gibbs measures: the SK N=2
     # quadrature identities at n=1 and n=2 on the fine grid, its baseline and
-    # estimate, and Monte Carlo identities on 32 and 64 configurations.  The
-    # estimate runs at 32 nodes: at 64 its doubled grid's 16,384-node dot
-    # product is split over BLAS threads, so its truncation's last bits
-    # follow their number.
+    # estimate, and Monte Carlo identities on 32 and 64 configurations.
     @pytest.mark.parametrize("argv, sha", [
         (["identity", *_ORACLE, "--nodes", "64", "--graph", "{1,2}", "--n", "1",
           "--lambda-grid", _FINE_GRID, "--tol", "1e-6"],
-         "8ad01f3f38322d0cd7520b3fcdb2f019875363c69bbc82e06c110b88a82c3db4"),
+         "29efc149e60b5526a42d1f3bca9599539791815e68b3dfea4ac82eaf96119da0"),
         (["identity", *_ORACLE, "--nodes", "64", "--graph", "{1,2}", "--n", "2",
           "--lambda-grid", _FINE_GRID, "--tol", "1e-5"],
-         "3b2828b03cf24e1f99ab59b5db824ddf12eb252a6d54fdfde3d4b094d98416fa"),
+         "d12709e28708f3d4880621cda5d1425d2d7f6499f8abf6ca0a05b36a0d694108"),
         (["baseline", *_ORACLE, "--nodes", "64"],
-         "cedfa07c60afa97fc9674a484057b7fb6ad6714a4b8f40ba86e6819c885b0c1c"),
-        (["estimate", *_ORACLE, "--nodes", "32", "--graph",
-          "2{1,2}^2 - 8{1,2}{1,3} + 6{1,2}{3,4}", "--lam", "0.3"],
-         "a0cd1a658cb8525a17c407401bc19efc098833b68b73a0b175a5d86c2195c6fa"),
+         "f250ed18ba5e0d6d43a631bbbbfc4ec70813b7fba31d3d44f5517e3ff30114b1"),
+        (_ESTIMATE_64,
+         "a378fb5807c99529f997d81daae0a4b8b9236d37afbf1a27a756891b64625351"),
         (["identity", "--model", "sk", "--N", "5", "--beta", "0.5", "--samples", "300",
           "--seed", "2026", "--graph", "{1,2}", "--n", "1"],
          "240dd5da84229a192a17018436ba7a0ea440e39194de832d02f0b7d15f8c7fa6"),
@@ -727,6 +725,66 @@ class TestGibbsPayloads:
         code, out, _ = run(capsys, *argv, "--json")
         assert code == EXIT_OK
         assert json.loads(out)["payload_sha256"] == sha
+
+
+_QUAD16 = ("--N", "2", "--method", "quadrature", "--nodes", "16")
+_IDENTITY16 = ["identity", "--graph", "{1,2}", *_QUAD16]
+_ESTIMATE16 = ["estimate", *_QUAD16, "--graph"]
+
+
+class TestOnePayloadPerComputation:
+    """A payload is a function of what was computed: two spellings of one
+    computation, or settings it ignores, give one hash."""
+
+    @pytest.mark.parametrize("argv_a, argv_b", [
+        pytest.param([*_IDENTITY16, "--lambda-grid", "0.05,0.1,0.2"],
+                     [*_IDENTITY16, "--lambda-grid", "0.2,0.1,0.05"], id="grid-order"),
+        pytest.param([*_IDENTITY16, "--lambda-grid", "0.05,0.1,0.2"], _IDENTITY16,
+                     id="grid-default"),
+        pytest.param([*_ESTIMATE16, "{1,2}"], [*_ESTIMATE16, "{2,1}"], id="graph-order"),
+        pytest.param([*_ESTIMATE16, "{1,2}"], [*_ESTIMATE16, " {1,2} "], id="graph-spaces"),
+        pytest.param([*_ESTIMATE16, "{1,2}"], [*_ESTIMATE16, "{3,5}"], id="graph-labels"),
+        pytest.param(["expand", "--graph", "{1,2}", "--word", "D"],
+                     ["expand", "--graph", "{1,2}", "--word", "C  d d"], id="word"),
+        pytest.param(["expand", "--graph", "{1,2}", "--word", "D"],
+                     ["expand", "--graph", "{2,5}", "--word", "D"], id="expand-labels"),
+        pytest.param([*_IDENTITY16, "--seed", "0"], [*_IDENTITY16, "--seed", "5"],
+                     id="identity-grid-seed"),
+        pytest.param(["baseline", *_QUAD16, "--seed", "0"], ["baseline", *_QUAD16, "--seed", "5"],
+                     id="baseline-grid-seed"),
+        pytest.param(["estimate", "--graph", "{1,2}", "--samples", "40", "--lam", "0.0"],
+                     ["estimate", "--graph", "{1,2}", "--samples", "40", "--lam", "-0.0"],
+                     id="negative-zero-lam"),
+        pytest.param(["identity", "--graph", "{1,2}", "--samples", "40", "--lemma-lambda", "0.0"],
+                     ["identity", "--graph", "{1,2}", "--samples", "40", "--lemma-lambda", "-0.0"],
+                     id="negative-zero-lemma-lambda"),
+        pytest.param(["estimate", "--graph", "{1,2}", "--samples", "40", "--beta", "0"],
+                     ["estimate", "--graph", "{1,2}", "--samples", "40", "--beta=-0.0"],
+                     id="negative-zero-beta"),
+        pytest.param(["estimate", "--model", "ea", "--lattice", "4", "--graph", "{1,2}",
+                      "--samples", "40"],
+                     ["estimate", "--model", "ea", "--lattice", "4x1", "--graph", "{1,2}",
+                      "--samples", "40"], id="unit-lattice-side"),
+    ])
+    def test_one_hash(self, capsys, argv_a, argv_b):
+        docs = []
+        for argv in (argv_a, argv_b):
+            code, out, _ = run(capsys, *argv, "--json")
+            assert code == EXIT_OK
+            docs.append(json.loads(out))
+        assert docs[0]["payload_sha256"] == docs[1]["payload_sha256"]
+
+    def test_one_hash_at_every_blas_thread_count(self):
+        shas = set()
+        for threads in ("1", "2", "4"):
+            env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1",
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "overlap_lab.cli", *_ESTIMATE_64,
+                                   "--json"], env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            shas.add(json.loads(proc.stdout)["payload_sha256"])
+        assert len(shas) == 1
 
 
 class TestMonteCarloSamples:

@@ -11,13 +11,16 @@ its closure, so no call leaves a reference cycle behind.  Only
 writes its output.  ``operators``
 takes none of graphs' component-encoding internals.  Every constant the
 README names in backticks is defined in a module of the package.  The
-``fresh_memos`` fixture empties every memo of the package.
+``fresh_memos`` fixture empties every memo of the package.  No disorder
+rule's ``stats`` reduces through BLAS, and the theorem-suite demo still
+shows a refusal.
 """
 
 import ast
 import importlib
 import os
 import re
+import subprocess
 import sys
 
 import overlap_lab
@@ -208,3 +211,39 @@ def test_fresh_memos_empties_every_memo(request):
               if isinstance(value, dict) and not name.startswith("__")
               and value is not graphs.work and value]
     assert filled == []
+
+
+#: numpy calls that may reduce through BLAS, whose split over threads
+#: changes the order of a sum with the thread count.
+BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+
+
+def test_no_rule_reduces_through_blas():
+    # A rule's ``stats`` sums a whole run's per-node column into a reported
+    # mean.  Through BLAS its last bits, and the payload hash, would follow
+    # the thread count; the runtime test of that passes wherever BLAS happens
+    # not to split the sum, so the reduction's source is checked here.
+    def name(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    checked, found = 0, []
+    for path, tree in _src_trees():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for stats in (f for f in cls.body if isinstance(f, FUNCTIONS) and f.name == "stats"):
+                checked += 1
+                found += [f"{path}:{node.lineno} {cls.name}.stats" for node in ast.walk(stats)
+                          if isinstance(node, (ast.BinOp, ast.AugAssign))
+                          and isinstance(node.op, ast.MatMult)
+                          or isinstance(node, ast.Call) and name(node.func) in BLAS_CALLS]
+    assert checked >= 2  # the Monte Carlo and the quadrature rule
+    assert found == []
+
+
+def test_theorem_suite_demo_shows_a_refusal():
+    # The demo ends on an input the work budget refuses at once; it exits
+    # non-zero if that input ever passes.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", "02_theorem_suite.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "  refused: " in proc.stdout
