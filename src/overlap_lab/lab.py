@@ -37,6 +37,16 @@ Conventions that the reproducibility contract depends on:
   once per process, and the rules are read-only.
 * Whenever an identity compares two estimates, both sides are computed from
   the same draws within each sample (common random numbers).
+* A rule whose nodes map onto themselves, weights included, when the field
+  couplings change sign (``mirror_symmetric``: every Gauss-Hermite grid)
+  averages any function of the lambda-tilted measure to one value at
+  lambda and -lambda.  On such a rule the finite-difference stencils run
+  folded onto |lambda|: each negative node's weight moves onto its mirror,
+  and the center and the rhs points go to their magnitudes.  The fold is
+  exact for the average; its sums run in another order than the signed
+  ones, so folded quadrature identities differ from unfolded ones in the
+  last bits.  Monte Carlo draws are no symmetric set and keep every signed
+  node.
 * A report holds what was computed, in one form: the quadrature grid, which
   draws nothing, reports seed 0; a deformation grid is stored sorted; a
   model's beta of -0.0 is 0.0; an EA lattice drops its sides of 1, which add
@@ -587,10 +597,15 @@ class _GaussHermite:
     The grid draws nothing, so its results report seed 0 whatever seed a
     caller was given.  ``stats`` sums the weighted column with numpy's own
     pairwise sum, not a BLAS dot, whose split over threads would move the
-    last bits with the thread count."""
+    last bits with the thread count.  Each axis rule is mirror-symmetric
+    bit for bit (numpy symmetrizes its nodes and weights), so the grid maps
+    onto itself, weights included, when the field couplings change sign;
+    ``mirror_symmetric`` lets the stencils fold onto |lambda|
+    (:func:`_stencil_plan`)."""
 
     method = "quadrature"
     seed = 0
+    mirror_symmetric = True
 
     def __init__(self, axes, n_nodes):
         if n_nodes < 1:
@@ -862,12 +877,34 @@ def _stencil_nodes(config: DeformationConfig, order: int, at_lambda: float):
     return final
 
 
-def _stencil_rows(values, nodes, coeffs, at_lambda) -> np.ndarray:
-    """The stencil ``coeffs`` applied per row of ``values``, shape (rows,
-    len(nodes)), taken at the sorted ``nodes``: sum(c * (f(node) - f(center)))
-    per row."""
-    c = np.array([coeffs.get(node, 0.0) for node in nodes])
-    return (values - values[:, [nodes.index(at_lambda)]]) @ c
+def _folded(coeffs, at_lambda):
+    """The stencil ``coeffs`` at ``at_lambda`` moved onto |lambda|: each
+    node's weight is added to its mirror's, and the center is |at_lambda|.
+    A mirror-symmetric rule averages every function of the tilted measure to
+    one value at lambda and -lambda, so both stencils average alike."""
+    folded = {}
+    for node, c in coeffs.items():
+        folded[abs(node)] = folded.get(abs(node), 0.0) + c
+    folded.setdefault(abs(at_lambda), 0.0)
+    return folded, abs(at_lambda)
+
+
+def _stencil_plan(rule, stencils):
+    """The sorted lambda nodes that ``stencils``, (coeffs, center) pairs,
+    need on ``rule``, and per stencil its coefficient vector over the nodes
+    and the index of its center.  A rule whose nodes are mirror-symmetric in
+    the field couplings takes every stencil folded onto |lambda|."""
+    if rule.mirror_symmetric:
+        stencils = [_folded(*s) for s in stencils]
+    nodes = sorted(set().union(*(coeffs for coeffs, _ in stencils)))
+    return nodes, [(np.array([coeffs.get(node, 0.0) for node in nodes]), nodes.index(at))
+                   for coeffs, at in stencils]
+
+
+def _stencil_rows(values, c, center) -> np.ndarray:
+    """The coefficient vector ``c`` applied per row of ``values``, shape
+    (rows, len(c)): sum(c * (f(node) - f(center))) per row."""
+    return (values - values[:, [center]]) @ c
 
 
 def fd_derivative(
@@ -886,9 +923,11 @@ def fd_derivative(
     respect to the deformation strength, evaluated at ``at_lambda``.
 
     Even orders 2 and 4 serve the identity checks; odd orders exist to
-    demonstrate that odd derivatives vanish.  The same disorder node is used
-    at every grid node (common random numbers), and the stencil is applied
-    per node so the Monte Carlo standard error propagates through it.
+    demonstrate that odd derivatives vanish (at 0 on the quadrature grid,
+    whose stencils fold onto |lambda|, to all-zero weights and exactly
+    0.0).  The same disorder node is used at every grid node (common random
+    numbers), and the stencil is applied per node so the Monte Carlo
+    standard error propagates through it.
     """
     if order not in _STENCILS:
         raise ValueError(f"derivative order must be one of {sorted(_STENCILS)}")
@@ -896,13 +935,13 @@ def fd_derivative(
     rule = _rule(method, model, n_samples, seed, n_nodes)
     config = config or DeformationConfig()
     poly = _leg_free_polynomial(g)
-    coeffs = _stencil_nodes(config, order, at_lambda)
-    nodes = sorted(coeffs)
+    nodes, [(c, center)] = _stencil_plan(rule, [(_stencil_nodes(config, order, at_lambda),
+                                                  at_lambda)])
     evaluator = _PolyMoments(model, poly)
 
     def fill(draws):
         values = evaluator.value_grid(_gibbs_grid(model, draws, nodes))
-        return _stencil_rows(values, nodes, coeffs, at_lambda)[:, None]
+        return _stencil_rows(values, c, center)[:, None]
 
     return _estimate(model, rule, len(nodes) * model.n_configs, fill, [(evaluator, len(nodes))])
 
@@ -1014,8 +1053,8 @@ def identity_check(
         lam0 = float(lemma_lambda) + 0.0  # -0.0 becomes 0.0
         rows.append((f"d/dlam at {lam0} vs lam * E_lam(Delta g)",
                      _stencil_nodes(config, 1, lam0), lam0, lam0))
-    nodes = sorted(set().union(*(coeffs for _, coeffs, _, _ in rows)))
-    at = [nodes.index(point) for _, _, point, _ in rows]
+    nodes, stencils = _stencil_plan(rule, [(coeffs, point) for _, coeffs, point, _ in rows])
+    at = [center for _, center in stencils]
     ev_g = _PolyMoments(model, poly_g)
     ev_d = _PolyMoments(model, dpoly)
 
@@ -1023,7 +1062,7 @@ def identity_check(
         weights = _gibbs_grid(model, draws, nodes)
         f = ev_g.value_grid(weights)
         d = ev_d.value_grid(weights[:, at])
-        return ([_stencil_rows(f, nodes, coeffs, point) for _, coeffs, point, _ in rows],
+        return ([_stencil_rows(f, c, center) for c, center in stencils],
                 [factor * d[:, k] for k, (*_, factor) in enumerate(rows)])
 
     return _identity_report("stability-moment identity", rule, 2, len(nodes) * model.n_configs,

@@ -272,6 +272,9 @@ class _MonteCarlo:
     redrawn whole by one ``Generator`` set to each lane's seeded state."""
 
     method = "mc"
+    # The draws are no symmetric set, and a row's common random numbers need
+    # both signs of lambda at one draw.
+    mirror_symmetric = False
 
     def __init__(self, n_samples, seed):
         if n_samples < 2:

@@ -285,7 +285,7 @@ class TestVerifyPayloads:
          "6a0fdff7cef54448fe9493293fcdd96a085bab3f9b24e5129f28afe7a45afb3a"),
         ("{1,2}{1,3}{1,4}{2,3}{2,4}{3,4}", 2,
          "d59011eab274cad4e5a9ecd2dde1d5313c61a71903f5aedc174a1dea9203ffe4"),
-    ])
+    ], ids=["edge-n3", "double-edge-n3", "path-n3", "matching-n3", "triangle-n3", "K4-n2"])
     def test_pinned_payload(self, capsys, graph, n, sha):
         code, out, _ = run(capsys, "verify", "--graph", graph, "--n", str(n), "--json")
         assert code == EXIT_OK
@@ -706,10 +706,10 @@ class TestGibbsPayloads:
     @pytest.mark.parametrize("argv, sha", [
         (["identity", *_ORACLE, "--nodes", "64", "--graph", "{1,2}", "--n", "1",
           "--lambda-grid", _FINE_GRID, "--tol", "1e-6"],
-         "29efc149e60b5526a42d1f3bca9599539791815e68b3dfea4ac82eaf96119da0"),
+         "96a7db18ffd6eccd2c4f6f6fe1c3a0644bc1db49ab2ae9eca3fdbc4ea4f368af"),
         (["identity", *_ORACLE, "--nodes", "64", "--graph", "{1,2}", "--n", "2",
           "--lambda-grid", _FINE_GRID, "--tol", "1e-5"],
-         "d12709e28708f3d4880621cda5d1425d2d7f6499f8abf6ca0a05b36a0d694108"),
+         "31605df74c59234451cfe8e905ad52c24c597aa172fe68b28c145d233cc6dad5"),
         (["baseline", *_ORACLE, "--nodes", "64"],
          "f250ed18ba5e0d6d43a631bbbbfc4ec70813b7fba31d3d44f5517e3ff30114b1"),
         (_ESTIMATE_64,
@@ -720,7 +720,8 @@ class TestGibbsPayloads:
         (["identity", "--model", "ea", "--lattice", "6", "--beta", "0.5", "--samples", "300",
           "--seed", "2027", "--graph", "{1,2}", "--n", "1"],
          "a5144712abe31b3a67de97038c46b0e8b862a30677fd46286bfc8259a34da59f"),
-    ])
+    ], ids=["identity-quadrature-n1", "identity-quadrature-n2", "baseline-quadrature",
+            "estimate-quadrature", "identity-mc-sk5", "identity-mc-ea6"])
     def test_pinned_payload(self, capsys, argv, sha):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == EXIT_OK
@@ -801,7 +802,7 @@ class TestMonteCarloSamples:
         (["estimate", "--model", "sk", "--N", "5", "--beta", "0.5", "--samples", "300",
           "--seed", "1180591620717411303427", "--graph", "{1,2}", "--lam", "0.3"],
          "c4d8b2ad448d186233e8c01fe7a602240810e4ed698d847714f5b02a6b3db183"),
-    ])
+    ], ids=["identity-two-word-seed", "baseline-one-word-seed", "estimate-three-word-seed"])
     def test_pinned_payload(self, capsys, argv, sha):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == EXIT_OK

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from conftest import beta0_oracle
+from conftest import beta0_oracle, package_modules
 from overlap_lab import (
     BudgetError,
     DeformationConfig,
@@ -620,6 +620,87 @@ class TestIdentityCheck:
         tiny = DeformationConfig(lambda_grid=(1e-320, -1e-320, 5e-321, -5e-321))
         with pytest.raises(ValueError, match="collapses the order-2 stencil"):
             identity_check(model, C12, 1, method="quadrature", n_nodes=8, config=tiny)
+
+
+FINE_GRID = DeformationConfig(
+    lambda_grid=tuple(s * m for m in (0.0125, 0.025, 0.05, 0.1, 0.2) for s in (1, -1)))
+
+
+class TestMirrorFold:
+    """A rule whose nodes are mirror-symmetric in the field couplings, with
+    equal weights, averages every function of the tilted measure to one
+    value at lambda and -lambda; on such a rule the stencils run folded onto
+    |lambda|.  Only the Gauss-Hermite grid claims the symmetry."""
+
+    def test_hermgauss_nodes_and_weights_mirror_exactly(self):
+        for n in range(1, lab.MAX_QUADRATURE_NODES + 1):
+            x, w = lab._hermgauss(n)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
+
+    @pytest.mark.parametrize("axes", [lab._deformation_axes, lab._baseline_axes])
+    def test_grid_maps_onto_itself_under_field_negation(self, axes):
+        rule = lab._GaussHermite(axes, 8)
+        draws = rule.draws(0, rule.size, (3, 2, 2)).reshape(rule.size, -1)
+        mirrored = draws.copy()
+        mirrored[:, 4:] *= -1.0
+        where = {row.tobytes(): k for k, row in enumerate(draws + 0.0)}  # -0.0 as 0.0
+        image = [where[row.tobytes()] for row in mirrored + 0.0]
+        assert sorted(image) == list(range(rule.size))
+        assert np.array_equal(rule.weights[image], rule.weights)
+
+    def test_only_gauss_hermite_claims_the_symmetry(self):
+        # Monte Carlo keeps both signs of every stencil, so its pinned
+        # payloads do not move.
+        rules = {cls for module in package_modules() for cls in vars(module).values()
+                 if isinstance(cls, type) and hasattr(cls, "draws")}
+        assert {cls.__name__ for cls in rules} == {"_GaussHermite", "_MonteCarlo"}
+        assert {cls.__name__ for cls in rules if cls.mirror_symmetric} == {"_GaussHermite"}
+
+    @pytest.mark.parametrize("method, count, signs", [("quadrature", 14, {1.0}),
+                                                      ("mc", 19, {-1.0, 1.0})])
+    def test_identity_evaluates_folded_nodes_on_symmetric_rules_only(
+            self, monkeypatch, method, count, signs):
+        seen = []
+        gibbs_grid = lab._gibbs_grid
+
+        def recording(model, draws, lams):
+            seen.append(list(lams))
+            return gibbs_grid(model, draws, lams)
+
+        monkeypatch.setattr(lab, "_gibbs_grid", recording)
+        identity_check(sk_model(2, 0.5), C12, 1, 40, 3, method=method, config=FINE_GRID,
+                       n_nodes=8)
+        assert len(seen[0]) == count
+        assert {math.copysign(1.0, lam) for lam in seen[0] if lam} == signs
+
+    @pytest.mark.parametrize("beta", [0.2, 0.8, 1.6])
+    @pytest.mark.parametrize("n, lemma", [(1, 0.2), (1, -0.2), (2, None)])
+    def test_folded_rows_match_integrating_then_differencing(self, beta, n, lemma):
+        # The reference averages E_lambda at every signed stencil node on its
+        # own grid, then differences.
+        model = sk_model(2, beta)
+        rep = identity_check(model, C12, n, method="quadrature", config=FINE_GRID,
+                             lemma_lambda=lemma, tol=1e-5)
+        dpoly = GraphPolynomial.monomial(C12)
+        for _ in range(n):
+            dpoly = big_delta(dpoly)
+        rows = [(lab._stencil_nodes(FINE_GRID, 2 * n, 0.0), 0.0, lab.double_factorial(2 * n - 1))]
+        if lemma is not None:
+            rows.append((lab._stencil_nodes(FINE_GRID, 1, lemma), lemma, lemma))
+        assert len(rep.rows) == len(rows)
+        for row, (coeffs, at, factor) in zip(rep.rows, rows):
+            e = {lam: quadrature_expectation(model, C12, lam).mean for lam in coeffs}
+            lhs = sum(c * (e[lam] - e[at]) for lam, c in coeffs.items())
+            gain = sum(abs(c) for c in coeffs.values())
+            assert abs(row.lhs - lhs) <= gain * 1e-14
+            rhs = factor * quadrature_expectation(model, dpoly, at).mean
+            assert row.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_odd_order_quadrature_at_zero_is_exactly_zero(self, order):
+        # An odd stencil at 0 folds to all-zero weights.
+        est = fd_derivative(sk_model(2, 0.5), C12, order, method="quadrature")
+        assert est.mean == 0.0 and est.truncation == 0.0
 
 
 class TestWickBaselines:

@@ -13,7 +13,8 @@ takes none of graphs' component-encoding internals.  Every constant the
 README names in backticks is defined in a module of the package.  The
 ``fresh_memos`` fixture empties every memo of the package.  No disorder
 rule's ``stats`` reduces through BLAS, and the theorem-suite demo still
-shows a refusal.
+shows a refusal, and the finite-size identities demo runs with no
+violation.
 """
 
 import ast
@@ -55,8 +56,9 @@ def test_tracer_installs_and_uninstalls():
 
 def test_tracer_counts_one_gibbs_measure_per_node_and_lambda(capsys):
     # lab.gibbs_evals and lab.quadrature.nodes read these counts.  An SK N=2
-    # quadrature at 8 nodes per axis: the n=2 identity evaluates 7 lambda
-    # nodes on the 8 x 8 grid, the estimate 1 on it and on the doubled one.
+    # quadrature at 8 nodes per axis: the n=2 identity evaluates 4 lambda
+    # nodes on the 8 x 8 grid (0, 0.05, 0.1 and 0.2: the stencil folded onto
+    # |lambda|), the estimate 1 on it and on the doubled one.
     quad = ["--model", "sk", "--N", "2", "--method", "quadrature", "--nodes", "8"]
     tracer = Tracer(overlap_lab)
     tracer.install()
@@ -67,7 +69,7 @@ def test_tracer_counts_one_gibbs_measure_per_node_and_lambda(capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert identity == 7 * 8**2
+    assert identity == 4 * 8**2
     assert tracer.counts["gibbs"] - identity == 8**2 + 16**2
 
 
@@ -239,11 +241,22 @@ def test_no_rule_reduces_through_blas():
     assert found == []
 
 
+def _run_demo(name):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_theorem_suite_demo_shows_a_refusal():
     # The demo ends on an input the work budget refuses at once; it exits
     # non-zero if that input ever passes.
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", "02_theorem_suite.py")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "  refused: " in proc.stdout
+    assert "  refused: " in _run_demo("02_theorem_suite.py")
+
+
+def test_finite_size_identities_demo_holds():
+    # The demo's quadrature rows run the folded stencils; every row it
+    # prints must pass.
+    out = _run_demo("03_finite_size_identities.py")
+    assert "-> ok" in out and "VIOLATION" not in out
