@@ -1,6 +1,6 @@
 """Small quenched spin systems: exact Gibbs sums over all configurations,
-Monte Carlo over the disorder, a Gauss-Hermite oracle for the two-spin SK
-instance, and finite-size identity checks against the symbolic engine.
+Monte Carlo over the disorder, a Gauss-Hermite oracle over each model's
+coupling sums, and finite-size identity checks against the symbolic engine.
 
 Both models share one formula.  ``ModelInstance.bonds`` lists the coupled
 site pairs b = (i, j) and ``bond_products`` the products sigma_i sigma_j per
@@ -19,15 +19,15 @@ Conventions that the reproducibility contract depends on:
   wedge test too close to call) with numpy's own ``Generator``.  Tier-1
   tests (``tests/test_mc_engine.py``) hold the streams equal bit for bit.
 * Every disorder average runs through one chunked evaluator.  A rule, Monte
-  Carlo draws or the Gauss-Hermite grid of the two-spin SK oracle, yields its
-  nodes in chunks whose length follows from the model and the number of
-  deformation nodes.  Per-node results land in preallocated slots; Monte
-  Carlo reduces them with exact summation in index order, quadrature with
-  numpy's pairwise sum of the weighted column, which calls no BLAS.  So
-  estimates are bit-identical across reruns, and across BLAS thread counts,
-  at a fixed chunk size.  Batched arithmetic rounds
-  differently from a one-sample-at-a-time evaluation, in the last bits
-  (about 1e-14 relative, magnified by finite-difference stencils).
+  Carlo draws or a Gauss-Hermite grid, yields its nodes in chunks whose
+  length follows from the model and the number of deformation nodes.
+  Per-node results land in preallocated slots; Monte Carlo reduces them
+  with exact summation in index order, quadrature with numpy's pairwise sum
+  of the weighted column, which calls no BLAS.  So estimates are
+  bit-identical across reruns, and across BLAS thread counts, at a fixed
+  chunk size.  Batched arithmetic rounds differently from a
+  one-sample-at-a-time evaluation, in the last bits (about 1e-14 relative,
+  magnified by finite-difference stencils).
 * A polynomial's replica contractions run as one step program per chunk:
   each distinct product of weights and overlap powers is computed once and
   shared by every term that needs it, on one row-slice length for the whole
@@ -55,8 +55,9 @@ Conventions that the reproducibility contract depends on:
   floating-point work (multiply-adds) and ``LAB_MEMORY_BUDGET`` bytes.  A
   model is refused on its site count, when its 2^N x 2^N overlap cannot
   fit; a run is refused when its nodes times their work per node, or its
-  arrays and result slots, are over the budget.  Both checks come before
-  anything of that size is built or any node is drawn.
+  arrays, result slots and grid weights, are over the budget.  Both checks
+  come before anything of that size is built or any node is drawn, so the
+  quadrature oracle runs on any model and grid the budget admits.
 """
 
 from __future__ import annotations
@@ -554,30 +555,9 @@ MAX_QUADRATURE_NODES = 256
 MAX_MC_SAMPLES = 2**32
 
 
-# With two SK spins, -H = J11 + J22 + u s and the field is (K + v s) / 2, where
-# s = sigma1 sigma2, u = J12 + J21, v = J'12 + J'21 and K = J'11 + J'22 are
-# all N(0, 2).  The grid puts u on J[0, 1], v on J'[0, 1] and, where it does
-# not cancel from the integrand, K on J'[0, 0]; other couplings are zero.
-
-def _deformation_axes(n):
-    """K shifts every configuration's field alike, so it cancels from each
-    deformed Gibbs measure."""
-    return {(0, 0, 1): n, (1, 0, 1): n}
-
-
-def _undeformed_axes(n):
-    """At lam = 0 the field, v included, cancels as well."""
-    return {(0, 0, 1): n}
-
-
-#: Nodes per field axis of the baselines: their integrands are quadratic in
-#: each of K and v, which two Gauss-Hermite nodes integrate exactly.
+#: Nodes per field axis of the baselines: their brackets are quadratic in each
+#: block's couplings, which two Gauss-Hermite nodes per axis integrate exactly.
 _BASELINE_FIELD_NODES = 2
-
-
-def _baseline_axes(n):
-    k = _BASELINE_FIELD_NODES
-    return {(0, 0, 1): n, (1, 0, 0): k, (1, 0, 1): k, (2, 0, 0): k, (2, 0, 1): k}
 
 
 @lru_cache(maxsize=None)
@@ -591,13 +571,24 @@ def _hermgauss(n):
 
 
 class _GaussHermite:
-    """Tensor Gauss-Hermite grid over the axes ``axes(n_nodes)``, a map from
-    coupling positions (slot, i, j) in a draw to node counts.
+    """Tensor Gauss-Hermite grid over the coupling sums of ``model``.
+
+    Bonds with equal columns of ``bond_products`` enter every measure only
+    through the sum of their couplings, so each distinct column is one
+    N(0, count) axis over its ``count`` bonds, its nodes on the first of
+    them in C order, the others zero.  Per draw block, ``blocks`` says how
+    it enters: ``"exponent"`` (a Gibbs exponent, whose constant column
+    cancels; ``n_nodes`` per axis), ``"bracket"`` (a baseline's field
+    bracket; ``_BASELINE_FIELD_NODES``) or None (not read; no axis).
+    ``axes`` maps each axis's (block, *coupling index) to (count, nodes), by
+    block, then by first bond.
 
     The grid draws nothing, so its results report seed 0 whatever seed a
-    caller was given.  ``stats`` sums the weighted column with numpy's own
-    pairwise sum, not a BLAS dot, whose split over threads would move the
-    last bits with the thread count.  Each axis rule is mirror-symmetric
+    caller was given.  Its ``weights`` (``weight_columns``) are built on the
+    first ``stats``, after the budget check that counts them.  ``stats``
+    sums the weighted column with numpy's own pairwise sum, not a BLAS dot,
+    whose split over threads would move the last bits with the thread
+    count.  Each axis rule is mirror-symmetric
     bit for bit (numpy symmetrizes its nodes and weights), so the grid maps
     onto itself, weights included, when the field couplings change sign;
     ``mirror_symmetric`` lets the stencils fold onto |lambda|
@@ -606,28 +597,38 @@ class _GaussHermite:
     method = "quadrature"
     seed = 0
     mirror_symmetric = True
+    weight_columns = 1
 
-    def __init__(self, axes, n_nodes):
+    def __init__(self, model, blocks, n_nodes):
         if n_nodes < 1:
             raise ValueError(f"quadrature needs at least 1 node per axis, got {n_nodes}")
-        counts = axes(n_nodes)
-        self._shape = tuple(counts.values())
+        columns = {}
+        for b, col in enumerate(model.bond_products.T):
+            columns.setdefault(col.tobytes(), []).append(b)
+        constant = np.ones(model.n_configs).tobytes()
+        self.axes = {(k, *map(int, np.unravel_index(bonds[0], model.coupling_shape))):
+                     (len(bonds), n_nodes if role == "exponent" else _BASELINE_FIELD_NODES)
+                     for k, role in enumerate(blocks) for key, bonds in columns.items()
+                     if role == "bracket" or role == "exponent" and key != constant}
+        self._shape = tuple(n for _, n in self.axes.values())
         if max(self._shape) > MAX_QUADRATURE_NODES:
             raise BudgetError(
                 f"a {'x'.join(map(str, self._shape))} quadrature grid exceeds "
                 f"the bound of {MAX_QUADRATURE_NODES} nodes per axis"
             )
         self.size = math.prod(self._shape)
-        self._axes, self.samples = axes, n_nodes
-        self._positions = list(counts)
-        self._values = [2.0 * _hermgauss(n)[0] for n in self._shape]  # std sqrt(2)
+        self._model, self._blocks, self.samples = model, blocks, n_nodes
+        self._values = [math.sqrt(2 * c) * _hermgauss(n)[0] for c, n in self.axes.values()]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
         axis_weights = [_hermgauss(n)[1] / math.sqrt(math.pi) for n in self._shape]
-        self.weights = reduce(np.multiply.outer, axis_weights).ravel()
+        return reduce(np.multiply.outer, axis_weights).ravel()
 
     def draws(self, lo, hi, shape) -> np.ndarray:
         out = np.zeros((hi - lo, *shape))
         idx = np.unravel_index(np.arange(lo, hi), self._shape)
-        for pos, x, k in zip(self._positions, self._values, idx):
+        for pos, x, k in zip(self.axes, self._values, idx):
             out[(slice(None), *pos)] = x[k]
         return out
 
@@ -638,17 +639,15 @@ class _GaussHermite:
         return tol
 
     def refined(self):
-        return _GaussHermite(self._axes, 2 * self.samples)
+        return _GaussHermite(self._model, self._blocks, 2 * self.samples)
 
 
-def _rule(method, model, n_samples, seed, n_nodes, axes=_deformation_axes):
+def _rule(method, model, n_samples, seed, n_nodes, blocks=("exponent", "exponent")):
     if method == "mc":
         from .streams import _MonteCarlo  # loaded here, so that commands drawing nothing skip it
         return _MonteCarlo(n_samples, seed)
     if method == "quadrature":
-        if model.kind != "sk" or model.n_sites != 2:
-            raise ValueError("the quadrature oracle requires an SK instance with N=2")
-        return _GaussHermite(axes, n_nodes)
+        return _GaussHermite(model, blocks, n_nodes)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -656,10 +655,11 @@ def _check_run(what, model, nodes, blocks, width, uses):
     """Refuse a run over the lab budget: ``nodes`` nodes on ``model`` (None
     for none), each drawing ``blocks`` coupling blocks, passing weight rows
     through evaluators, ``uses`` being (evaluator, rows per node) pairs, and
-    filling ``width`` result slots.  Work per node: the energy and field
-    products and each evaluator's program per row.  Bytes: the model's
-    arrays, each overlap power once, each evaluator's widest register, and
-    the slots with one column more for the spread of a column."""
+    holding ``width`` floats per node (result slots and rule weights).  Work
+    per node: the energy and field products and each evaluator's program
+    per row.  Bytes: the model's arrays, each overlap power once, each
+    evaluator's widest register, and the columns with one more for a
+    column's spread or weighted copy."""
     units = sum(rows * ev.flops for ev, rows in uses)
     nbytes = sum(ev.row_bytes for ev, _ in uses) + 8 * nodes * (width + 1)
     if model is not None:
@@ -683,7 +683,8 @@ def _evaluate(rule, blocks, width, per_node, fill, model=None, uses=()) -> np.nd
     refused by :func:`_softmax_last`'s check, and any other value that is
     not finite here.
     """
-    _check_run(f"{rule.size} {rule.method} nodes", model, rule.size, blocks, width, uses)
+    _check_run(f"{rule.size} {rule.method} nodes", model, rule.size, blocks,
+               width + rule.weight_columns, uses)
     draw_shape = (blocks, *(() if model is None else model.coupling_shape))
     slots = np.empty((rule.size, width), dtype=np.float64)
     chunk = max(1, _CHUNK_FLOATS // per_node)
@@ -701,7 +702,8 @@ def _estimate(model, rule, per_node, fill, uses) -> QuenchedEstimate:
     change under the doubled grid as truncation where the rule has one."""
     check = rule.refined()  # built, or refused, before any work
     if check is not None:  # the larger run: checked before either is evaluated
-        _check_run(f"{check.size} {check.method} nodes", model, check.size, 2, 1, uses)
+        _check_run(f"{check.size} {check.method} nodes", model, check.size, 2,
+                   1 + check.weight_columns, uses)
 
     def mean_err(r):
         return r.stats(_evaluate(r, 2, 1, per_node, fill, model, uses)[:, 0])
@@ -772,15 +774,14 @@ def stability_deviation(model, g, n_samples, seed) -> QuenchedEstimate:
 
 
 def quadrature_expectation(model, p, lam=0.0, n_nodes=64) -> QuenchedEstimate:
-    """Deterministic disorder average for SK with N=2 on a Gauss-Hermite grid,
-    through the same evaluator as the Monte Carlo estimators.  At ``lam=0``
-    the grid has the coupling axis only.
+    """Deterministic disorder average on any Gauss-Hermite grid the lab
+    budget admits (:class:`_GaussHermite`), through the same evaluator as
+    the Monte Carlo estimators.  At ``lam=0`` the field has no axis.
 
     The reported truncation bound is the change under doubling the node
     count; stderr is zero by construction.
     """
-    axes = _deformation_axes if lam else _undeformed_axes
-    rule = _rule("quadrature", model, None, 0, n_nodes, axes)
+    rule = _rule("quadrature", model, None, 0, n_nodes, ("exponent", "exponent" if lam else None))
     return _deformed(model, p, lam, rule, False)
 
 # --------------------------------------------------------------------------
@@ -885,7 +886,6 @@ def _folded(coeffs, at_lambda):
     folded = {}
     for node, c in coeffs.items():
         folded[abs(node)] = folded.get(abs(node), 0.0) + c
-    folded.setdefault(abs(at_lambda), 0.0)
     return folded, abs(at_lambda)
 
 
@@ -893,18 +893,14 @@ def _stencil_plan(rule, stencils):
     """The sorted lambda nodes that ``stencils``, (coeffs, center) pairs,
     need on ``rule``, and per stencil its coefficient vector over the nodes
     and the index of its center.  A rule whose nodes are mirror-symmetric in
-    the field couplings takes every stencil folded onto |lambda|."""
+    the field couplings takes every stencil folded onto |lambda|.  Nodes of
+    zero weight in every stencil are left out, centers excepted."""
     if rule.mirror_symmetric:
         stencils = [_folded(*s) for s in stencils]
-    nodes = sorted(set().union(*(coeffs for coeffs, _ in stencils)))
+    nodes = sorted({at for _, at in stencils}.union(
+        *({node for node, c in coeffs.items() if c} for coeffs, _ in stencils)))
     return nodes, [(np.array([coeffs.get(node, 0.0) for node in nodes]), nodes.index(at))
                    for coeffs, at in stencils]
-
-
-def _stencil_rows(values, c, center) -> np.ndarray:
-    """The coefficient vector ``c`` applied per row of ``values``, shape
-    (rows, len(c)): sum(c * (f(node) - f(center))) per row."""
-    return (values - values[:, [center]]) @ c
 
 
 def fd_derivative(
@@ -924,7 +920,7 @@ def fd_derivative(
 
     Even orders 2 and 4 serve the identity checks; odd orders exist to
     demonstrate that odd derivatives vanish (at 0 on the quadrature grid,
-    whose stencils fold onto |lambda|, to all-zero weights and exactly
+    whose stencils fold onto |lambda|, at lambda = 0 alone and to exactly
     0.0).  The same disorder node is used at every grid node (common random
     numbers), and the stencil is applied per node so the Monte Carlo
     standard error propagates through it.
@@ -941,7 +937,7 @@ def fd_derivative(
 
     def fill(draws):
         values = evaluator.value_grid(_gibbs_grid(model, draws, nodes))
-        return _stencil_rows(values, c, center)[:, None]
+        return ((values - values[:, [center]]) @ c)[:, None]
 
     return _estimate(model, rule, len(nodes) * model.n_configs, fill, [(evaluator, len(nodes))])
 
@@ -1029,7 +1025,9 @@ def identity_check(
 
     MC rows pass when |diff| is within 3 combined standard errors (computed
     from per-sample differences under common random numbers); quadrature rows
-    pass when |diff| <= tol, a finite tol >= 0.
+    pass when |diff| <= tol, a finite tol >= 0.  Both sides of a quadrature
+    row share the coupling nodes: a row certifies the identity at each
+    coupling node, not the convergence of either side.
     """
     _check_nonnegative("tol", tol)
     if n not in (1, 2):
@@ -1062,7 +1060,7 @@ def identity_check(
         weights = _gibbs_grid(model, draws, nodes)
         f = ev_g.value_grid(weights)
         d = ev_d.value_grid(weights[:, at])
-        return ([_stencil_rows(f, c, center) for c, center in stencils],
+        return ([(f - f[:, [center]]) @ c for c, center in stencils],
                 [factor * d[:, k] for k, (*_, factor) in enumerate(rows)])
 
     return _identity_report("stability-moment identity", rule, 2, len(nodes) * model.n_configs,
@@ -1085,7 +1083,7 @@ def wick_baseline_check(
     overlap, and the three-bracket chain against the three-replica chain.
     Quadrature rows pass when |diff| <= tol, a finite tol >= 0."""
     _check_nonnegative("tol", tol)
-    rule = _rule(method, model, n_samples, seed, n_nodes, _baseline_axes)
+    rule = _rule(method, model, n_samples, seed, n_nodes, ("exponent", "bracket", "bracket"))
     ev2, ev3 = (_PolyMoments(model, GraphPolynomial.monomial(Multigraph(edges, ())))
                 for edges in (((1, 2, 1),), ((1, 2, 1), (2, 3, 1))))
     labels = ("Av(<h>^2) vs E({1,2})", "Av(<h1><h1 h2><h2>) vs E({1,2}{2,3})")

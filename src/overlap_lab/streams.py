@@ -275,6 +275,7 @@ class _MonteCarlo:
     # The draws are no symmetric set, and a row's common random numbers need
     # both signs of lambda at one draw.
     mirror_symmetric = False
+    weight_columns = 0  # equal weights, none stored
 
     def __init__(self, n_samples, seed):
         if n_samples < 2:

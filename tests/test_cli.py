@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -30,6 +31,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_command_lines():
+    """The ``overlap`` command lines of the README's "Command line" block,
+    ``\\`` continuations joined, as argument lists."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line\n\n```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    return [line[1:] for line in lines if line[:1] == ["overlap"]]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_lines_exit_zero(capsys, argv):
+    assert run(capsys, *argv)[0] == EXIT_OK
 
 
 class TestExpand:

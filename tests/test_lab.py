@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -475,11 +476,92 @@ class TestQuadrature:
             weights *= 2.0
         assert math.isclose(weights.sum(), math.sqrt(math.pi), rel_tol=1e-14)
 
-    def test_non_reducible_models_rejected(self):
-        with pytest.raises(ValueError):
-            quadrature_expectation(sk_model(3, 0.5), C12)
-        with pytest.raises(ValueError):
-            quadrature_expectation(ea_model((4,), 0.5), C12)
+    @pytest.mark.parametrize("run", [
+        lambda: identity_check(sk_model(3, 0.5), C12, 1, method="quadrature"),
+        lambda: quadrature_expectation(sk_model(3, 0.5), C12, 0.3),
+        lambda: wick_baseline_check(ea_model((2, 3), 0.5), method="quadrature"),
+    ], ids=["sk3-identity", "sk3-deformed-estimate", "ea2x3-baseline"])
+    def test_over_budget_grid_refused_before_any_draw_or_weights(self, monkeypatch, run):
+        # Any model runs whose grid the lab budget admits; the SK N=3
+        # identity at 64 nodes has 64^6 nodes, and its weights alone would
+        # take 2^39 bytes.
+        def fail(*args):
+            pytest.fail("drew a node or built the grid's weights")
+
+        monkeypatch.setattr(lab._GaussHermite, "draws", fail)
+        monkeypatch.setattr(lab._GaussHermite, "weights", property(fail))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="quadrature nodes"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_run_bytes_count_the_grid_weights(self, monkeypatch):
+        # The grid holds one weight per node, which Monte Carlo's equal
+        # weights do not: 8 bytes per node more at equal node counts.
+        model = sk_model(2, 0.5)
+        nbytes, check = {}, lab._check_budget
+
+        def recording(what, units, n):
+            nbytes[what.split(" on ")[0]] = n
+            return check(what, units, n)
+
+        monkeypatch.setattr(lab, "_check_budget", recording)
+        quadrature_expectation(model, C12, n_nodes=8)
+        quenched_expectation(model, C12, 8, 0)
+        assert nbytes["8 quadrature nodes"] - nbytes["8 mc nodes"] == 8 * 8
+
+
+class TestDerivedAxes:
+    """The Gauss-Hermite grid reads its axes off the model: one N(0, count)
+    axis per distinct column of ``bond_products``, on the first bond with
+    that column; an exponent drops the constant column, a baseline bracket
+    keeps it, and an unread block has no axis."""
+
+    @staticmethod
+    def assert_axes(model, blocks, expected, n_nodes=4):
+        rule = lab._GaussHermite(model, blocks, n_nodes)
+        assert rule.axes == expected
+        draws = rule.draws(0, rule.size, (len(blocks), *model.coupling_shape))
+        for pos, (count, n) in expected.items():
+            # the nodes of N(0, count); 2 * hermgauss for a pair sum
+            values = math.sqrt(2 * count) * lab._hermgauss(n)[0]
+            assert np.array_equal(np.unique(draws[(slice(None), *pos)]), values)
+            draws[(slice(None), *pos)] = 0.0
+        assert not draws.any()  # every other coupling is zero
+
+    def test_sk2_axes_are_the_retired_tables(self):
+        model, k = sk_model(2, 0.5), lab._BASELINE_FIELD_NODES
+        self.assert_axes(model, ("exponent", "exponent"), {(0, 0, 1): (2, 4), (1, 0, 1): (2, 4)})
+        self.assert_axes(model, ("exponent", None), {(0, 0, 1): (2, 4)})
+        self.assert_axes(model, ("exponent", "bracket", "bracket"), {
+            (0, 0, 1): (2, 4), (1, 0, 0): (2, k), (1, 0, 1): (2, k), (2, 0, 0): (2, k),
+            (2, 0, 1): (2, k)})
+
+    def test_sk3_has_three_pair_sums(self):
+        # J_ij + J_ji per pair i < j; the diagonal is the constant column
+        self.assert_axes(sk_model(3, 0.5), ("exponent", None),
+                         {(0, 0, 1): (2, 4), (0, 0, 2): (2, 4), (0, 1, 2): (2, 4)})
+
+    def test_ea_ring_of_three_has_one_axis_per_bond(self):
+        self.assert_axes(ea_model((3,), 0.5), ("exponent", None),
+                         {(0, 0): (1, 4), (0, 1): (1, 4), (0, 2): (1, 4)})
+
+    def test_sk3_estimate_converges_and_agrees_with_monte_carlo(self):
+        model = sk_model(3, 0.5)
+        est = quadrature_expectation(model, C12)
+        assert est.samples == 64 and est.truncation < 1e-10
+        mc = quenched_expectation(model, C12, 20000, 1)
+        assert abs(mc.mean - est.mean) <= 3 * mc.stderr
+
+    @pytest.mark.parametrize("model_fn", [lambda: sk_model(3, 0.5), lambda: ea_model((3,), 0.5)],
+                             ids=["sk3", "ea3"])
+    def test_identities_hold_beyond_two_spins(self, model_fn):
+        rep = identity_check(model_fn(), C12, 1, method="quadrature", n_nodes=8, tol=1e-6)
+        assert rep.passed and len(rep.rows) == 2, rep.rows
 
 
 class TestDeformationConfig:
@@ -637,12 +719,20 @@ class TestMirrorFold:
             x, w = lab._hermgauss(n)
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
 
-    @pytest.mark.parametrize("axes", [lab._deformation_axes, lab._baseline_axes])
-    def test_grid_maps_onto_itself_under_field_negation(self, axes):
-        rule = lab._GaussHermite(axes, 8)
-        draws = rule.draws(0, rule.size, (3, 2, 2)).reshape(rule.size, -1)
+    @pytest.mark.parametrize("blocks", [("exponent", "exponent"),
+                                        ("exponent", "bracket", "bracket")],
+                             ids=["deformed", "baseline"])
+    @pytest.mark.parametrize("model_fn", [lambda: sk_model(2, 0.5), lambda: sk_model(3, 0.5),
+                                          lambda: ea_model((3,), 0.5)],
+                             ids=["sk2", "sk3", "ea3"])
+    def test_grid_maps_onto_itself_under_field_negation(self, model_fn, blocks):
+        model = model_fn()
+        rule = lab._GaussHermite(model, blocks, 4)
+        shape = (len(blocks), *model.coupling_shape)
+        draws = rule.draws(0, rule.size, shape).reshape(rule.size, len(blocks), -1)
         mirrored = draws.copy()
-        mirrored[:, 4:] *= -1.0
+        mirrored[:, 1:] *= -1.0
+        draws, mirrored = (a.reshape(rule.size, -1) for a in (draws, mirrored))
         where = {row.tobytes(): k for k, row in enumerate(draws + 0.0)}  # -0.0 as 0.0
         image = [where[row.tobytes()] for row in mirrored + 0.0]
         assert sorted(image) == list(range(rule.size))
@@ -697,10 +787,22 @@ class TestMirrorFold:
             assert row.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("order", [1, 3])
-    def test_odd_order_quadrature_at_zero_is_exactly_zero(self, order):
-        # An odd stencil at 0 folds to all-zero weights.
+    def test_odd_order_quadrature_at_zero_is_exactly_zero(self, monkeypatch, order):
+        # An odd stencil at 0 folds to all-zero weights, so only its center,
+        # lambda = 0, is evaluated: one Gibbs measure per node of the 64^2
+        # grid and of its 128^2 doubling.
+        seen = []
+        gibbs_grid = lab._gibbs_grid
+
+        def recording(model, draws, lams):
+            seen.append((len(draws), list(lams)))
+            return gibbs_grid(model, draws, lams)
+
+        monkeypatch.setattr(lab, "_gibbs_grid", recording)
         est = fd_derivative(sk_model(2, 0.5), C12, order, method="quadrature")
         assert est.mean == 0.0 and est.truncation == 0.0
+        assert {tuple(lams) for _, lams in seen} == {(0.0,)}
+        assert sum(n * len(lams) for n, lams in seen) == 64**2 + 128**2
 
 
 class TestWickBaselines:

@@ -11,7 +11,8 @@ its closure, so no call leaves a reference cycle behind.  Only
 writes its output.  ``operators``
 takes none of graphs' component-encoding internals.  Every constant the
 README names in backticks is defined in a module of the package.  The
-``fresh_memos`` fixture empties every memo of the package.  No disorder
+``fresh_memos`` fixture empties every memo of the package.  Only the model
+and its constructors read a model's ``kind`` in the lab.  No disorder
 rule's ``stats`` reduces through BLAS, and the theorem-suite demo still
 shows a refusal, and the finite-size identities demo runs with no
 violation.
@@ -213,6 +214,23 @@ def test_fresh_memos_empties_every_memo(request):
               if isinstance(value, dict) and not name.startswith("__")
               and value is not graphs.work and value]
     assert filled == []
+
+
+#: The code in lab that may read a model's ``kind``: the model and its
+#: constructors.
+KIND_READERS = {"ModelInstance", "sk_model", "ea_model"}
+
+
+def test_only_the_model_reads_its_kind():
+    # Every estimator and rule works from the bond products alone, so a
+    # model-specific branch anywhere else in the lab shows here.
+    path = os.path.join(ROOT, "src", "overlap_lab", "lab.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = [f"{path}:{node.lineno} {top.name}" for top in tree.body
+             if isinstance(top, (*FUNCTIONS, ast.ClassDef)) and top.name not in KIND_READERS
+             for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert found == []
 
 
 #: numpy calls that may reduce through BLAS, whose split over threads
