@@ -1,12 +1,30 @@
-"""Small quenched spin systems: exact Gibbs sums over all configurations,
-Monte Carlo over the disorder, a Gauss-Hermite oracle over each model's
-coupling sums, and finite-size identity checks against the symbolic engine.
+"""Small quenched spin systems: exact Gibbs sums over the configurations
+modulo the global spin flip, Monte Carlo over the disorder, a Gauss-Hermite
+oracle over each model's coupling sums, and finite-size identity checks
+against the symbolic engine.
 
 Both models share one formula.  ``ModelInstance.bonds`` lists the coupled
 site pairs b = (i, j) and ``bond_products`` the products sigma_i sigma_j per
-configuration, a (2^N, |B|) matrix P.  Then -H = sum_b J_b sigma_i sigma_j,
-the deformation field is the same sum over the field couplings divided by
-sqrt(|B|), and the overlap kernel, their covariance, is P P^T / |B|.
+configuration, a (2^(N-1), |B|) matrix P.  Then -H = sum_b J_b sigma_i
+sigma_j, the deformation field is the same sum over the field couplings
+divided by sqrt(|B|), and the overlap kernel, their covariance, is P P^T /
+|B|.
+
+Every sum runs over the 2^(N-1) configurations whose last spin is +1, one of
+each pair sigma, -sigma, and the Gibbs weights are normalized over them.
+This is exact.  Everything the lab computes reads a configuration only
+through its row of P: the energy, the field, the overlap entries and so
+every replica contraction.  Each column sigma_i sigma_j is even under
+sigma -> -sigma, so sigma and -sigma have one row, one Boltzmann factor and
+one weight under the full measure on 2^N configurations.  In a sum over R
+replicas, each full-space R-tuple is then one of 2^R tuples that flip some
+replicas and give the same summand, and each weight of the quotient is
+twice a full weight: the quotient's sum has 2^R times fewer tuples, each
+weighted 2^R times more, and is the same number.  Nothing finer merges: the
+bond graph of every model is connected (SK couples every pair, a periodic
+lattice with its sides of 1 dropped is connected), so sigma_i sigma_j on
+every bond fixes sigma up to its sign, and the rows of P are pairwise
+distinct.
 
 Conventions that the reproducibility contract depends on:
 
@@ -53,11 +71,12 @@ Conventions that the reproducibility contract depends on:
   no bond.
 * One budget bounds what the lab runs: ``LAB_WORK_BUDGET`` units of
   floating-point work (multiply-adds) and ``LAB_MEMORY_BUDGET`` bytes.  A
-  model is refused on its site count, when its 2^N x 2^N overlap cannot
-  fit; a run is refused when its nodes times their work per node, or its
-  arrays, result slots and grid weights, are over the budget.  Both checks
-  come before anything of that size is built or any node is drawn, so the
-  quadrature oracle runs on any model and grid the budget admits.
+  model is refused on its site count, when its 2^(N-1) x 2^(N-1) overlap
+  cannot fit (14 sites fit, 15 do not); a run is refused when its nodes
+  times their work per node, or its arrays, result slots and grid weights,
+  are over the budget.  Both checks come before anything of that size is
+  built or any node is drawn, so the quadrature oracle runs on any model
+  and grid the budget admits.
 """
 
 from __future__ import annotations
@@ -133,19 +152,21 @@ class ModelInstance:
     dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        # The overlap holds 4^N floats, built with at least one unit each.
-        # N is capped just past the budget's bit length first, so that a
-        # huge N is refused without forming 2^N.
-        n, k = self.n_sites, min(self.n_sites, LAB_MEMORY_BUDGET.bit_length())
+        # The overlap holds 4^(N-1) floats, built with at least one unit
+        # each.  N is capped just past the budget's bit length first, so that
+        # a huge N is refused without forming 2^N.
+        n, k = self.n_sites - 1, min(self.n_sites, LAB_MEMORY_BUDGET.bit_length()) - 1
         _check_budget(f"{self.kind} model with a 2^{n} x 2^{n} overlap", 4**k, 8 * 4**k)
 
     @property
     def n_configs(self) -> int:
-        return 2**self.n_sites
+        """2^(N-1): one configuration of each pair sigma, -sigma."""
+        return 2 ** (self.n_sites - 1)
 
     @cached_property
     def spins(self) -> np.ndarray:
-        """All configurations as a (2^N, N) matrix of +-1."""
+        """The configurations whose last spin is +1, one of each pair sigma,
+        -sigma, as a (2^(N-1), N) matrix of +-1."""
         bits = (np.arange(self.n_configs)[:, None] >> np.arange(self.n_sites)) & 1
         return 1.0 - 2.0 * bits.astype(np.float64)
 
@@ -165,7 +186,9 @@ class ModelInstance:
 
     @cached_property
     def bond_products(self) -> np.ndarray:
-        """sigma_i * sigma_j per configuration and bond, shape (2^N, |B|)."""
+        """sigma_i * sigma_j per configuration of :attr:`spins` and bond,
+        shape (2^(N-1), |B|).  Its rows are pairwise distinct: the bond
+        graph is connected, so only sigma and -sigma share a row."""
         left, right = np.array(self.bonds).T
         return self.spins[:, left] * self.spins[:, right]
 
@@ -277,11 +300,13 @@ _softmax = _softmax_last
 
 
 def gibbs_weights(model, couplings, lam=0.0, field_couplings=None) -> np.ndarray:
-    """Normalized Gibbs weights over all 2^N configurations, optionally tilted
-    by ``exp(lam * h)`` with the field built from ``field_couplings``.
+    """Normalized Gibbs weights over the 2^(N-1) configurations of
+    ``model.spins``, one of each pair sigma, -sigma, optionally tilted by
+    ``exp(lam * h)`` with the field built from ``field_couplings``.
 
-    Log-sum-exp stabilization makes overflow impossible; the result is
-    nonnegative and sums to one within 1e-14.
+    The full measure on all 2^N configurations puts half of each weight on
+    sigma and half on -sigma.  Log-sum-exp stabilization makes overflow
+    impossible; the result is nonnegative and sums to one within 1e-14.
     """
     x = model.beta * _neg_energy(model, couplings)
     if field_couplings is not None:
@@ -345,7 +370,7 @@ class _PolyMoments:
     computed once per row slice and terms share it bit for bit.  The program
     runs on weights of shape (..., n_configs) in slices of the smallest
     per-term row count, which keeps every intermediate within
-    ``_CHUNK_FLOATS`` unless one row exceeds it (K4 on 64 configurations),
+    ``_CHUNK_FLOATS`` unless one row exceeds it (K4 on 32 configurations),
     and drops each register after its last use.
 
     The program also gives the evaluator's cost, for the lab budget:
@@ -540,7 +565,7 @@ class QuenchedEstimate:
 
 
 #: Floats in one chunk's widest per-node block, the (nodes, lambda nodes,
-#: 2^N) Gibbs weights for the models, and in one row slice of a replica
+#: 2^(N-1)) Gibbs weights for the models, and in one row slice of a replica
 #: contraction's intermediates; chunk and slice lengths follow from it, so
 #: memory stays flat in the node count.
 _CHUNK_FLOATS = 2**14
@@ -598,6 +623,7 @@ class _GaussHermite:
     seed = 0
     mirror_symmetric = True
     weight_columns = 1
+    fixed_tolerance = True  # identity rows pass at the caller's tol
 
     def __init__(self, model, blocks, n_nodes):
         if n_nodes < 1:
@@ -651,17 +677,18 @@ def _rule(method, model, n_samples, seed, n_nodes, blocks=("exponent", "exponent
     raise ValueError(f"unknown method {method!r}")
 
 
-def _check_run(what, model, nodes, blocks, width, uses):
+def _check_run(what, model, nodes, blocks, width, uses, held=0):
     """Refuse a run over the lab budget: ``nodes`` nodes on ``model`` (None
     for none), each drawing ``blocks`` coupling blocks, passing weight rows
     through evaluators, ``uses`` being (evaluator, rows per node) pairs, and
-    holding ``width`` floats per node (result slots and rule weights).  Work
-    per node: the energy and field products and each evaluator's program
-    per row.  Bytes: the model's arrays, each overlap power once, each
-    evaluator's widest register, and the columns with one more for a
-    column's spread or weighted copy."""
+    holding ``width`` floats per node (result slots and rule weights), beside
+    ``held`` floats that an earlier run keeps.  Work per node: the energy
+    and field products and each evaluator's program per row.  Bytes: the
+    model's arrays, each overlap power once, each evaluator's widest
+    register, the columns with one more for a column's spread or weighted
+    copy, and the held floats."""
     units = sum(rows * ev.flops for ev, rows in uses)
-    nbytes = sum(ev.row_bytes for ev, _ in uses) + 8 * nodes * (width + 1)
+    nbytes = sum(ev.row_bytes for ev, _ in uses) + 8 * nodes * (width + 1) + 8 * held
     if model is not None:
         nc, nb = model.n_configs, len(model.bonds)
         powers = {1}.union(*(ev.powers for ev, _ in uses))
@@ -701,9 +728,10 @@ def _estimate(model, rule, per_node, fill, uses) -> QuenchedEstimate:
     """The rule's average of the one column ``fill`` computes, with the
     change under the doubled grid as truncation where the rule has one."""
     check = rule.refined()  # built, or refused, before any work
-    if check is not None:  # the larger run: checked before either is evaluated
+    if check is not None:  # the larger run, beside the base grid's weights:
+        # checked before either is evaluated
         _check_run(f"{check.size} {check.method} nodes", model, check.size, 2,
-                   1 + check.weight_columns, uses)
+                   1 + check.weight_columns, uses, held=rule.size * rule.weight_columns)
 
     def mean_err(r):
         return r.stats(_evaluate(r, 2, 1, per_node, fill, model, uses)[:, 0])
@@ -714,9 +742,9 @@ def _estimate(model, rule, per_node, fill, uses) -> QuenchedEstimate:
 
 
 def _gibbs_grid(model, draws, lams) -> np.ndarray:
-    """(nodes, len(lams), 2^N) Gibbs weights for draws of shape (nodes, 2,
-    *coupling_shape): Hamiltonian couplings, then field couplings.  The
-    exponents are laid out config-major, (2^N, nodes, len(lams)), for
+    """(nodes, len(lams), 2^(N-1)) Gibbs weights for draws of shape (nodes,
+    2, *coupling_shape): Hamiltonian couplings, then field couplings.  The
+    exponents are laid out config-major, (2^(N-1), nodes, len(lams)), for
     :func:`_softmax_last`."""
     x = np.ascontiguousarray((model.beta * _neg_energy(model, draws[:, 0])).T)
     h = np.ascontiguousarray(_field_values(model, draws[:, 1]).T)
@@ -919,10 +947,11 @@ def fd_derivative(
     respect to the deformation strength, evaluated at ``at_lambda``.
 
     Even orders 2 and 4 serve the identity checks; odd orders exist to
-    demonstrate that odd derivatives vanish (at 0 on the quadrature grid,
-    whose stencils fold onto |lambda|, at lambda = 0 alone and to exactly
-    0.0).  The same disorder node is used at every grid node (common random
-    numbers), and the stencil is applied per node so the Monte Carlo
+    demonstrate that odd derivatives vanish.  At 0 on the quadrature grid,
+    whose stencils fold onto |lambda|, an odd stencil weighs every node zero,
+    so the result is exactly 0.0, with truncation 0.0, and no grid is
+    evaluated.  The same disorder node is used at every grid node (common
+    random numbers), and the stencil is applied per node so the Monte Carlo
     standard error propagates through it.
     """
     if order not in _STENCILS:
@@ -933,6 +962,8 @@ def fd_derivative(
     poly = _leg_free_polynomial(g)
     nodes, [(c, center)] = _stencil_plan(rule, [(_stencil_nodes(config, order, at_lambda),
                                                   at_lambda)])
+    if not c.any():  # every node weighs zero, on the doubled grid too
+        return QuenchedEstimate(0.0, 0.0, rule.samples, rule.seed, rule.method, 0.0)
     evaluator = _PolyMoments(model, poly)
 
     def fill(draws):
@@ -961,7 +992,12 @@ class IdentityRow:
 @dataclass(frozen=True)
 class IdentityReport:
     """Both sides of one or more exact identities, estimated with shared
-    randomness, plus the pass/fail verdict per row."""
+    randomness, plus the pass/fail verdict per row.
+
+    ``tol`` is the tolerance the rows were gated at, where the rule takes
+    one (quadrature; Monte Carlo rows gate at 3 standard errors and report
+    None), and ``lemma_lambda`` the point of the first-derivative row, if
+    there is one, so that a report's fields name every input it read."""
 
     label: str
     model: ModelInstance | None
@@ -971,12 +1007,15 @@ class IdentityReport:
     samples: int
     seed: int
     lambda_grid: tuple[float, ...]
+    tol: float | None
+    lemma_lambda: float | None
     rows: tuple[IdentityRow, ...]
     passed: bool
 
 
 def _identity_report(label, rule, blocks, per_node, row_labels, fill, tol=None,
-                     model=None, graph=None, n=None, lambda_grid=(), uses=()) -> IdentityReport:
+                     model=None, graph=None, n=None, lambda_grid=(), lemma_lambda=None,
+                     uses=()) -> IdentityReport:
     """One identity report, a row per label.  ``fill(draws)`` returns a
     chunk's sides as lists ``(lhs, rhs)``, one (nodes,) array or constant per
     row; each row compares the rule's averages of both sides and of their
@@ -999,7 +1038,9 @@ def _identity_report(label, rule, blocks, per_node, row_labels, fill, tol=None,
                                 tolerance, abs(diff) <= tolerance))
     return IdentityReport(label=label, model=model, graph=graph, n=n, method=rule.method,
                           samples=rule.samples, seed=rule.seed, lambda_grid=lambda_grid,
-                          rows=tuple(rows), passed=all(r.passed for r in rows))
+                          tol=tol if rule.fixed_tolerance else None,
+                          lemma_lambda=lemma_lambda, rows=tuple(rows),
+                          passed=all(r.passed for r in rows))
 
 
 def identity_check(
@@ -1047,6 +1088,7 @@ def identity_check(
     # against ``factor`` times E(Delta^n g) there.
     rows = [(f"d^{2 * n}/dlam^{2 * n} at 0 vs {const} * E(Delta^{n} g)",
              _stencil_nodes(config, 2 * n, 0.0), 0.0, float(const))]
+    lam0 = None
     if n == 1 and lemma_lambda is not None:
         lam0 = float(lemma_lambda) + 0.0  # -0.0 becomes 0.0
         rows.append((f"d/dlam at {lam0} vs lam * E_lam(Delta g)",
@@ -1065,7 +1107,7 @@ def identity_check(
 
     return _identity_report("stability-moment identity", rule, 2, len(nodes) * model.n_configs,
                             [r[0] for r in rows], fill, tol, model=model, graph=gc, n=n,
-                            lambda_grid=config.lambda_grid,
+                            lambda_grid=config.lambda_grid, lemma_lambda=lam0,
                             uses=[(ev_g, len(nodes)), (ev_d, len(at))])
 
 

@@ -276,6 +276,7 @@ class _MonteCarlo:
     # both signs of lambda at one draw.
     mirror_symmetric = False
     weight_columns = 0  # equal weights, none stored
+    fixed_tolerance = False  # identity rows pass at 3 standard errors
 
     def __init__(self, n_samples, seed):
         if n_samples < 2:

@@ -477,13 +477,44 @@ class TestIdentityCommand:
         assert doc["payload"]["model"] == {"kind": "sk", "beta": 0.5, "n_spins": 2}
         assert len(doc["payload"]["rows"]) == 2
 
-    def test_budget_exits_two(self, capsys):
-        # about 2^28 work units a sample: 4,000 samples are over LAB_WORK_BUDGET
+    def test_budget_exits_two(self, capsys, monkeypatch):
+        # about 2^26 work units a sample on 2,048 configurations: 40,000
+        # samples are over LAB_WORK_BUDGET, and refused before any draw
+        from overlap_lab import streams
+
+        monkeypatch.setattr(streams._MonteCarlo, "draws",
+                            lambda *args: pytest.fail("drew nodes"))
+        t0 = time.perf_counter()
         code, _, err = run(
             capsys, "identity", "--model", "ea", "--lattice", "3x4", "--beta", "0.5",
-            "--graph", "{1,2}", "--n", "1", "--samples", "4000",
+            "--graph", "{1,2}", "--n", "1", "--samples", "40000",
         )
+        assert time.perf_counter() - t0 < 1.0
         assert code == EXIT_USAGE and "refused" in err and "work units" in err
+
+    @pytest.mark.parametrize("argv, tol, lemma", [
+        (["--method", "quadrature", "--nodes", "8", "--tol", "1e-3", "--lemma-lambda", "0.3"],
+         1e-3, 0.3),
+        (["--samples", "40", "--tol", "1e-3", "--lemma-lambda", "-0.0"], None, 0.0),
+        (["--method", "quadrature", "--nodes", "8", "--n", "2", "--lemma-lambda", "0.3",
+          "--tol", "1e-2"], 1e-2, None),
+    ], ids=["quadrature", "mc", "n2"])
+    def test_payload_names_its_inputs_and_replays(self, capsys, argv, tol, lemma):
+        # tol is echoed where the rows gate at it, the lemma point where its
+        # row exists; the argv rebuilt from the payload gives the same hash.
+        code, out, _ = run(capsys, "identity", "--N", "2", "--graph", "{1,2}", *argv, "--json")
+        doc = json.loads(out)
+        p = doc["payload"]
+        assert code == EXIT_OK and (p["tol"], p["lemma_lambda"]) == (tol, lemma)
+        replay = ["identity", "--model", p["model"]["kind"], "--N", str(p["model"]["n_spins"]),
+                  "--beta", repr(p["model"]["beta"]), "--graph", p["graph"], "--n", str(p["n"]),
+                  "--method", p["method"], "--seed", str(p["seed"]),
+                  "--nodes" if p["method"] == "quadrature" else "--samples", str(p["samples"]),
+                  "--lambda-grid=" + ",".join(map(repr, p["lambda_grid"]))]
+        replay += [] if p["tol"] is None else ["--tol", repr(p["tol"])]
+        replay += [] if p["lemma_lambda"] is None else ["--lemma-lambda", repr(p["lemma_lambda"])]
+        code, out, _ = run(capsys, *replay, "--json")
+        assert code == EXIT_OK and json.loads(out)["payload_sha256"] == doc["payload_sha256"]
 
     @pytest.mark.parametrize("method", ["mc", "quadrature"])
     @pytest.mark.parametrize("n", ["3", "4"])
@@ -719,24 +750,25 @@ _ESTIMATE_64 = ["estimate", *_ORACLE, "--nodes", "64", "--graph",
 class TestGibbsPayloads:
     # Pinned payloads on every path that builds Gibbs measures: the SK N=2
     # quadrature identities at n=1 and n=2 on the fine grid, its baseline and
-    # estimate, and Monte Carlo identities on 32 and 64 configurations.
+    # estimate, and Monte Carlo identities on SK N=5 and the EA ring of 6
+    # (16 and 32 configurations modulo the global spin flip).
     @pytest.mark.parametrize("argv, sha", [
         (["identity", *_ORACLE, "--nodes", "64", "--graph", "{1,2}", "--n", "1",
           "--lambda-grid", _FINE_GRID, "--tol", "1e-6"],
-         "96a7db18ffd6eccd2c4f6f6fe1c3a0644bc1db49ab2ae9eca3fdbc4ea4f368af"),
+         "9f14afc403a3224eef29f952564b3d0018c1abb5c76dbf1aec7ad1c63876b196"),
         (["identity", *_ORACLE, "--nodes", "64", "--graph", "{1,2}", "--n", "2",
           "--lambda-grid", _FINE_GRID, "--tol", "1e-5"],
-         "31605df74c59234451cfe8e905ad52c24c597aa172fe68b28c145d233cc6dad5"),
+         "14bdf6171a3095cb69405230c9913e62cbed9ab5df77ef9884ee316dbe1f87df"),
         (["baseline", *_ORACLE, "--nodes", "64"],
-         "f250ed18ba5e0d6d43a631bbbbfc4ec70813b7fba31d3d44f5517e3ff30114b1"),
+         "c17fe6d8a9d5c867b4a3953ea58c025a80c72d48e881040ccd5987eea92db3f8"),
         (_ESTIMATE_64,
-         "a378fb5807c99529f997d81daae0a4b8b9236d37afbf1a27a756891b64625351"),
+         "cfcba1fe34c3cd9ffdf87e3de45a31da4fd58612680108f52b0a81e63e9f5667"),
         (["identity", "--model", "sk", "--N", "5", "--beta", "0.5", "--samples", "300",
           "--seed", "2026", "--graph", "{1,2}", "--n", "1"],
-         "240dd5da84229a192a17018436ba7a0ea440e39194de832d02f0b7d15f8c7fa6"),
+         "e5f22db67ea4dbf94eb8abbbff307ac087cfa2933029314c4b957565fe2fb351"),
         (["identity", "--model", "ea", "--lattice", "6", "--beta", "0.5", "--samples", "300",
           "--seed", "2027", "--graph", "{1,2}", "--n", "1"],
-         "a5144712abe31b3a67de97038c46b0e8b862a30677fd46286bfc8259a34da59f"),
+         "8454bd1772c2aed75334da535d4b843a39d6eb94cbab8fe54c0967a3c849fe01"),
     ], ids=["identity-quadrature-n1", "identity-quadrature-n2", "baseline-quadrature",
             "estimate-quadrature", "identity-mc-sk5", "identity-mc-ea6"])
     def test_pinned_payload(self, capsys, argv, sha):
@@ -812,13 +844,13 @@ class TestMonteCarloSamples:
     @pytest.mark.parametrize("argv, sha", [
         (["identity", "--model", "sk", "--N", "3", "--beta", "0.5", "--samples", "300",
           "--seed", "4294967296", "--graph", "{1,2}", "--n", "1"],
-         "461c929f7e2bad39f40a91cdadf986bd62b08f2ab51f29a558691fe26f8127f1"),
+         "b9f098d79362a48be7415abc48bd88b11c5ebb64fb6d634a29827d3e3ddf42aa"),
         (["baseline", "--model", "ea", "--lattice", "4", "--beta", "0.5",
           "--samples", "300", "--seed", "7"],
-         "e8f23b4c5fb8b65a83bf2b76f6e0f6a967399bb45a2af1f790dd1eb33faf1342"),
+         "c340d4af56de7c14356da318e9b130390c5ffcd33aa258682dd22b2b9634609c"),
         (["estimate", "--model", "sk", "--N", "5", "--beta", "0.5", "--samples", "300",
           "--seed", "1180591620717411303427", "--graph", "{1,2}", "--lam", "0.3"],
-         "c4d8b2ad448d186233e8c01fe7a602240810e4ed698d847714f5b02a6b3db183"),
+         "2de63a1d0332e2a0e14c9cc151139a2602fb99300b5401bdaa3a21c09be7ee94"),
     ], ids=["identity-two-word-seed", "baseline-one-word-seed", "estimate-three-word-seed"])
     def test_pinned_payload(self, capsys, argv, sha):
         code, out, _ = run(capsys, *argv, "--json")

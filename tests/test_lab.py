@@ -93,9 +93,9 @@ class TestOverlapKernels:
                     overlap_sk(tuple(int(x) for x in sa), tuple(int(x) for x in sb), 3),
                     abs=1e-14,
                 )
-        ring = ea_model((4,), 0.5)
-        for a in (0, 3, 9):
-            for b in (1, 7, 15):
+        ring = ea_model((4,), 0.5)  # 8 configurations, the last spin +1
+        for a in (0, 3, 6):
+            for b in (1, 5, 7):
                 sa = tuple(int(x) for x in ring.spins[a])
                 sb = tuple(int(x) for x in ring.spins[b])
                 assert ring.overlap[a, b] == pytest.approx(
@@ -118,8 +118,8 @@ class TestModels:
     def test_sk_size_bounds(self):
         with pytest.raises(ValueError):
             sk_model(1, 0.5)
-        # the 2^30 x 2^30 overlap takes 2^63 bytes
-        with pytest.raises(BudgetError, match=r"2\^63\.0 bytes"):
+        # the 2^29 x 2^29 overlap takes 2^61 bytes
+        with pytest.raises(BudgetError, match=r"2\^61\.0 bytes"):
             sk_model(30, 0.5)
 
     def test_beta_validation(self):
@@ -155,7 +155,7 @@ class TestModels:
             ea_model((1,), 0.0)
 
     def test_ea_enumeration_cap(self):
-        with pytest.raises(BudgetError, match=r"2\^35\.0 bytes"):
+        with pytest.raises(BudgetError, match=r"2\^33\.0 bytes"):
             ea_model((4, 4), 0.0)
 
     def test_huge_lattice_refused_on_its_site_count(self, monkeypatch):
@@ -163,14 +163,79 @@ class TestModels:
         monkeypatch.setattr(lab.ModelInstance, "bonds", property(
             lambda self: pytest.fail("listed the bonds")))
         t0 = time.perf_counter()
-        with pytest.raises(BudgetError, match="2\\^10000000000 x 2\\^10000000000 overlap"):
+        with pytest.raises(BudgetError, match="2\\^9999999999 x 2\\^9999999999 overlap"):
             ea_model((100000, 100000), 0.5)
         assert time.perf_counter() - t0 < 0.1
 
     def test_every_construction_is_checked(self):
+        # the 2^13 x 2^13 overlap of 14 sites takes 512 MB, 15 sites' 2 GB
         with pytest.raises(BudgetError):
-            lab.ModelInstance(kind="sk", beta=0.5, n_sites=14)
-        assert lab.ModelInstance(kind="sk", beta=0.5, n_sites=13).n_configs == 2**13
+            lab.ModelInstance(kind="sk", beta=0.5, n_sites=15)
+        assert lab.ModelInstance(kind="sk", beta=0.5, n_sites=14).n_configs == 2**13
+
+
+class TestSpinFlipQuotient:
+    """The lab sums over the configurations whose last spin is +1.  These
+    references sum over all 2^N spin tuples with the pointwise kernels and
+    plain exponentials, without the model's bond products."""
+
+    @staticmethod
+    def brute_force(model, couplings, lam, field_couplings, g):
+        configs = list(product((-1, 1), repeat=model.n_sites))
+        if model.kind == "sk":
+            def bond_sum(j, s):
+                return sum(j[a][b] * s[a] * s[b] for a in range(len(s)) for b in range(len(s)))
+
+            def kernel(s, t):
+                return overlap_sk(s, t, model.n_sites)
+        else:
+            def bond_sum(j, s):
+                return sum(x * s[a] * s[b] for x, (a, b) in zip(j, model.bonds))
+
+            def kernel(s, t):
+                return link_overlap_ea(s, t, model.bonds)
+        root = math.sqrt(len(model.bonds))
+        exponents = [model.beta * bond_sum(couplings, s)
+                     + lam * bond_sum(field_couplings, s) / root for s in configs]
+        top = max(exponents)
+        boltzmann = [math.exp(x - top) for x in exponents]
+        z = math.fsum(boltzmann)
+        w = [b / z for b in boltzmann]
+        q = [[kernel(s, t) for t in configs] for s in configs]
+        r = len(g.support)
+        return math.fsum(
+            math.prod(w[k] for k in tup) * math.prod(q[tup[i - 1]][tup[j - 1]] ** m
+                                                     for i, j, m in g.edges)
+            for tup in product(range(len(configs)), repeat=r))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("text", ["{1,2}{2,3}{1,3}^2", "{1,2}{2,3}{3,4}"])
+    @pytest.mark.parametrize("model_fn", [lambda: sk_model(3, 0.9), lambda: ea_model((4,), 0.9),
+                                          lambda: ea_model((2, 2), 0.9)],
+                             ids=["sk3", "ea4", "ea2x2"])
+    def test_replica_moment_is_the_full_configuration_sum(self, model_fn, text, lam):
+        model = model_fn()
+        rng = np.random.default_rng(len(text) + model.n_sites)
+        j, jp = rng.standard_normal((2, *model.coupling_shape))
+        g = parse_monomial(text)
+        got = replica_moment(model, j, lam, jp, g)
+        assert got == pytest.approx(self.brute_force(model, j.tolist(), lam, jp.tolist(), g),
+                                    rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("model_fn", [
+        *(lambda n=n: sk_model(n, 0.5) for n in range(2, 7)),
+        *(lambda d=d: ea_model(d, 0.5) for d in [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3)]),
+    ])
+    def test_bond_product_rows_are_the_flip_classes(self, model_fn):
+        # The bond graph is connected, so the rows are pairwise distinct, and
+        # every configuration of all 2^N shares its row with one of them.
+        model = model_fn()
+        rows = {row.tobytes() for row in model.bond_products}
+        assert len(rows) == model.n_configs == 2 ** (model.n_sites - 1)
+        assert np.all(model.spins[:, -1] == 1.0)
+        full = np.array(list(product((-1.0, 1.0), repeat=model.n_sites)))
+        left, right = np.array(model.bonds).T
+        assert {row.tobytes() for row in full[:, left] * full[:, right]} == rows
 
 
 class TestGibbsWeights:
@@ -178,7 +243,7 @@ class TestGibbsWeights:
         model = sk_model(3, 0.0)
         j = np.zeros((3, 3))
         w = gibbs_weights(model, j)
-        assert np.all(w == 1.0 / 8.0)
+        assert w.shape == (4,) and np.all(w == 1.0 / 4.0)  # 2^(N-1) configurations
 
     def test_normalization_random(self):
         model = sk_model(4, 0.7)
@@ -236,7 +301,7 @@ class TestGibbsWeights:
 
     # (model, nodes, lambda nodes) of the benchmark's chunks: the SK N=2
     # oracle's identities at n=1 and n=2 and its estimate, then the Monte
-    # Carlo identities on 8 to 64 configurations.
+    # Carlo identities on 4 to 32 configurations.
     @pytest.mark.parametrize("model_fn, nodes, n_lams", [
         (lambda: sk_model(2, 0.8), 195, 21),
         (lambda: sk_model(2, 0.8), 372, 11),
@@ -295,10 +360,10 @@ class TestReplicaMoment:
         assert a == b
 
     def test_budget_refusal_names_requirement(self):
-        # K4's widest steps on 1,024 configurations cost 1024^4 = 2^40 each
-        model = ea_model((2, 5), 0.5)
+        # K4's widest steps on 2,048 configurations cost 2048^4 = 2^44 each
+        model = ea_model((3, 4), 0.5)
         k4 = make_multigraph([(i, j, 1) for i, j in combinations(range(1, 5), 2)])
-        with pytest.raises(BudgetError, match=r"2\^40\.0 work units"):
+        with pytest.raises(BudgetError, match=r"2\^44\.0 work units"):
             replica_moment(model, np.zeros(len(model.bonds)), 0.0, None, k4)
 
     def test_models_with_equal_configuration_counts_keep_their_overlaps(self):
@@ -499,6 +564,26 @@ class TestQuadrature:
             tracemalloc.stop()
         assert peak < 2**20, peak
 
+    def test_doubled_grid_counts_the_base_grid_weights(self, monkeypatch):
+        # While the doubled grid runs, the base grid keeps its 64 weights: a
+        # budget between the doubled run's bytes without and with them
+        # refuses it before either grid is evaluated.
+        model = sk_model(2, 0.5)
+        nbytes, check = {}, lab._check_budget
+
+        def recording(what, units, n):
+            nbytes.setdefault(what.split()[0], []).append(n)
+            return check(what, units, n)
+
+        monkeypatch.setattr(lab, "_check_budget", recording)
+        quadrature_expectation(model, C12)
+        with_base, alone = nbytes["128"]  # the check in _estimate, then in _evaluate
+        assert with_base - alone == 8 * 64
+        monkeypatch.setattr(lab, "LAB_MEMORY_BUDGET", alone + 8 * 32)
+        monkeypatch.setattr(lab, "_evaluate", lambda *args: pytest.fail("evaluated a grid"))
+        with pytest.raises(BudgetError, match="^128 quadrature nodes"):
+            quadrature_expectation(model, C12)
+
     def test_run_bytes_count_the_grid_weights(self, monkeypatch):
         # The grid holds one weight per node, which Monte Carlo's equal
         # weights do not: 8 bytes per node more at equal node counts.
@@ -672,11 +757,17 @@ class TestIdentityCheck:
         assert rep.rows[0].rhs_stderr == 0.0
         assert rep.rows[0].passed
 
-    def test_budget_refusal(self):
-        # about 2^28 work units a sample on 4,096 configurations
+    def test_budget_refusal(self, monkeypatch):
+        # about 2^26 work units a sample on 2,048 configurations
+        from overlap_lab import streams
+
+        monkeypatch.setattr(streams._MonteCarlo, "draws",
+                            lambda *args: pytest.fail("drew nodes"))
         model = ea_model((3, 4), 0.5)
+        t0 = time.perf_counter()
         with pytest.raises(BudgetError, match="work units"):
-            identity_check(model, C12, 1, n_samples=4000, seed=0)
+            identity_check(model, C12, 1, n_samples=40000, seed=0)
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("model_fn, text, n, samples", [
         (lambda: ea_model((2, 4), 0.5), "{1,2}{3,4}", 1, 200),
@@ -786,23 +877,27 @@ class TestMirrorFold:
             rhs = factor * quadrature_expectation(model, dpoly, at).mean
             assert row.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
+    @staticmethod
+    def assert_zero_without_a_grid(monkeypatch, model, order):
+        def fail(*args):
+            pytest.fail("evaluated a grid")
+
+        monkeypatch.setattr(lab, "_evaluate", fail)
+        monkeypatch.setattr(lab, "_gibbs_grid", fail)
+        est = fd_derivative(model, C12, order, method="quadrature")
+        assert (est.mean, est.stderr, est.truncation) == (0.0, 0.0, 0.0)
+        assert (est.samples, est.seed, est.method) == (64, 0, "quadrature")
+
     @pytest.mark.parametrize("order", [1, 3])
     def test_odd_order_quadrature_at_zero_is_exactly_zero(self, monkeypatch, order):
-        # An odd stencil at 0 folds to all-zero weights, so only its center,
-        # lambda = 0, is evaluated: one Gibbs measure per node of the 64^2
-        # grid and of its 128^2 doubling.
-        seen = []
-        gibbs_grid = lab._gibbs_grid
+        # An odd stencil at 0 folds to all-zero weights, so the derivative is
+        # 0.0 on the grid and on its doubling, and neither the 64^2 nor the
+        # 128^2 grid is evaluated.
+        self.assert_zero_without_a_grid(monkeypatch, sk_model(2, 0.5), order)
 
-        def recording(model, draws, lams):
-            seen.append((len(draws), list(lams)))
-            return gibbs_grid(model, draws, lams)
-
-        monkeypatch.setattr(lab, "_gibbs_grid", recording)
-        est = fd_derivative(sk_model(2, 0.5), C12, order, method="quadrature")
-        assert est.mean == 0.0 and est.truncation == 0.0
-        assert {tuple(lams) for _, lams in seen} == {(0.0,)}
-        assert sum(n * len(lams) for n, lams in seen) == 64**2 + 128**2
+    def test_odd_order_quadrature_at_zero_on_sk3_needs_no_grid(self, monkeypatch):
+        # SK N=3's doubled grid has 128^6 nodes, which the budget refuses.
+        self.assert_zero_without_a_grid(monkeypatch, sk_model(3, 0.5), 1)
 
 
 class TestWickBaselines:

@@ -475,8 +475,9 @@ def test_cyclic_terms_contract_pairwise(text, order):
 
 def test_cyclic_term_memory_is_sliced():
     # One 200-sample chunk at full width would hold 200 x 64^2 floats (6.5 MB)
-    # per intermediate; row slices keep each within _CHUNK_FLOATS.
-    model = ea_model((6,), 0.5)
+    # per intermediate on the 64 configurations of the ring of 7; row slices
+    # keep each within _CHUNK_FLOATS.
+    model = ea_model((7,), 0.5)
     g = parse_monomial("{1,3}{1,4}{2,3}{2,4}")
     tracemalloc.start()
     try:
@@ -534,14 +535,19 @@ def test_program_equals_per_term_contraction_bit_for_bit(model_fn, text, n, rows
 
 @pytest.mark.parametrize("rows", [1, 7, 300])
 def test_ring_of_6_delta_chain_equals_slice_matched_terms_bit_for_bit(rows):
-    # Delta({1,2}{2,3}) on the ring of 6: the triangle term alone slices 4
-    # rows and the other terms 256, and the program runs every term on 4-row
-    # slices.  A 256-row matmul can round differently (by 4.4e-15 at 300
-    # rows), so this reference runs the terms on the program's slices.
+    # Delta({1,2}{2,3}) on the ring of 6: the triangle term alone slices
+    # _CHUNK_FLOATS / nc^2 rows (16 on its 32 configurations) and the other
+    # terms _CHUNK_FLOATS / nc (512), and the program runs every term on the
+    # triangle's slices.  A longer matmul can round differently (by 4.4e-15
+    # at 300 rows, seen on 256-row slices), so this reference runs the terms
+    # on the program's slices.
     model = ea_model((6,), 0.5)
+    nc = model.n_configs
     poly = delta_power("{1,2}{2,3}", 1)
     ev = _PolyMoments(model, poly)
-    assert ev._rows == 4
+    assert sorted({_term_plan(nc, g)[1] for g, _ in poly.items()}) == [
+        _CHUNK_FLOATS // nc**2, _CHUNK_FLOATS // nc]
+    assert ev._rows == _CHUNK_FLOATS // nc**2
     w = normalized_weights(model, rows, 5)
     ref = np.concatenate([per_term(model, poly, w[lo:lo + ev._rows])
                           for lo in range(0, rows, ev._rows)])
@@ -550,12 +556,16 @@ def test_ring_of_6_delta_chain_equals_slice_matched_terms_bit_for_bit(rows):
 
 @pytest.mark.parametrize("rows", [1, 2, 17, 40])
 def test_cyclic_terms_share_one_program_bit_for_bit(rows):
-    # the 4-cycle alone slices 16 rows at a time, K4 one: the program runs
-    # both on single rows
+    # the 4-cycle alone slices _CHUNK_FLOATS / nc^2 rows at a time (64 on
+    # SK N=5's 16 configurations), K4 _CHUNK_FLOATS / nc^3 (4): the program
+    # runs both on K4's slices
     model = sk_model(5, 0.5)
+    nc = model.n_configs
     poly = parse_polynomial("2" + CYCLIC[0].values[0] + " - " + CYCLIC[1].values[0])
     ev = _PolyMoments(model, poly)
-    assert ev._rows == 1
+    assert sorted(_term_plan(nc, g)[1] for g, _ in poly.items()) == [
+        _CHUNK_FLOATS // nc**3, _CHUNK_FLOATS // nc**2]
+    assert ev._rows == _CHUNK_FLOATS // nc**3
     w = normalized_weights(model, rows, 9)
     assert ev.value_grid(w).tobytes() == per_term(model, poly, w).tobytes()
 
@@ -571,10 +581,11 @@ def test_terms_share_their_common_steps():
 
 
 def test_shared_program_memory_stays_flat():
-    # On 64 configurations K4 runs one row at a time, and its widest step
-    # holds two 64^3-float intermediates (4 MiB) however it is sliced.  The
-    # 4-cycle's registers are dropped before K4 starts, and K4's own after
-    # their last use, so the polynomial needs no more than K4 does.
+    # On the ring of 6's 32 configurations K4 runs one row at a time, and its
+    # widest step holds two 32^3-float intermediates (512 KiB) however it is
+    # sliced.  The 4-cycle's registers are dropped before K4 starts, and
+    # K4's own after their last use, so the polynomial needs no more than K4
+    # does.
     model = ea_model((6,), 0.5)
     ev = _PolyMoments(model, parse_polynomial(
         CYCLIC[0].values[0] + " + " + CYCLIC[1].values[0]))
@@ -585,7 +596,7 @@ def test_shared_program_memory_stays_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 64**3 * 8 + 2**19, peak
+    assert peak < 2 * model.n_configs**3 * 8 + 2**19, peak
 
 
 def dense_reference(model, poly, w):
