@@ -259,40 +259,31 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     """One Gibbs measure per row of the last axis, each finite and summing
     to one within 1e-14.
 
-    The work runs config-major, over the (configurations, rows) array
-    ``x.reshape(-1, nc).T``: a view when ``x`` is a transposed config-major
-    array, as :func:`_gibbs_grid` passes it, a copy otherwise.  So every
-    pass runs over long contiguous rows, not one short row at a time.  The
-    max is exact and the division elementwise; the normalizer replays the
-    order of numpy's last-axis sum (:func:`_row_sums`), so the weights keep
-    the bits of ``e / e.sum(axis=-1, keepdims=True)``.  The result is
-    C-contiguous: the matmuls downstream round by operand layout."""
+    The max and the exponential run config-major, over the (configurations,
+    rows) array ``x.reshape(-1, nc).T``: a view when ``x`` is a transposed
+    config-major array, as :func:`_gibbs_grid` passes it, a copy otherwise.
+    So they run over long contiguous rows, not one short row at a time; the
+    max is exact and the exponential elementwise.
+
+    Each measure is then normalized, and checked, by numpy's own sum over
+    its row, so both sums add in one order and no sum goes through BLAS.
+    numpy adds a contiguous row of 8 values or more pairwise, which errs
+    O(u log nc), against O(u nc) in sequence; so from 8 configurations up
+    the rows are made node-major and C-contiguous, as the result is anyway.
+    Below 8 numpy adds a row in sequence, the order in which it sums the
+    config-major columns of the transposed view, so that view is summed in
+    place.  Either way the weights keep the bits of ``e / e.sum(axis=-1,
+    keepdims=True)``.  The result is C-contiguous: the matmuls downstream
+    round by operand layout."""
     nc = x.shape[-1]
     z = np.ascontiguousarray(x.reshape(-1, nc).T)
     w = z - z.max(axis=0)
     np.exp(w, out=w)
-    w /= _row_sums(w)
-    if not (np.isfinite(w).all() and (np.abs(w.sum(axis=0) - 1.0) < 1e-14).all()):
+    w = np.ascontiguousarray(w.T) if nc >= 8 else w.T
+    w /= w.sum(axis=-1, keepdims=True)
+    if not (np.isfinite(w).all() and (np.abs(w.sum(axis=-1) - 1.0) < 1e-14).all()):
         raise ValueError("Gibbs weights are not finite or do not sum to one")
-    return np.ascontiguousarray(w.T).reshape(x.shape)
-
-
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Column sums of ``a`` in the order in which numpy's ``pairwise_sum``
-    adds a contiguous row of ``len(a)`` values: in sequence below 8, in
-    eight strided partial sums joined as a tree up to 128, and above that
-    as two halves split at a multiple of 8."""
-    n = len(a)
-    if n < 8:
-        return reduce(np.add, a)
-    if n <= 128:
-        stop = n - n % 8
-        r = np.add.reduce(a[:stop].reshape(-1, 8, a.shape[1]), axis=0)
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        return reduce(np.add, a[stop:], r[0] + r[1])
-    half = n // 2 - n // 2 % 8
-    return _row_sums(a[:half]) + _row_sums(a[half:])
+    return np.ascontiguousarray(w).reshape(x.shape)
 
 
 # perfbench/tracer.py wraps this name to count Gibbs measures.
@@ -346,10 +337,17 @@ def link_overlap_ea(sigma, sigma_prime, bonds) -> float:
 # weights by exact summation over the product configuration space.
 
 def _leg_free_polynomial(p) -> GraphPolynomial:
+    """``p`` as a polynomial the lab evaluates: leg-free, with every
+    coefficient within the float range."""
     poly = _as_poly(p)
-    for g, _ in poly.items():
+    for g, c in poly.items():
         if not g.is_leg_free():
             raise ValueError(f"expectations are defined for leg-free input, got {g!r}")
+        try:
+            float(c)
+        except OverflowError:
+            raise ValueError(f"the coefficient of {g!r}, of {c.bit_length()} bits, "
+                             "is outside the float range") from None
     return poly
 
 
@@ -501,9 +499,11 @@ def _kernel(inputs, out):
     ``np.einsum(..., optimize=path)`` took 15 ms per chunk on the EA ring of
     6 (transposed matmul operands), and einsum's own loop is 10-15 times
     slower than matmul on these steps.  Such a step gives (batched operand
-    position, shared axis, result axis of the matrix's other index, whether
-    the matrix is transposed), both axes counted from the end; any other
-    step gives its einsum subscripts."""
+    position, shared axis, result axis of the matrix's other index), both
+    axes counted from the end; any other step gives its einsum subscripts.
+    Every overlap power is symmetric bit for bit (P P^T has integer entries,
+    exact in float64, and the division by |B| and the powers act
+    elementwise), so the matrix is never transposed."""
     fixed = [k for k, sub in enumerate(inputs) if not sub.startswith("...")]
     if len(inputs) == 2 and len(fixed) == 1:
         m, b = inputs[fixed[0]], 1 - fixed[0]
@@ -513,16 +513,16 @@ def _kernel(inputs, out):
             (s,) = shared
             t = m.replace(s, "")
             if t in o and o.replace(t, "") == x.replace(s, ""):
-                return b, x.index(s) - len(x), o.index(t) - len(o), m[0] != s
+                return b, x.index(s) - len(x), o.index(t) - len(o)
     return ",".join(inputs) + "->" + out
 
 
 def _step(kernel, args) -> np.ndarray:
     if isinstance(kernel, str):
         return np.einsum(kernel, *args)
-    b, src, dst, transpose = kernel
+    b, src, dst = kernel
     a = args[b] if src == -1 else np.moveaxis(args[b], src, -1)
-    mat = args[1 - b].T if transpose else args[1 - b]
+    mat = args[1 - b]
     y = a.reshape(-1, a.shape[-1]) @ mat
     y = y.reshape(a.shape[:-1] + mat.shape[1:])
     return y if dst == -1 else np.moveaxis(y, -1, dst)
@@ -869,11 +869,10 @@ def _stencil_nodes(config: DeformationConfig, order: int, at_lambda: float):
     sum(c * (f(node) - f(center))) and a constant function differentiates to
     exactly 0.0.
     """
-    mags = list(config.magnitudes)
-    if order in (3, 4):
-        scales = [h for h in mags if any(abs(2.0 * h - g) <= 1e-12 * g for g in mags)]
-    else:
-        scales = mags
+    mags = config.magnitudes
+    # Orders 3 and 4 step 2h: every magnitude but the largest has its double
+    # on the grid, as DeformationConfig checks.
+    scales = mags[1:] if order in (3, 4) else mags
     if not scales:
         raise ValueError(f"grid too small for derivative order {order}")
     stencil = _STENCILS[order]

@@ -390,6 +390,19 @@ class TestLongIntegers:
 
 
 class TestEstimate:
+    def test_coefficient_outside_the_float_range_exits_two(self, capsys):
+        code, out, err = run(capsys, "estimate", "--graph", "1" + "0" * 400 + "{1,2}",
+                             "--samples", "10")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: the coefficient of Multigraph(edges=[(1, 2, 1)], legs=[]), "
+                       "of 1329 bits, is outside the float range\n")
+
+    def test_negative_seed_exits_two(self, capsys):
+        code, out, err = run(capsys, "estimate", "--graph", "{1,2}", "--samples", "10",
+                             "--seed", "-1")
+        assert code == EXIT_USAGE and out == ""
+        assert "seed must be a nonnegative integer" in err
+
     def test_beta_zero_mean(self, capsys):
         code, out, _ = run(
             capsys, "estimate", "--model", "sk", "--N", "3", "--beta", "0",
@@ -611,6 +624,13 @@ class TestConfigPrecedence:
             capsys, "identity", "--graph", "{1,2}", "--config", str(cfg)
         )
         assert code == EXIT_USAGE and repr(key) in err
+
+    def test_config_that_is_no_json_object_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([["n", 2]]))
+        code, out, err = run(capsys, "verify", "--graph", "{1,2}", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert "config file must hold a JSON object" in err
 
 
 class TestConfigValues:

@@ -121,6 +121,14 @@ class TestPolynomialText:
             [(EMPTY, -2), (edge(1, 2), 1)]
         )
 
+    def test_stray_one_after_a_coefficient_is_the_empty_monomial(self):
+        assert parse_polynomial("2 1") == parse_polynomial("2")
+        assert parse_polynomial("2 1 - {1,2}") == GraphPolynomial(
+            [(EMPTY, 2), (edge(1, 2), -1)])
+        with pytest.raises(ExpressionParseError, match="unexpected text after '1'") as err:
+            parse_polynomial("2 1 {1,2}")
+        assert err.value.offset == 4  # the "{"
+
     def test_format_parse_roundtrip_random(self):
         rnd = random.Random(99)
         for _ in range(300):

@@ -39,6 +39,10 @@ C12 = parse_monomial("{1,2}")
 # frozen after cross-checking against a 200k-sample MC run (z = 0.49)
 GOLDEN_SK2_QUAD_B05_L03 = 0.6439118436058562
 
+#: Every EA lattice of at most 10 sites with sides of 2 or more.
+SMALL_EA_LATTICES = [dims for d in (1, 2, 3) for dims in product(range(2, 11), repeat=d)
+                     if math.prod(dims) <= 10]
+
 
 class TestOverlapKernels:
     def test_sk_self_overlap_is_one(self):
@@ -112,6 +116,16 @@ class TestOverlapKernels:
                 assert model.overlap[a, b] == link_overlap_ea(sa, sb, model.bonds)
                 assert model.overlap[a, b] == pytest.approx(overlap_sk(sa, sb, n),
                                                             rel=0, abs=1e-15)
+
+    # A matmul step multiplies by an overlap power as stored, whichever of
+    # its indices the step shares.
+    @pytest.mark.parametrize("model", [*(sk_model(n, 0.5) for n in range(2, 7)),
+                                       *(ea_model(dims, 0.5) for dims in SMALL_EA_LATTICES)],
+                             ids=lambda model: model.describe())
+    def test_overlap_powers_are_symmetric_bit_for_bit(self, model):
+        for m in (1, 2, 3):
+            power = model.overlap**m
+            assert power.tobytes() == np.ascontiguousarray(power.T).tobytes()
 
 
 class TestModels:
@@ -324,6 +338,13 @@ class TestGibbsWeights:
         assert w.flags.c_contiguous
         assert w.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
+    # A 14-site run's chunks hold one or two nodes, each measure a row of
+    # 2^13 configurations; added in sequence, such a row errs past 1e-14.
+    def test_a_valid_measure_of_fourteen_sites_is_not_refused(self):
+        x = 0.01 * np.random.default_rng(43851).standard_normal((2, 8192))
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert lab._softmax_last(x).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
     @pytest.mark.parametrize("nc", [4, 8, 64, 1024])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf row"])
     def test_non_finite_rows_raise_at_every_width(self, nc, bad):
@@ -432,6 +453,29 @@ class TestQuenchedExpectation:
     def test_legs_rejected(self):
         with pytest.raises(ValueError):
             quenched_expectation(sk_model(2, 0.5), parse_monomial("{1}{1,2}"), 10, 0)
+
+    def test_node_value_past_the_float_range_refused(self):
+        # each coefficient is a float, their sum per node is not
+        big = 17 * 10**307
+        p = parse_polynomial(f"{big} + {big}{{1,2}}")
+        with pytest.raises(ValueError, match="a disorder node gives a value that is not finite"):
+            quenched_expectation(sk_model(2, 0.5), p, 4, 0)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            quenched_expectation(sk_model(2, 0.5), C12, 4, -1)
+
+    @pytest.mark.parametrize("entry", ["replica_moment", "quenched_expectation", "fd_derivative"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_outside_the_float_range_refused(self, entry, sign):
+        model = sk_model(2, 0.5)
+        p = GraphPolynomial([(C12, sign * 10**400), (parse_monomial("1"), 1)])
+        run = {"replica_moment": lambda: replica_moment(model, np.zeros((2, 2)), 0.0, None, p),
+               "quenched_expectation": lambda: quenched_expectation(model, p, 4, 0),
+               "fd_derivative": lambda: fd_derivative(model, p, 2, n_samples=4)}[entry]
+        with pytest.raises(ValueError, match=r"coefficient of Multigraph\(edges=\[\(1, 2, 1\)\], "
+                                             r"legs=\[\]\), of 1329 bits, is outside the float range"):
+            run()
 
 
 class TestDeformedExpectation:
@@ -666,6 +710,24 @@ class TestDeformationConfig:
         cfg = DeformationConfig()
         assert cfg.magnitudes == (0.2, 0.1, 0.05)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="lambda grid is empty"):
+            DeformationConfig(lambda_grid=())
+
+    def test_halving_within_the_slack_accepted(self):
+        mid = 0.1 * (1 + 1e-13)
+        cfg = DeformationConfig(lambda_grid=(0.2, -0.2, mid, -mid, 0.05, -0.05))
+        assert cfg.magnitudes == (0.2, mid, 0.05)
+        # orders 3 and 4 step 2h from every magnitude but the largest
+        for order in (3, 4):
+            nodes = lab._stencil_nodes(cfg, order, 0.0)
+            assert {abs(node) for node in nodes} == {0.0, 0.05, 0.1, mid, 2 * mid}
+
+    def test_halving_off_by_1e_9_refused(self):
+        mid = 0.1 * (1 + 1e-9)
+        with pytest.raises(ValueError, match="grid magnitudes must halve"):
+            DeformationConfig(lambda_grid=(0.2, -0.2, mid, -mid, 0.05, -0.05))
+
 
 class TestFdDerivative:
     def test_constant_function_differentiates_to_exact_zero(self):
@@ -694,6 +756,31 @@ class TestFdDerivative:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             fd_derivative(sk_model(2, 0.5), C12, 5, n_samples=5, seed=0)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'simpson'"):
+            fd_derivative(sk_model(2, 0.5), C12, 2, method="simpson")
+
+    # One Richardson step cancels the h^2 term of the error; a polynomial of
+    # degree 6 has no h^4 term at orders 3 and 4, away from 0 too.
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_high_orders_are_exact_on_a_sextic_away_from_zero(self, order):
+        p = np.polynomial.Polynomial([0.4, -1.3, 0.8, 0.5, -0.9, 0.7, -0.3])
+        coeffs = lab._stencil_nodes(DeformationConfig(), order, 0.3)
+        est = sum(c * (p(node) - p(0.3)) for node, c in coeffs.items())
+        assert abs(est - p.deriv(order)(0.3)) <= sum(map(abs, coeffs.values())) * 1e-14
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_one_magnitude_is_too_small_for_high_orders(self, order):
+        grid = DeformationConfig(lambda_grid=(0.1, -0.1))
+        with pytest.raises(ValueError, match=f"grid too small for derivative order {order}"):
+            fd_derivative(sk_model(2, 0.5), C12, order, grid, n_samples=5)
+
+    def test_overflowing_stencil_coefficient_rejected(self):
+        # the step 1e-77 gives the coefficient 6 / 1e-308, past the float range
+        grid = DeformationConfig(lambda_grid=(2e-77, -2e-77, 1e-77, -1e-77))
+        with pytest.raises(ValueError, match="order-4 stencil at 0.0 has a coefficient that is not"):
+            fd_derivative(sk_model(2, 0.5), C12, 4, grid, n_samples=5)
 
     def test_collapsed_stencil_rejected(self):
         # lam0 +- 0.2 round to lam0 at 1e17; 1e-320 squared underflows to 0.

@@ -534,6 +534,11 @@ class TestDoubleFactorial:
         with pytest.raises(ValueError):
             double_factorial(-3)
 
+    def test_refused_from_minus_two_down(self):
+        assert double_factorial(-1) == 1
+        with pytest.raises(ValueError, match="undefined for -2"):
+            double_factorial(-2)
+
 
 def test_delta_then_wick_grading_on_random_terms():
     rnd = random.Random(123)

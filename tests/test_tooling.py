@@ -13,9 +13,9 @@ takes none of graphs' component-encoding internals.  Every constant the
 README names in backticks is defined in a module of the package.  The
 ``fresh_memos`` fixture empties every memo of the package.  Only the model
 and its constructors read a model's ``kind`` in the lab.  No disorder
-rule's ``stats`` reduces through BLAS, and the theorem-suite demo still
-shows a refusal, and the finite-size identities demo runs with no
-violation.
+rule's ``stats`` and no Gibbs normalization reduces through BLAS, and the
+theorem-suite demo still shows a refusal, and the finite-size identities
+demo runs with no violation.
 """
 
 import ast
@@ -240,22 +240,28 @@ BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
 
 def test_no_rule_reduces_through_blas():
     # A rule's ``stats`` sums a whole run's per-node column into a reported
-    # mean.  Through BLAS its last bits, and the payload hash, would follow
-    # the thread count; the runtime test of that passes wherever BLAS happens
-    # not to split the sum, so the reduction's source is checked here.
+    # mean, and ``lab._softmax_last`` sums each Gibbs measure to normalize
+    # it and to decide whether it is refused.  Through BLAS their last bits,
+    # the payload hash and the refusals would follow the thread count; the
+    # runtime test of that passes wherever BLAS happens not to split the
+    # sum, so the reductions' source is checked here.
     def name(func):
         return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
-    checked, found = 0, []
+    checked, found = [], []
     for path, tree in _src_trees():
-        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-            for stats in (f for f in cls.body if isinstance(f, FUNCTIONS) and f.name == "stats"):
-                checked += 1
-                found += [f"{path}:{node.lineno} {cls.name}.stats" for node in ast.walk(stats)
-                          if isinstance(node, (ast.BinOp, ast.AugAssign))
-                          and isinstance(node.op, ast.MatMult)
-                          or isinstance(node, ast.Call) and name(node.func) in BLAS_CALLS]
-    assert checked >= 2  # the Monte Carlo and the quadrature rule
+        scopes = [(f"{cls.name}.stats", f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for f in cls.body if isinstance(f, FUNCTIONS) and f.name == "stats"]
+        scopes += [(f.name, f) for f in tree.body
+                   if isinstance(f, FUNCTIONS) and f.name == "_softmax_last"]
+        for label, scope in scopes:
+            checked.append(label)
+            found += [f"{path}:{node.lineno} {label}" for node in ast.walk(scope)
+                      if isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.MatMult)
+                      or isinstance(node, ast.Call) and name(node.func) in BLAS_CALLS]
+    # the Monte Carlo and the quadrature rule, and the Gibbs normalizer
+    assert {"_MonteCarlo.stats", "_GaussHermite.stats", "_softmax_last"} <= set(checked)
     assert found == []
 
 
