@@ -58,10 +58,8 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -87,22 +85,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(tuple):
     """Edges as ``(i, j, mult)`` with ``i < j``, legs as ``(v, mult)``, both sorted.
 
-    Absent pairs/vertices mean multiplicity zero.  Loop edges are banned: the
+    A monomial is the tuple ``(edges, legs)``: it is equal to that plain
+    tuple, hashes like it and orders like it, so hashing, comparison and
+    every dict or cache lookup keyed by a monomial run in C.  Absent
+    pairs/vertices mean multiplicity zero.  Loop edges are banned: the
     diagonal overlap is identically one and never stored.  The support is
     exactly the set of vertices mentioned by an edge or a leg, so isolated
-    vertices cannot be represented.
+    vertices cannot be represented.  The constructor checks all of this;
+    only :func:`_assemble`, which builds monomials from component encodings
+    that are valid by construction, skips the checks.
     """
 
-    edges: tuple[tuple[int, int, int], ...] = ()
-    legs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, edges=(), legs=()):
+        edges, legs = tuple(edges), tuple(legs)
         prev = (0, 0)
-        for i, j, m in self.edges:
+        for i, j, m in edges:
             if not 0 < i < j:
                 raise ValueError(f"edge ({i},{j}) must satisfy 0 < i < j")
             if m < 1:
@@ -111,7 +113,7 @@ class Multigraph:
                 raise ValueError("edges must be strictly sorted by vertex pair")
             prev = (i, j)
         prev_v = 0
-        for v, n in self.legs:
+        for v, n in legs:
             if v < 1:
                 raise ValueError(f"leg vertex {v} must be >= 1")
             if n < 1:
@@ -119,11 +121,21 @@ class Multigraph:
             if v <= prev_v:
                 raise ValueError("legs must be strictly sorted by vertex")
             prev_v = v
+        return tuple.__new__(cls, (edges, legs))
 
-    @cached_property
+    def __reduce__(self):
+        # Pickle and copy rebuild through the checked constructor, under
+        # every protocol; tuple's own reduction would hand it the pair as
+        # one argument, or skip it.
+        return type(self), tuple(self)
+
+    edges = property(itemgetter(0), doc="``(i, j, mult)`` triples, sorted.")
+    legs = property(itemgetter(1), doc="``(v, mult)`` pairs, sorted.")
+
+    @property
     def support(self) -> tuple[int, ...]:
-        verts = {v for v, _ in self.legs}
-        for i, j, _ in self.edges:
+        verts = {v for v, _ in self[1]}
+        for i, j, _ in self[0]:
             verts.add(i)
             verts.add(j)
         return tuple(sorted(verts))
@@ -462,39 +474,53 @@ def _canonical_form(edges, legs) -> Multigraph:
     """Canonical representative of the multigraph with these ``(i, j, m)``
     edges and ``(v, n)`` legs, each sorted with distinct pairs/vertices.
 
-    It is the concatenation of its components' encodings in sorted order.
-    Every call splits the input into components (a union-find) and looks up
-    each component with edges in the component memo under its labels
-    normalized to 1..k; a lone vertex with legs needs no search.
+    The labels are small: :func:`canonicalize` compresses them to their
+    ranks, and a Wick outcome carries a canonical term's labels and at most
+    two fresh ones.  So each component is held as an int whose bit v is set
+    for each of its labels, and the components stay in order of their
+    smallest label, the order in which their edges first occur.  The form
+    is the concatenation of the components' encodings in sorted order:
+    each component with edges is looked up in the component memo under its
+    labels normalized to 1..k, and a lone vertex with legs needs no search.
     """
-    comp: dict[int, set[int]] = {}
+    comps = []
     for i, j, _ in edges:
-        ci, cj = comp.get(i), comp.get(j)
-        if ci is None:
-            ci = comp[i] = {i}
-        if cj is None:
-            cj = comp[j] = {j}
-        if ci is not cj:
-            if len(ci) < len(cj):
-                ci, cj = cj, ci
-            ci |= cj
-            for v in cj:
-                comp[v] = ci
-    parts: dict[int, tuple[set, list, list]] = {}
-    for e in edges:
-        c = comp[e[0]]
-        parts.setdefault(id(c), (c, [], []))[2].append(e)
+        m = 1 << i | 1 << j
+        for k, c in enumerate(comps):
+            if c & m:
+                if c | m != c:
+                    # The edge's other end is new here, or lies in one
+                    # later component: join them in this one's place.
+                    m |= c
+                    for later in range(k + 1, len(comps)):
+                        if comps[later] & m:
+                            m |= comps.pop(later)
+                            break
+                    comps[k] = m
+                break
+        else:
+            comps.append(m)
+    if len(comps) == 1:
+        parts = [(comps[0], edges, [])]
+    else:
+        parts = [(c, [e for e in edges if c >> e[0] & 1], []) for c in comps]
     encodings = []
     for v, n in legs:
-        c = comp.get(v)
-        if c is None:
-            encodings.append((1, ((1, n),), ()))
+        for c, _, part_legs in parts:
+            if c >> v & 1:
+                part_legs.append((v, n))
+                break
         else:
-            parts[id(c)][1].append((v, n))
-    for verts, part_legs, part_edges in parts.values():
-        if max(verts) != len(verts):
+            encodings.append((1, ((1, n),), ()))
+    for c, part_edges, part_legs in parts:
+        if c != (2 << c.bit_count()) - 2:
             # Relabel to 1..k in label order, which keeps both lists sorted.
-            label = {v: pos for pos, v in enumerate(sorted(verts), 1)}
+            label, pos = {}, 0
+            while c:
+                low = c & -c
+                pos += 1
+                label[low.bit_length() - 1] = pos
+                c ^= low
             part_legs = [(label[v], n) for v, n in part_legs]
             part_edges = [(label[i], label[j], m) for i, j, m in part_edges]
         encodings.append(_component_encoding(tuple(part_legs), tuple(part_edges)))
@@ -503,16 +529,22 @@ def _canonical_form(edges, legs) -> Multigraph:
 
 def _assemble(encodings: list) -> Multigraph:
     """The canonical multigraph whose components have these encodings: their
-    concatenation in sorted order, each shifted past the labels before it."""
+    concatenation in sorted order, each shifted past the labels before it.
+    Encodings are valid by construction, so the monomial is built without
+    the constructor's checks, here and nowhere else."""
     if len(encodings) == 1:
         _, enc_legs, enc_edges = encodings[0]
-        return Multigraph(enc_edges, enc_legs)
+        return tuple.__new__(Multigraph, (enc_edges, enc_legs))
     out_edges, out_legs, offset = [], [], 0
     for k, enc_legs, enc_edges in sorted(encodings):
-        out_legs.extend((v + offset, n) for v, n in enc_legs)
-        out_edges.extend((i + offset, j + offset, m) for i, j, m in enc_edges)
+        if offset:
+            out_legs += [(v + offset, n) for v, n in enc_legs]
+            out_edges += [(i + offset, j + offset, m) for i, j, m in enc_edges]
+        else:
+            out_legs += enc_legs
+            out_edges += enc_edges
         offset += k
-    return Multigraph(tuple(out_edges), tuple(out_legs))
+    return tuple.__new__(Multigraph, (tuple(out_edges), tuple(out_legs)))
 
 
 def _encodings(g: Multigraph) -> list:
@@ -566,10 +598,18 @@ def canonicalize(g: Multigraph) -> Multigraph:
     Components are canonicalized independently and concatenated in encoding
     order, which also erases gaps left by unused labels.
     """
-    if not g.edges and not g.legs:
+    edges, legs = g
+    if not edges and not legs:
         return g
-    _spend(len(g.edges) + len(g.legs))
-    return _canonical_form(g.edges, g.legs)
+    _spend(len(edges) + len(legs))
+    support = g.support
+    if support[-1] != len(support):
+        # Labels to their ranks, so that no component mask is sized by a
+        # label's value; the order, and so the sorting, is kept.
+        rank = {v: pos for pos, v in enumerate(support, 1)}
+        edges = tuple((rank[i], rank[j], m) for i, j, m in edges)
+        legs = tuple((rank[v], n) for v, n in legs)
+    return _canonical_form(edges, legs)
 
 
 def enumerate_pairings(labels: Iterable[int]) -> list[Pairing]:

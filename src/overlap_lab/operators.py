@@ -49,7 +49,6 @@ import collections
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .graphs import (
@@ -286,12 +285,14 @@ def _count_matrices(sub: tuple[int, ...], memo: dict) -> int:
     return total
 
 
-def _contract(base: dict, terms: dict) -> GraphPolynomial:
+def _contract(base: tuple, terms: dict) -> GraphPolynomial:
     """Wick contraction of the labelled terms ``{legs: coefficient}``, each
-    with the edges ``base`` and sorted legs.  Each nonzero term's pair-count
-    matrices, listed or reused, counted in ``work`` and paid a work unit
-    each, add edges to ``base``; equal labelled outcomes add up, and only
-    the nonzero ones are canonicalized."""
+    with the sorted edges ``base`` and sorted legs.  Each nonzero term's
+    pair-count matrices, listed or reused, counted in ``work`` and paid a
+    work unit each, add edges to ``base``; equal labelled outcomes add up,
+    and only the nonzero ones are canonicalized.  Where no edge of ``base``
+    joins two of the term's leg vertices, a matrix's pairs are new edges,
+    and its outcome is ``base`` and those pairs, sorted together."""
     acc: dict[tuple, int] = {}
     for legs, c in terms.items():
         degrees = tuple(n for _, n in legs)
@@ -313,20 +314,30 @@ def _contract(base: dict, terms: dict) -> GraphPolynomial:
         # and leg (with multiplicity), plus one, and its long division one per
         # 2^20 squared numerator bits.
         _spend(len(matrices) * (1 + len(base) + total + (numerator.bit_length() ** 2 >> 20)))
-        for off, denom in matrices:
-            counts = dict(base)
-            for a, b, k in off:
-                key = (verts[a], verts[b])
-                counts[key] = counts.get(key, 0) + k
-            edges = tuple(sorted((i, j, m) for (i, j), m in counts.items()))
-            acc[edges] = acc.get(edges, 0) + c * (numerator // denom)
+        at_legs = set(verts)
+        if any(i in at_legs and j in at_legs for i, j, _ in base):
+            base_counts = {(i, j): m for i, j, m in base}
+            for off, denom in matrices:
+                counts = dict(base_counts)
+                for a, b, k in off:
+                    key = (verts[a], verts[b])
+                    counts[key] = counts.get(key, 0) + k
+                edges = tuple(sorted((i, j, m) for (i, j), m in counts.items()))
+                acc[edges] = acc.get(edges, 0) + c * (numerator // denom)
+        else:
+            for off, denom in matrices:
+                edges = [(verts[a], verts[b], k) for a, b, k in off]
+                edges += base
+                edges.sort()
+                edges = tuple(edges)
+                acc[edges] = acc.get(edges, 0) + c * (numerator // denom)
     return GraphPolynomial._sum((_canonical_form(e, ()), c) for e, c in acc.items() if c)
 
 
 @functools.lru_cache(maxsize=None)
 def _wick_term(g: Multigraph) -> GraphPolynomial:
     """Wick contraction of one canonical monomial."""
-    return _contract(g.edge_dict(), {g.legs: 1})
+    return _contract(g.edges, {g.legs: 1})
 
 
 def wick_contract(p) -> GraphPolynomial:
@@ -343,8 +354,8 @@ def _big_delta_term(g: Multigraph) -> GraphPolynomial:
     support vertex and -|support| one on the first vertex outside, twice on
     labelled terms ``{legs: coefficient}``, equal terms merged, then
     :func:`_contract`."""
-    base = g.edge_dict()
-    edge_support = set(chain.from_iterable(base))
+    base = g.edges
+    edge_support = {v for i, j, _ in base for v in (i, j)}
     terms = {g.legs: 1}
     for _ in range(2):
         grown_terms: dict[tuple, int] = {}

@@ -330,9 +330,19 @@ class _MonteCarlo:
         self._lo, self._k, self._buf = i, k, buf
 
     def stats(self, col) -> tuple[float, float]:
+        """The column's mean and its standard error; a mean or a spread
+        past the float range is refused, since an infinite standard error
+        would pass any gate."""
         m = len(col)
-        mean = math.fsum(memoryview(col)) / m
-        var = math.fsum(memoryview((col - mean) ** 2)) / (m - 1)
+        try:
+            mean = math.fsum(memoryview(col)) / m
+            with np.errstate(over="ignore"):
+                var = math.fsum(memoryview((col - mean) ** 2)) / (m - 1)
+        except OverflowError:  # fsum's partial sums left the float range
+            mean = var = math.inf
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            raise ValueError("the Monte Carlo mean or spread of a sampled value "
+                             "overflows the float range")
         return mean, math.sqrt(var / m)
 
     def tolerance(self, diff_err, tol) -> float:

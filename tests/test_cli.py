@@ -130,6 +130,23 @@ class TestSymbolicBudgets:
         assert "pair-count matrices" in err
         assert peak < 2**20, peak
 
+    def test_huge_sparse_labels_cost_nothing_extra(self, capsys):
+        # The canonical form ranks the labels before it groups components,
+        # so a label of 10^12 sizes nothing.
+        graph = "{1,1000000000000}{1000000000000,7}"
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            code, out, _ = run(capsys, "expand", "--graph", graph, "--word", "d")
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert out == "{1,2}{1,3}{1} + 2{1,2}{2,3}{1} - 3{2,3}{2,4}{1}\n"
+        assert elapsed < 0.1, elapsed
+        assert peak < 2**20, peak
+
     def test_wick_count_refused_without_counting(self, capsys):
         # 120 legs on 30 vertices: the matching bound alone is over budget.
         graph = "".join(f"{{{v}}}^4" for v in range(1, 31))
@@ -462,6 +479,18 @@ class TestEstimate:
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_USAGE and proc.stdout == ""
         assert proc.stderr == "error: Gibbs weights are not finite or do not sum to one\n"
+
+    def test_overflowing_spread_exits_two(self):
+        # A coefficient of 10^300 squares past the float range in the
+        # spread; an infinite stderr would pass any 3-sigma gate.
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "overlap_lab.cli", "estimate", "--model", "sk",
+             "--N", "3", "--graph", "1" + "0" * 300 + "{1,2}", "--samples", "10"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+        assert proc.stderr == ("error: the Monte Carlo mean or spread of a sampled "
+                               "value overflows the float range\n")
 
     def test_invalid_model_size_exits_two(self, capsys):
         code, _, err = run(

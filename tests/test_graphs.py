@@ -1,5 +1,7 @@
 """Graph core: construction, canonical labeling, algebra, pairings."""
 
+import copy
+import pickle
 import random
 from itertools import permutations
 
@@ -28,7 +30,9 @@ from overlap_lab import (
     poly_mul,
     poly_scale,
     relabel,
+    theorem_verify,
 )
+from overlap_lab.exprio import as_jsonable, from_json, to_json
 
 
 class TestMakeMultigraph:
@@ -71,6 +75,67 @@ class TestMakeMultigraph:
             Multigraph(((2, 1, 1),), ())
         with pytest.raises(ValueError):
             Multigraph(((1, 2, 1), (1, 2, 1)), ())
+
+
+class TestMultigraphValue:
+    """A monomial is a value: it survives pickling and copying, cannot be
+    changed, and its public constructor refuses every malformed input."""
+
+    G = make_multigraph([(1, 2, 2), (2, 5, 1)], [(1, 1), (7, 3)])
+
+    @pytest.mark.parametrize("clone", [
+        lambda g: pickle.loads(pickle.dumps(g)),
+        lambda g: pickle.loads(pickle.dumps(g, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-0", "copy", "deepcopy"])
+    @pytest.mark.parametrize("g", [G, EMPTY, edge(1, 2)], ids=["legged", "empty", "edge"])
+    def test_round_trip_keeps_value_and_type(self, clone, g):
+        h = clone(g)
+        assert h == g and type(h) is Multigraph
+        assert (h.edges, h.legs) == (g.edges, g.legs)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_runs_the_constructor_checks(self, protocol):
+        bad = tuple.__new__(Multigraph, (((2, 1, 1),), ()))
+        with pytest.raises(ValueError, match="0 < i < j"):
+            pickle.loads(pickle.dumps(bad, protocol=protocol))
+
+    @pytest.mark.parametrize("name", ["edges", "legs"])
+    def test_fields_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.G, name, ())
+
+    # An unsorted and a repeated pair: TestMakeMultigraph.test_raw_constructor_validates.
+    @pytest.mark.parametrize("edges, legs", [
+        (((2, 2, 1),), ()),  # loop
+        (((1, 3, 1), (1, 2, 1)), ()),  # pairs out of order
+        (((1, 2, 0),), ()),  # edge multiplicity below 1
+        (((0, 1, 1),), ()),  # vertex below 1
+        ((), ((2, 1), (1, 1))),  # vertices out of order
+        ((), ((1, 1), (1, 1))),  # repeated vertex
+        ((), ((1, 0),)),  # leg multiplicity below 1
+        ((), ((0, 1),)),  # leg vertex below 1
+    ])
+    def test_constructor_refuses_malformed_input(self, edges, legs):
+        with pytest.raises(ValueError):
+            Multigraph(edges, legs)
+
+    def test_repr(self):
+        assert repr(self.G) == "Multigraph(edges=[(1, 2, 2), (2, 5, 1)], legs=[(1, 1), (7, 3)])"
+        assert repr(EMPTY) == "Multigraph(edges=[], legs=[])"
+
+    def test_json_form(self):
+        report = theorem_verify(make_multigraph([(3, 5, 2), (5, 9, 1)]), 1)
+        assert as_jsonable(report)["payload"]["graph"] == "{1,2}^2{1,3}"
+        graph = from_json(to_json(report)).graph
+        assert graph == report.graph and type(graph) is Multigraph
+
+    def test_is_the_tuple_of_edges_and_legs(self):
+        g = self.G
+        assert g == (g.edges, g.legs) and hash(g) == hash((g.edges, g.legs))
+        graphs = [g, EMPTY, edge(1, 2), edge(1, 3), leg(1), make_multigraph([(1, 2, 2)])]
+        assert sorted(graphs) == sorted(graphs, key=tuple)
 
 
 class TestCanonicalize:
@@ -141,6 +206,15 @@ class TestCanonicalize:
         verts = list(g.support)
         images = rnd.sample(range(1, 40), len(verts))
         assert canonicalize(relabel(g, dict(zip(verts, images)))) == canonicalize(g)
+
+    @given(multigraphs(max_vertices=6, max_edges=5),
+           st.lists(st.integers(1, 2**40), min_size=6, max_size=6, unique=True))
+    @settings(max_examples=150, deadline=None)
+    def test_huge_sparse_labels(self, g, images):
+        # The canonical form ranks the labels first: no structure is sized
+        # by a label's value.
+        mapping = dict(zip(g.support, images))
+        assert canonicalize(relabel(g, mapping)) == canonicalize(g)
 
 
 class TestCompose:

@@ -5,6 +5,7 @@ held flat by chunking, and calibration of the CRN standard error."""
 import math
 import statistics
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -299,6 +300,17 @@ def test_stats_reduce_columns_as_fsum_of_their_lists(name):
     mean = math.fsum(col.tolist()) / m
     var = math.fsum(((col - mean) ** 2).tolist()) / (m - 1)
     assert _MonteCarlo(2, 0).stats(col) == (mean, math.sqrt(var / m))
+
+
+@pytest.mark.parametrize("col", [np.array([1e300, -1e300] * 5), np.full(4, 1e308)],
+                         ids=["spread", "mean"])
+def test_stats_refuse_what_overflows(col):
+    # +-1e300 squares past the float range, and four 1e308 sum past it; an
+    # infinite stderr would pass any gate.  numpy warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows the float range"):
+            _MonteCarlo(2, 0).stats(col)
 
 
 def test_stats_memory_is_one_column():

@@ -13,8 +13,10 @@ takes none of graphs' component-encoding internals.  Every constant the
 README names in backticks is defined in a module of the package.  The
 ``fresh_memos`` fixture empties every memo of the package.  Only the model
 and its constructors read a model's ``kind`` in the lab.  No disorder
-rule's ``stats`` and no Gibbs normalization reduces through BLAS, and the
-theorem-suite demo still shows a refusal, and the finite-size identities
+rule's ``stats`` and no Gibbs normalization reduces through BLAS.  Only
+``graphs._assemble`` builds a monomial past its constructor's checks, and
+every term it builds for a theorem check passes them.  The theorem-suite
+demo still shows a refusal, and the finite-size identities
 demo runs with no violation.
 """
 
@@ -24,6 +26,8 @@ import os
 import re
 import subprocess
 import sys
+
+import pytest
 
 import overlap_lab
 import overlap_lab.cli  # the worker imports it before tracing
@@ -231,6 +235,47 @@ def test_only_the_model_reads_its_kind():
              if isinstance(top, (*FUNCTIONS, ast.ClassDef)) and top.name not in KIND_READERS
              for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr == "kind"]
     assert found == []
+
+
+def _builds_unchecked(node):
+    """Whether ``node`` calls ``tuple.__new__``, or any ``__new__`` on
+    ``Multigraph``: a monomial built past its constructor's checks."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"):
+        return False
+    receiver, first = node.func.value, node.args[0] if node.args else None
+    return (isinstance(receiver, ast.Name) and receiver.id == "tuple"
+            or isinstance(first, ast.Name) and first.id == "Multigraph")
+
+
+def test_only_assemble_builds_a_monomial_unchecked():
+    # Multigraph's constructor checks its input before it builds the tuple.
+    # Component encodings are valid by construction, so the canonical
+    # form's assembly alone skips those checks; any other unchecked build
+    # could hand the algebra a malformed monomial unseen.
+    found = set()
+    for path, tree in _src_trees():
+        module = os.path.splitext(os.path.basename(path))[0]
+        scopes = [(top.name, top) for top in tree.body if isinstance(top, FUNCTIONS)]
+        scopes += [(f"{cls.name}.{f.name}", f) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for f in cls.body if isinstance(f, FUNCTIONS)]
+        found |= {f"{module}.{name}" for name, scope in scopes
+                  for node in ast.walk(scope) if _builds_unchecked(node)}
+        found |= {f"{module}:{node.lineno}" for node in tree.body
+                  if not isinstance(node, (*FUNCTIONS, ast.ClassDef))
+                  for sub in ast.walk(node) if _builds_unchecked(sub)}
+    # the checked constructor itself, past its checks, and the assembly
+    assert found == {"graphs.Multigraph.__new__", "graphs._assemble"}
+
+
+@pytest.mark.parametrize("graph", ["{1,2}{2,3}{3,4}", "{1,2}{1,2}{3,4}"])
+def test_every_theorem_term_passes_the_constructor_checks(graph, fresh_memos):
+    # Every monomial the unchecked assembly builds, on both sides of the
+    # identity at n = 3, is one the checked constructor accepts as it is.
+    rep = overlap_lab.theorem_verify(overlap_lab.parse_monomial(graph), 3)
+    assert rep.equal and rep.lhs and rep.rhs
+    for g, _ in rep.lhs.items() + rep.rhs.items():
+        assert overlap_lab.Multigraph(g.edges, g.legs) == g
 
 
 #: numpy calls that may reduce through BLAS, whose split over threads
