@@ -50,11 +50,17 @@ Conventions that the reproducibility contract depends on:
   each distinct product of weights and overlap powers is computed once and
   shared by every term that needs it, on one row-slice length for the whole
   polynomial.  The slicing depends only on the model and the polynomial, so
-  it does not disturb the bit-identity above.  Contraction plans and
-  Gauss-Hermite rules depend on shapes and node counts only; each is built
-  once per process, and the rules are read-only.
+  it does not disturb the bit-identity above.  Contraction plans, step
+  programs, Gauss-Hermite rules and stencils depend on shapes, node counts
+  and the polynomial or grid only, not on beta; each is built once per
+  process and shared read-only.
 * Whenever an identity compares two estimates, both sides are computed from
   the same draws within each sample (common random numbers).
+* On a grid with field nodes, what does not read the field (the measure at
+  lambda = 0 and its moments) is computed once per Hamiltonian node and read
+  by index on every field node.  The nodes run in the chunks of the unsplit
+  run, whose bits the results keep on every model the tests check.  A Monte
+  Carlo sample draws its own field and runs whole.
 * A rule whose nodes map onto themselves, weights included, when the field
   couplings change sign (``mirror_symmetric``: every Gauss-Hermite grid)
   averages any function of the lambda-tilted measure to one value at
@@ -85,6 +91,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -281,7 +288,10 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     np.exp(w, out=w)
     w = np.ascontiguousarray(w.T) if nc >= 8 else w.T
     w /= w.sum(axis=-1, keepdims=True)
-    if not (np.isfinite(w).all() and (np.abs(w.sum(axis=-1) - 1.0) < 1e-14).all()):
+    # Every normalized weight is in [0, 1] or NaN (an exponent of NaN or +inf,
+    # or a row of -inf only), and a NaN weight makes its row's sum NaN, so
+    # the sum's check alone refuses every measure that is not finite.
+    if not (np.abs(w.sum(axis=-1) - 1.0) < 1e-14).all():
         raise ValueError("Gibbs weights are not finite or do not sum to one")
     return np.ascontiguousarray(w).reshape(x.shape)
 
@@ -371,58 +381,23 @@ class _PolyMoments:
     ``_CHUNK_FLOATS`` unless one row exceeds it (K4 on 32 configurations),
     and drops each register after its last use.
 
+    The program depends on the number of configurations and the polynomial
+    only, not on beta or the couplings, so it is compiled once per process
+    (:func:`_compiled`) and shared, read-only, by every model of that size:
+    a beta sweep builds it once.  Only the overlap-power registers are the
+    model's own, built on its first evaluation, power 1 being the model's
+    overlap itself.
+
     The program also gives the evaluator's cost, for the lab budget:
     ``flops`` per weight row, n_configs to the number of letters in a
     step's inputs for each distinct step, ``powers``, the overlap powers it
-    holds, and ``row_bytes``, its widest register on one row slice.  The
-    powers are built on the first evaluation, power 1 being the model's
-    overlap itself.
+    holds, and ``row_bytes``, its widest register on one row slice.
     """
 
     def __init__(self, model, poly):
-        nc = model.n_configs
         self._model = model
-        self._held: list = [None]  # a register's overlap power, or None; 0 holds the weights
-        self.powers: dict[int, int] = {}  # overlap power -> its register
-        shared: dict[tuple, int] = {}  # canonical step -> its register
-        program = []  # (register, input registers, kernel)
-        self._terms = []  # (coeff, result register)
-        self._constant = 0.0
-        self.flops, widest, rows = 0, 0, []
-        for g, coeff in poly.items():
-            r = len(g.support)
-            if r == 0:
-                self._constant += float(coeff)
-                continue
-            steps, term_rows = _term_plan(nc, g)
-            rows.append(term_rows)
-            operands = [0] * r
-            for _, _, m in g.edges:
-                if m not in self.powers:
-                    self.powers[m] = len(self._held)
-                    self._held.append(m)
-                operands.append(self.powers[m])
-            for taken, inputs, out in steps:
-                srcs = tuple(operands.pop(k) for k in taken)
-                key = (srcs, *_renamed(inputs, out))
-                if key not in shared:
-                    shared[key] = len(self._held)
-                    self._held.append(None)
-                    program.append((shared[key], srcs, _kernel(*key[1:])))
-                    self.flops += nc ** len({c for sub in key[1] for c in sub if c.isalpha()})
-                    widest = max(widest, nc ** (len(key[2]) - 3))
-                operands.append(shared[key])
-            self._terms.append((float(coeff), operands[0]))
-        # a step's register is dropped after its last reader, unless a term
-        # reads it at the end of the slice
-        kept = {k for _, k in self._terms} | set(self.powers.values()) | {0}
-        last = {k: pos for pos, (_, srcs, _) in enumerate(program) for k in srcs}
-        self._program = [
-            (dst, srcs, kernel, [k for k in set(srcs) - kept if last[k] == pos])
-            for pos, (dst, srcs, kernel) in enumerate(program)
-        ]
-        self._rows = min(rows, default=_CHUNK_FLOATS)
-        self.row_bytes = 8 * self._rows * widest
+        (self._held, self.powers, self._program, self._terms, self._constant,
+         self.flops, self._rows, self.row_bytes) = _compiled(model.n_configs, poly)
 
     @cached_property
     def _registers(self) -> list:
@@ -445,6 +420,59 @@ class _PolyMoments:
             for coeff, k in self._terms:
                 part += coeff * regs[k]
         return total.reshape(weights.shape[:-1])
+
+
+@lru_cache(maxsize=None)
+def _compiled(nc, poly):
+    """The step program of :class:`_PolyMoments` for ``poly`` on ``nc``
+    configurations, as the tuple its constructor unpacks: the registers'
+    overlap powers (None for the weights and the steps), the register of
+    each overlap power, the steps, the terms (coefficient, result register),
+    the constant term, flops per row, rows per slice and the widest
+    register's bytes.  It reads shapes only, so it is built once per
+    process; callers treat it as read-only."""
+    held: list = [None]  # a register's overlap power, or None; 0 holds the weights
+    powers: dict[int, int] = {}  # overlap power -> its register
+    shared: dict[tuple, int] = {}  # canonical step -> its register
+    program = []  # (register, input registers, kernel)
+    terms = []  # (coeff, result register)
+    constant = 0.0
+    flops, widest, rows = 0, 0, []
+    for g, coeff in poly.items():
+        r = len(g.support)
+        if r == 0:
+            constant += float(coeff)
+            continue
+        steps, term_rows = _term_plan(nc, g)
+        rows.append(term_rows)
+        operands = [0] * r
+        for _, _, m in g.edges:
+            if m not in powers:
+                powers[m] = len(held)
+                held.append(m)
+            operands.append(powers[m])
+        for taken, inputs, out in steps:
+            srcs = tuple(operands.pop(k) for k in taken)
+            key = (srcs, *_renamed(inputs, out))
+            if key not in shared:
+                shared[key] = len(held)
+                held.append(None)
+                program.append((shared[key], srcs, _kernel(*key[1:])))
+                flops += nc ** len({c for sub in key[1] for c in sub if c.isalpha()})
+                widest = max(widest, nc ** (len(key[2]) - 3))
+            operands.append(shared[key])
+        terms.append((float(coeff), operands[0]))
+    # a step's register is dropped after its last reader, unless a term reads
+    # it at the end of the slice
+    kept = {k for _, k in terms} | set(powers.values()) | {0}
+    last = {k: pos for pos, (_, srcs, _) in enumerate(program) for k in srcs}
+    program = tuple(
+        (dst, srcs, kernel, tuple(k for k in set(srcs) - kept if last[k] == pos))
+        for pos, (dst, srcs, kernel) in enumerate(program)
+    )
+    slice_rows = min(rows, default=_CHUNK_FLOATS)
+    return (tuple(held), powers, program, tuple(terms), constant, flops, slice_rows,
+            8 * slice_rows * widest)
 
 
 @lru_cache(maxsize=None)
@@ -608,6 +636,13 @@ class _GaussHermite:
     ``axes`` maps each axis's (block, *coupling index) to (count, nodes), by
     block, then by first bond.
 
+    The Hamiltonian block's axes come first, so node t pairs node t //
+    ``field_nodes`` of :attr:`hamiltonian`, the grid of those axes alone,
+    with field node t % ``field_nodes``, ``field_nodes`` being the node
+    count of the other blocks' axes.  What does not read the field, the
+    Gibbs measure at lambda = 0 and its moments, then runs once per
+    Hamiltonian node (:func:`_evaluate`'s ``base``).
+
     The grid draws nothing, so its results report seed 0 whatever seed a
     caller was given.  Its ``weights`` (``weight_columns``) are built on the
     first ``stats``, after the budget check that counts them.  ``stats``
@@ -651,6 +686,16 @@ class _GaussHermite:
         axis_weights = [_hermgauss(n)[1] / math.sqrt(math.pi) for n in self._shape]
         return reduce(np.multiply.outer, axis_weights).ravel()
 
+    @property
+    def field_nodes(self) -> int:
+        return math.prod(n for (k, *_), (_, n) in self.axes.items() if k)
+
+    @cached_property
+    def hamiltonian(self):
+        """The grid over the Hamiltonian block's axes alone; its weights are
+        never built."""
+        return _GaussHermite(self._model, self._blocks[:1], self.samples)
+
     def draws(self, lo, hi, shape) -> np.ndarray:
         out = np.zeros((hi - lo, *shape))
         idx = np.unravel_index(np.arange(lo, hi), self._shape)
@@ -677,28 +722,35 @@ def _rule(method, model, n_samples, seed, n_nodes, blocks=("exponent", "exponent
     raise ValueError(f"unknown method {method!r}")
 
 
-def _check_run(what, model, nodes, blocks, width, uses, held=0):
+def _check_run(what, model, nodes, blocks, width, uses, held=0, pre=None):
     """Refuse a run over the lab budget: ``nodes`` nodes on ``model`` (None
     for none), each drawing ``blocks`` coupling blocks, passing weight rows
     through evaluators, ``uses`` being (evaluator, rows per node) pairs, and
     holding ``width`` floats per node (result slots and rule weights), beside
-    ``held`` floats that an earlier run keeps.  Work per node: the energy
-    and field products and each evaluator's program per row.  Bytes: the
-    model's arrays, each overlap power once, each evaluator's widest
-    register, the columns with one more for a column's spread or weighted
-    copy, and the held floats."""
-    units = sum(rows * ev.flops for ev, rows in uses)
-    nbytes = sum(ev.row_bytes for ev, _ in uses) + 8 * nodes * (width + 1) + 8 * held
+    ``held`` floats that an earlier run keeps.  ``pre``, (nodes, width,
+    uses), is a run on the Hamiltonian nodes alone, one block each, whose
+    rows the run reads: its work adds, and its rows are held.  Work per
+    node: the energy and field products and each evaluator's program per
+    row.  Bytes: the model's arrays, each overlap power once, each
+    evaluator's widest register, the columns with one more for a column's
+    spread or weighted copy, and the held floats."""
+    runs = [(nodes, blocks, uses)]
+    if pre is not None:
+        runs.append((pre[0], 1, pre[2]))
+        held += pre[0] * pre[1]
+    every = [use for _, _, run_uses in runs for use in run_uses]
+    units = sum(n * sum(rows * ev.flops for ev, rows in run_uses) for n, _, run_uses in runs)
+    nbytes = sum(ev.row_bytes for ev, _ in every) + 8 * nodes * (width + 1) + 8 * held
     if model is not None:
         nc, nb = model.n_configs, len(model.bonds)
-        powers = {1}.union(*(ev.powers for ev, _ in uses))
-        units += blocks * nc * nb
+        powers = {1}.union(*(ev.powers for ev, _ in every))
+        units += sum(n * b for n, b, _ in runs) * nc * nb
         nbytes += 8 * nc * (model.n_sites + nb + nc * len(powers))
         what += f" on {model.describe()}"
-    _check_budget(what, nodes * units, nbytes)
+    _check_budget(what, units, nbytes)
 
 
-def _evaluate(rule, blocks, width, per_node, fill, model=None, uses=()) -> np.ndarray:
+def _evaluate(rule, blocks, width, per_node, fill, model=None, uses=(), base=None) -> np.ndarray:
     """Per-node result columns, shape (rule.size, width).
 
     Each node draws ``blocks`` blocks of ``model``'s couplings (of one
@@ -706,35 +758,59 @@ def _evaluate(rule, blocks, width, per_node, fill, model=None, uses=()) -> np.nd
     the lab budget (:func:`_check_run`, which takes ``uses``).  Nodes run in
     chunks of ``_CHUNK_FLOATS // per_node``; ``fill(draws)`` turns a chunk's
     (nodes, blocks, *coupling_shape) draws into its (nodes, width) rows.
-    numpy's floating-point warnings are off: an exponent that overflows is
-    refused by :func:`_softmax_last`'s check, and any other value that is
-    not finite here.
+
+    ``base``, (width, per_node, fill, uses) for a rule with field nodes
+    (``rule.field_nodes`` > 1), splits off what does not read the field: its
+    fill turns (nodes, 1, *coupling_shape) draws of ``rule.hamiltonian``
+    into rows once per Hamiltonian node, before the rule's nodes run, and
+    ``fill(draws, rows)`` then gets the row of each node's Hamiltonian node.
+    Both runs count in the one budget check.  numpy's floating-point
+    warnings are off: an exponent that overflows is refused by
+    :func:`_softmax_last`'s check, and any other value that is not finite
+    here.
     """
     _check_run(f"{rule.size} {rule.method} nodes", model, rule.size, blocks,
-               width + rule.weight_columns, uses)
+               width + rule.weight_columns, uses, pre=_pre_run(rule, base))
+    with np.errstate(all="ignore"):
+        rows = None if base is None else _run(rule.hamiltonian, 1, *base[:3], model)
+        return _run(rule, blocks, width, per_node, fill, model, rows)
+
+
+def _pre_run(rule, base):
+    """The Hamiltonian pre-run of :func:`_evaluate`'s ``base`` on ``rule``,
+    as :func:`_check_run` takes it."""
+    return None if base is None else (rule.hamiltonian.size, base[0], base[3])
+
+
+def _run(rule, blocks, width, per_node, fill, model, base_rows=None) -> np.ndarray:
+    """:func:`_evaluate`'s chunks on ``rule``, unchecked; with ``base_rows``
+    each node also reads the row of its Hamiltonian node."""
     draw_shape = (blocks, *(() if model is None else model.coupling_shape))
     slots = np.empty((rule.size, width), dtype=np.float64)
-    chunk = max(1, _CHUNK_FLOATS // per_node)
-    with np.errstate(all="ignore"):
-        for lo in range(0, rule.size, chunk):
-            rows = slots[lo:lo + chunk]
-            rows[...] = fill(rule.draws(lo, lo + len(rows), draw_shape))
-            if not np.isfinite(rows).all():
-                raise ValueError("a disorder node gives a value that is not finite")
+    chunk, field = max(1, _CHUNK_FLOATS // per_node), rule.field_nodes
+    for lo in range(0, rule.size, chunk):
+        rows = slots[lo:lo + chunk]
+        base = () if base_rows is None else (base_rows[np.arange(lo, lo + len(rows)) // field],)
+        # no name holds the draws, so they are freed before the next chunk's
+        rows[...] = fill(rule.draws(lo, lo + len(rows), draw_shape), *base)
+        if not np.isfinite(rows).all():
+            raise ValueError("a disorder node gives a value that is not finite")
     return slots
 
 
-def _estimate(model, rule, per_node, fill, uses) -> QuenchedEstimate:
+def _estimate(model, rule, per_node, fill, uses, base=None) -> QuenchedEstimate:
     """The rule's average of the one column ``fill`` computes, with the
-    change under the doubled grid as truncation where the rule has one."""
+    change under the doubled grid as truncation where the rule has one.
+    ``base`` is :func:`_evaluate`'s."""
     check = rule.refined()  # built, or refused, before any work
     if check is not None:  # the larger run, beside the base grid's weights:
         # checked before either is evaluated
         _check_run(f"{check.size} {check.method} nodes", model, check.size, 2,
-                   1 + check.weight_columns, uses, held=rule.size * rule.weight_columns)
+                   1 + check.weight_columns, uses, held=rule.size * rule.weight_columns,
+                   pre=_pre_run(check, base))
 
     def mean_err(r):
-        return r.stats(_evaluate(r, 2, 1, per_node, fill, model, uses)[:, 0])
+        return r.stats(_evaluate(r, 2, 1, per_node, fill, model, uses, base)[:, 0])
 
     mean, err = mean_err(rule)
     truncation = None if check is None else abs(mean - mean_err(check)[0])
@@ -861,13 +937,15 @@ class DeformationConfig:
         return tuple(sorted({abs(x) for x in self.lambda_grid}, reverse=True))
 
 
+@lru_cache(maxsize=None)
 def _stencil_nodes(config: DeformationConfig, order: int, at_lambda: float):
     """Coefficient map node -> weight whose dot product with f(node) estimates
     the order-th derivative at ``at_lambda``, after Richardson extrapolation.
 
     The coefficients sum to zero analytically, so estimators evaluate
     sum(c * (f(node) - f(center))) and a constant function differentiates to
-    exactly 0.0.
+    exactly 0.0.  The map reads no model, so it is built once per process
+    and returned read-only.
     """
     mags = config.magnitudes
     # Orders 3 and 4 step 2h: every magnitude but the largest has its double
@@ -902,7 +980,7 @@ def _stencil_nodes(config: DeformationConfig, order: int, at_lambda: float):
         raise ValueError(f"the order-{order} stencil at {at_lambda} has a coefficient "
                          "that is not finite")
     final.setdefault(at_lambda, 0.0)
-    return final
+    return MappingProxyType(final)
 
 
 def _folded(coeffs, at_lambda):
@@ -928,6 +1006,15 @@ def _stencil_plan(rule, stencils):
         *({node for node, c in coeffs.items() if c} for coeffs, _ in stencils)))
     return nodes, [(np.array([coeffs.get(node, 0.0) for node in nodes]), nodes.index(at))
                    for coeffs, at in stencils]
+
+
+def _split_zero(rule, nodes):
+    """The position of lambda = 0 among ``nodes`` if the moments there run
+    once per Hamiltonian node (a rule with field nodes; the measure at 0
+    does not read the field), else None; and the nodes the full grid
+    evaluates."""
+    zero = nodes.index(0.0) if rule.field_nodes > 1 and 0.0 in nodes else None
+    return zero, [lam for k, lam in enumerate(nodes) if k != zero]
 
 
 def fd_derivative(
@@ -964,12 +1051,22 @@ def fd_derivative(
     if not c.any():  # every node weighs zero, on the doubled grid too
         return QuenchedEstimate(0.0, 0.0, rule.samples, rule.seed, rule.method, 0.0)
     evaluator = _PolyMoments(model, poly)
+    zero, lams = _split_zero(rule, nodes)
 
-    def fill(draws):
-        values = evaluator.value_grid(_gibbs_grid(model, draws, nodes))
+    def at_zero(draws):
+        return evaluator.value_grid(gibbs_weights(model, draws[:, 0]))[:, None]
+
+    def fill(draws, base=None):
+        values = evaluator.value_grid(_gibbs_grid(model, draws, lams))
+        if base is not None:
+            values = np.concatenate([values[:, :zero], base[:, :1], values[:, zero:]], axis=1)
         return ((values - values[:, [center]]) @ c)[:, None]
 
-    return _estimate(model, rule, len(nodes) * model.n_configs, fill, [(evaluator, len(nodes))])
+    base = None if zero is None else (1, model.n_configs, at_zero, [(evaluator, 1)])
+    # chunks of the unsplit run: the stencil's matrix-vector product rounds
+    # the last rows of a chunk by the chunk's length
+    return _estimate(model, rule, len(nodes) * model.n_configs, fill, [(evaluator, len(lams))],
+                     base)
 
 
 # --------------------------------------------------------------------------
@@ -1014,20 +1111,21 @@ class IdentityReport:
 
 def _identity_report(label, rule, blocks, per_node, row_labels, fill, tol=None,
                      model=None, graph=None, n=None, lambda_grid=(), lemma_lambda=None,
-                     uses=()) -> IdentityReport:
+                     uses=(), base=None) -> IdentityReport:
     """One identity report, a row per label.  ``fill(draws)`` returns a
     chunk's sides as lists ``(lhs, rhs)``, one (nodes,) array or constant per
     row; each row compares the rule's averages of both sides and of their
     per-node difference (common random numbers).  ``uses`` are the
-    evaluators ``fill`` runs, as :func:`_check_run` takes them."""
+    evaluators ``fill`` runs, as :func:`_check_run` takes them, and
+    ``base`` is :func:`_evaluate`'s."""
     k = len(row_labels)
 
-    def columns(draws):
-        lhs, rhs = fill(draws)
+    def columns(draws, *base_rows):
+        lhs, rhs = fill(draws, *base_rows)
         sides = np.stack(np.broadcast_arrays(*lhs, *rhs), axis=1)
         return np.concatenate([sides, sides[:, :k] - sides[:, k:]], axis=1)
 
-    slots = _evaluate(rule, blocks, 3 * k, per_node, columns, model, uses)
+    slots = _evaluate(rule, blocks, 3 * k, per_node, columns, model, uses, base)
     rows = []
     for pos, row_label in enumerate(row_labels):
         (lhs, lhs_err), (rhs, rhs_err), (diff, diff_err) = (
@@ -1096,18 +1194,31 @@ def identity_check(
     at = [center for _, center in stencils]
     ev_g = _PolyMoments(model, poly_g)
     ev_d = _PolyMoments(model, dpoly)
+    zero, lams = _split_zero(rule, nodes)
+    # where each rhs point not at a split-off lambda = 0 sits among lams; the
+    # points at 0 lead ``at``, as the first row's point is 0
+    tilted = [lams.index(nodes[k]) for k in at if k != zero]
 
-    def fill(draws):
-        weights = _gibbs_grid(model, draws, nodes)
+    def at_zero(draws):
+        w = gibbs_weights(model, draws[:, 0])
+        return np.stack([ev_g.value_grid(w), ev_d.value_grid(w)], axis=1)
+
+    def fill(draws, base=None):
+        weights = _gibbs_grid(model, draws, lams)
         f = ev_g.value_grid(weights)
-        d = ev_d.value_grid(weights[:, at])
+        d = ev_d.value_grid(weights[:, tilted])
+        if base is not None:
+            f = np.concatenate([f[:, :zero], base[:, :1], f[:, zero:]], axis=1)
+            d = np.column_stack([base[:, 1]] * (len(at) - len(tilted)) + [d])
         return ([(f - f[:, [center]]) @ c for c, center in stencils],
                 [factor * d[:, k] for k, (*_, factor) in enumerate(rows)])
 
+    base = None if zero is None else (2, model.n_configs, at_zero, [(ev_g, 1), (ev_d, 1)])
+    # chunks of the unsplit run, as in fd_derivative
     return _identity_report("stability-moment identity", rule, 2, len(nodes) * model.n_configs,
                             [r[0] for r in rows], fill, tol, model=model, graph=gc, n=n,
                             lambda_grid=config.lambda_grid, lemma_lambda=lam0,
-                            uses=[(ev_g, len(nodes)), (ev_d, len(at))])
+                            uses=[(ev_g, len(lams)), (ev_d, len(tilted))], base=base)
 
 
 def wick_baseline_check(
@@ -1128,16 +1239,29 @@ def wick_baseline_check(
     ev2, ev3 = (_PolyMoments(model, GraphPolynomial.monomial(Multigraph(edges, ())))
                 for edges in (((1, 2, 1),), ((1, 2, 1), (2, 3, 1))))
     labels = ("Av(<h>^2) vs E({1,2})", "Av(<h1><h1 h2><h2>) vs E({1,2}{2,3})")
+    nc = model.n_configs
 
-    def fill(draws):
-        w = _softmax_last(model.beta * _neg_energy(model, draws[:, 0]))
+    def untilted(draws):
+        w = gibbs_weights(model, draws[:, 0])
+        return w, [ev2.value_grid(w), ev3.value_grid(w)]
+
+    def at_zero(draws):
+        w, rhs = untilted(draws)
+        return np.column_stack([w, *rhs])
+
+    def fill(draws, base=None):
+        if base is None:
+            w, rhs = untilted(draws)
+        else:  # einsum's loops round by operand layout: w as untilted gives it
+            w, rhs = np.ascontiguousarray(base[:, :nc]), [base[:, nc], base[:, nc + 1]]
         hv = _field_values(model, draws[:, 1:])
         b1, b2 = np.einsum("sc,skc->ks", w, hv)
         b12 = np.einsum("sc,sc,sc->s", w, hv[:, 0], hv[:, 1])
-        return [b1 * b1, b1 * b12 * b2], [ev2.value_grid(w), ev3.value_grid(w)]
+        return [b1 * b1, b1 * b12 * b2], rhs
 
-    return _identity_report("wick baselines", rule, 3, 2 * model.n_configs, labels, fill, tol,
-                            model=model, uses=[(ev2, 1), (ev3, 1)])
+    base = (nc + 2, nc, at_zero, [(ev2, 1), (ev3, 1)]) if rule.field_nodes > 1 else None
+    return _identity_report("wick baselines", rule, 3, 2 * nc, labels, fill, tol, model=model,
+                            uses=[] if base else [(ev2, 1), (ev3, 1)], base=base)
 
 
 def gaussian_ibp_check(n_samples=20000, seed=0) -> IdentityReport:

@@ -246,7 +246,7 @@ def _matrix_count(degrees: tuple[int, ...]) -> int:
     odd = sum(d % 2 for d in degrees)
     if odd % 2:
         return 0
-    even = sum(d % 2 == 0 for d in degrees)
+    even = sum(d > 0 and d % 2 == 0 for d in degrees)
     if double_factorial(odd - 1) * double_factorial(even - even % 2 - 1) > MAX_PAIR_COUNT_MATRICES:
         return MAX_PAIR_COUNT_MATRICES + 1
     return _count_matrices(degrees, {})

@@ -276,6 +276,7 @@ class _MonteCarlo:
     # both signs of lambda at one draw.
     mirror_symmetric = False
     weight_columns = 0  # equal weights, none stored
+    field_nodes = 1  # each sample draws its own field: no node shares a Hamiltonian draw
     fixed_tolerance = False  # identity rows pass at 3 standard errors
 
     def __init__(self, n_samples, seed):

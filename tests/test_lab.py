@@ -345,6 +345,40 @@ class TestGibbsWeights:
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         assert lab._softmax_last(x).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
+    @pytest.mark.parametrize("nc", [2, 4, 8, 64])
+    def test_a_minus_inf_below_the_row_max_is_accepted(self, nc):
+        x = np.random.default_rng(nc).standard_normal((3, nc))
+        x[1, 0] = -np.inf
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        w = lab._softmax_last(x)
+        assert w[1, 0] == 0.0
+        assert w.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+    def test_the_sum_check_refuses_what_a_finiteness_check_would(self):
+        # Every normalized weight is in [0, 1] or NaN, and a NaN makes its
+        # row's sum NaN: the sum's check alone refuses the rows that a
+        # separate finiteness pass over the weights refused.
+        rng = np.random.default_rng(29)
+        specials = np.array([np.nan, np.inf, -np.inf, 1e308, -1e308])
+        refused = 0
+        for _ in range(2000):
+            nc = int(rng.integers(2, 129))
+            x = rng.standard_normal((1, nc)) * 10.0 ** rng.uniform(0, 3)
+            k = int(rng.integers(0, 4))
+            x[0, rng.integers(0, nc, k)] = rng.choice(specials, k)
+            with np.errstate(all="ignore"):
+                e = np.exp(x - x.max(axis=-1, keepdims=True))
+                ref = e / e.sum(axis=-1, keepdims=True)
+                bad = not (np.isfinite(ref).all() and abs(ref.sum() - 1.0) < 1e-14)
+                try:
+                    w = lab._softmax_last(x)
+                except ValueError:
+                    refused += 1
+                    assert bad
+                else:
+                    assert not bad and w.tobytes() == ref.tobytes()
+        assert 0 < refused < 2000
+
     @pytest.mark.parametrize("nc", [4, 8, 64, 1024])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf row"])
     def test_non_finite_rows_raise_at_every_width(self, nc, bad):
@@ -924,22 +958,30 @@ class TestMirrorFold:
         assert {cls.__name__ for cls in rules} == {"_GaussHermite", "_MonteCarlo"}
         assert {cls.__name__ for cls in rules if cls.mirror_symmetric} == {"_GaussHermite"}
 
-    @pytest.mark.parametrize("method, count, signs", [("quadrature", 14, {1.0}),
-                                                      ("mc", 19, {-1.0, 1.0})])
+    # On the grid, lambda = 0 leaves the field grid: its measure runs once
+    # per Hamiltonian node, 8 of them, beside 13 folded nodes per grid node.
+    @pytest.mark.parametrize("method, count, signs, at_zero", [("quadrature", 13, {1.0}, 8),
+                                                               ("mc", 19, {-1.0, 1.0}, 0)])
     def test_identity_evaluates_folded_nodes_on_symmetric_rules_only(
-            self, monkeypatch, method, count, signs):
-        seen = []
-        gibbs_grid = lab._gibbs_grid
+            self, monkeypatch, method, count, signs, at_zero):
+        seen, untilted = [], []
+        gibbs_grid, gibbs_weights = lab._gibbs_grid, lab.gibbs_weights
 
         def recording(model, draws, lams):
             seen.append(list(lams))
             return gibbs_grid(model, draws, lams)
 
+        def recording_untilted(model, couplings):
+            untilted.append(len(couplings))
+            return gibbs_weights(model, couplings)
+
         monkeypatch.setattr(lab, "_gibbs_grid", recording)
+        monkeypatch.setattr(lab, "gibbs_weights", recording_untilted)
         identity_check(sk_model(2, 0.5), C12, 1, 40, 3, method=method, config=FINE_GRID,
                        n_nodes=8)
         assert len(seen[0]) == count
         assert {math.copysign(1.0, lam) for lam in seen[0] if lam} == signs
+        assert sum(untilted) == at_zero
 
     @pytest.mark.parametrize("beta", [0.2, 0.8, 1.6])
     @pytest.mark.parametrize("n, lemma", [(1, 0.2), (1, -0.2), (2, None)])
@@ -985,6 +1027,112 @@ class TestMirrorFold:
     def test_odd_order_quadrature_at_zero_on_sk3_needs_no_grid(self, monkeypatch):
         # SK N=3's doubled grid has 128^6 nodes, which the budget refuses.
         self.assert_zero_without_a_grid(monkeypatch, sk_model(3, 0.5), 1)
+
+
+class TestHamiltonianSplit:
+    """On a grid with field nodes, what does not read the field (the measure
+    at lambda = 0, the stencil center, the rhs at 0, the baselines' weights
+    and overlap moments) runs once per Hamiltonian node, and every field
+    node reads it by index."""
+
+    @staticmethod
+    def reports(model, nodes):
+        return [repr(identity_check(model, C12, n, method="quadrature", n_nodes=nodes,
+                                    config=config))
+                for n in (1, 2) for config in (None, FINE_GRID)] + [
+            repr(wick_baseline_check(model, method="quadrature", n_nodes=nodes))]
+
+    @pytest.mark.parametrize("model_fn, nodes", [
+        (lambda: sk_model(2, 0.8), 64),
+        (lambda: sk_model(3, 0.5), 8),
+        (lambda: ea_model((4,), 0.5), 4),
+    ], ids=["sk2", "sk3", "ea4"])
+    def test_split_and_per_node_paths_are_bit_identical(self, monkeypatch, model_fn, nodes):
+        model = model_fn()
+        untilted = []
+        gibbs_weights = lab.gibbs_weights
+
+        def recording(model, couplings):
+            untilted.append(len(couplings))
+            return gibbs_weights(model, couplings)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lab, "gibbs_weights", recording)
+            split = self.reports(model, nodes)
+        # one untilted measure per Hamiltonian node and report, on no other node
+        ham = lab._GaussHermite(model, ("exponent",), nodes).size
+        assert sum(untilted) == 5 * ham
+        monkeypatch.setattr(lab._GaussHermite, "field_nodes", 1)
+        assert self.reports(model, nodes) == split
+
+    # Gibbs measures per report on SK N=2 at 8 nodes per axis: the field grid
+    # has 64 nodes, 8 of them per Hamiltonian node.
+    @pytest.mark.parametrize("run, measures", [
+        # 7 folded lambda nodes but 0, on the grid
+        (lambda: identity_check(sk_model(2, 0.5), C12, 1, method="quadrature", n_nodes=8),
+         7 * 64 + 8),
+        # 0.05, 0.1 and 0.2
+        (lambda: identity_check(sk_model(2, 0.5), C12, 2, method="quadrature", n_nodes=8),
+         3 * 64 + 8),
+        # 0.05, 0.1 and 0.2 on the 8- and the 16-node grid
+        (lambda: fd_derivative(sk_model(2, 0.5), C12, 4, method="quadrature", n_nodes=8),
+         3 * 64 + 8 + 3 * 256 + 16),
+        # no tilted measure: each of the 8 x 16 nodes reads its Hamiltonian node's
+        (lambda: wick_baseline_check(sk_model(2, 0.5), method="quadrature", n_nodes=8), 8),
+        # SK N=3 at 4 nodes per axis: 4^3 Hamiltonian nodes
+        (lambda: identity_check(sk_model(3, 0.5), C12, 2, method="quadrature", n_nodes=4),
+         3 * 4**6 + 4**3),
+        (lambda: wick_baseline_check(sk_model(3, 0.5), method="quadrature", n_nodes=4), 4**3),
+    ], ids=["sk2-n1", "sk2-n2", "sk2-fd4", "sk2-baseline", "sk3-n2", "sk3-baseline"])
+    def test_gibbs_measures_per_report(self, monkeypatch, run, measures):
+        counted = [0]
+        softmax = lab._softmax_last
+
+        def counting(x):
+            counted[0] += x.size // x.shape[-1]
+            return softmax(x)
+
+        monkeypatch.setattr(lab, "_softmax_last", counting)
+        run()
+        assert counted[0] == measures
+
+    def test_monte_carlo_runs_every_sample_whole(self, monkeypatch):
+        # Each sample draws its own field, so the rule has no field nodes:
+        # no pre-run, and no node reads another's rows.
+        run = lab._run
+
+        def whole(rule, blocks, width, per_node, fill, model, base_rows=None):
+            assert rule.method == "mc" and base_rows is None
+            return run(rule, blocks, width, per_node, fill, model, base_rows)
+
+        monkeypatch.setattr(lab, "_run", whole)
+        identity_check(sk_model(2, 0.5), C12, 2, 20, 1)
+        wick_baseline_check(sk_model(2, 0.5), 20, 1)
+
+    def test_pre_run_counts_in_the_one_budget_check(self, monkeypatch):
+        # The work and rows of the Hamiltonian pre-run add to the grid's, in
+        # one check made before either runs.
+        model = sk_model(2, 0.5)
+        checks, check = [], lab._check_budget
+
+        def recording(what, units, nbytes):
+            checks.append((what, units, nbytes))
+            return check(what, units, nbytes)
+
+        monkeypatch.setattr(lab, "_check_budget", recording)
+        identity_check(model, C12, 2, method="quadrature", n_nodes=8)
+        ((what, units, nbytes),) = checks
+        assert what.startswith("64 quadrature nodes")
+        ev_g = lab._PolyMoments(model, GraphPolynomial.monomial(C12))
+        ev_d = lab._PolyMoments(model, big_delta(big_delta(C12)))
+        nc, nb = model.n_configs, len(model.bonds)
+        grid = 64 * (2 * nc * nb + 3 * ev_g.flops)
+        pre = 8 * (nc * nb + ev_g.flops + ev_d.flops)
+        assert units == grid + pre
+        monkeypatch.setattr(lab, "LAB_WORK_BUDGET", units - 1)
+        monkeypatch.setattr(lab, "_run", lambda *args: pytest.fail("ran a grid"))
+        with pytest.raises(BudgetError, match="^64 quadrature nodes"):
+            identity_check(model, C12, 2, method="quadrature", n_nodes=8)
 
 
 class TestWickBaselines:

@@ -592,6 +592,27 @@ def test_terms_share_their_common_steps():
         assert len(ev._program) <= distinct
 
 
+def test_models_of_one_size_share_one_compiled_program(fresh_memos):
+    # The program reads the number of configurations and the polynomial, not
+    # beta or the model: a beta sweep compiles it once, and each model's own
+    # overlap powers make its values bit for bit those of a fresh compile.
+    from overlap_lab import lab
+
+    poly = delta_power("{1,2}{2,3}", 2)
+    models = (sk_model(3, 0.3), sk_model(3, 1.1), ea_model((3,), 0.5))  # 4 configurations
+    evs = [_PolyMoments(model, poly) for model in models]
+    assert all(ev._program is evs[0]._program for ev in evs)
+    assert lab._compiled.cache_info().misses == 1
+    w = normalized_weights(models[0], 300, 5)
+    values = [ev.value_grid(w) for ev in evs]
+    assert not np.array_equal(values[0], values[2])  # the ring's own overlap
+    lab._compiled.cache_clear()
+    for model, shared in zip(models, values):
+        fresh = _PolyMoments(model, poly)
+        assert fresh._program is not evs[0]._program
+        assert fresh.value_grid(w).tobytes() == shared.tobytes()
+
+
 def test_shared_program_memory_stays_flat():
     # On the ring of 6's 32 configurations K4 runs one row at a time, and its
     # widest step holds two 32^3-float intermediates (512 KiB) however it is

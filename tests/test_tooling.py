@@ -61,9 +61,10 @@ def test_tracer_installs_and_uninstalls():
 
 def test_tracer_counts_one_gibbs_measure_per_node_and_lambda(capsys):
     # lab.gibbs_evals and lab.quadrature.nodes read these counts.  An SK N=2
-    # quadrature at 8 nodes per axis: the n=2 identity evaluates 4 lambda
-    # nodes on the 8 x 8 grid (0, 0.05, 0.1 and 0.2: the stencil folded onto
-    # |lambda|), the estimate 1 on it and on the doubled one.
+    # quadrature at 8 nodes per axis: the n=2 identity evaluates 3 lambda
+    # nodes on the 8 x 8 grid (0.05, 0.1 and 0.2: the stencil folded onto
+    # |lambda|) and lambda = 0, which does not read the field, on the 8
+    # Hamiltonian nodes; the estimate 1 on the grid and on the doubled one.
     quad = ["--model", "sk", "--N", "2", "--method", "quadrature", "--nodes", "8"]
     tracer = Tracer(overlap_lab)
     tracer.install()
@@ -74,7 +75,7 @@ def test_tracer_counts_one_gibbs_measure_per_node_and_lambda(capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert identity == 4 * 8**2
+    assert identity == 3 * 8**2 + 8
     assert tracer.counts["gibbs"] - identity == 8**2 + 16**2
 
 
@@ -204,19 +205,26 @@ def test_readme_names_only_defined_constants():
 
 def test_fresh_memos_empties_every_memo(request):
     # A memo the fixture left warm would let a test of a cold path read hits.
-    graphs, operators = overlap_lab.graphs, overlap_lab.operators
+    # Module-level dicts are memos, save the work counters and ALL-CAPS
+    # constants such as lab._STENCILS.
+    import overlap_lab.streams  # loaded with the first Monte Carlo rule
+
+    graphs, operators, lab = overlap_lab.graphs, overlap_lab.operators, overlap_lab.lab
     p4 = overlap_lab.make_multigraph([(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     assert operators.theorem_verify(p4, 2).equal
+    lab.identity_check(lab.sk_model(2, 0.5), p4, 1, method="quadrature", n_nodes=4)
     assert graphs._component_memo and operators._delta_term.cache_info().currsize
+    assert lab._compiled.cache_info().currsize and lab._stencil_nodes.cache_info().currsize
     request.getfixturevalue("fresh_memos")
     warm = [f"{module.__name__}.{name}" for module in package_modules()
             for name, f in vars(module).items()
             if hasattr(f, "cache_info") and f.cache_info().currsize]
     assert warm == []
-    filled = [f"{module.__name__}.{name}" for module in (graphs, operators)
+    filled = [f"{module.__name__}.{name}"
+              for module in (graphs, operators, lab, overlap_lab.streams)
               for name, value in vars(module).items()
               if isinstance(value, dict) and not name.startswith("__")
-              and value is not graphs.work and value]
+              and not name.lstrip("_").isupper() and value is not graphs.work and value]
     assert filled == []
 
 
