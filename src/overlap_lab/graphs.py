@@ -47,7 +47,8 @@ edges and legs; :mod:`operators` spends for the terms, Wick outcomes,
 listings and big-integer coefficients it handles.  Past the budget the call
 raises :class:`BudgetError`.  Memo hits spend nothing, so a cold process
 spends the same units on every run, and a warm call can pass where the same
-call, cold, was refused.
+call, cold, was refused; ``delta`` and ``wick_contract`` memoize no term,
+so their share of a call is paid again on every call.
 
 A search holds no reference cycle, so reference counting frees its working
 state the moment it returns.
@@ -262,6 +263,16 @@ _budget_end = None
 class BudgetError(RuntimeError):
     """Raised when a requested computation exceeds its configured resource
     bound.  Callers get an explicit refusal, never a silent truncation."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int, through :func:`operator.index`, so numpy
+    integers and bools pass and floats do not; anything else raises
+    TypeError naming the argument ``name``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _spend(units: int = 1) -> None:

@@ -95,7 +95,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .graphs import GraphPolynomial, Multigraph, canonicalize
+from .graphs import GraphPolynomial, Multigraph, _integer, canonicalize
 from .operators import BudgetError, _as_poly, big_delta, double_factorial
 
 __all__ = [
@@ -159,6 +159,7 @@ class ModelInstance:
     dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", _integer("n_sites", self.n_sites))
         # The overlap holds 4^(N-1) floats, built with at least one unit
         # each.  N is capped just past the budget's bit length first, so that
         # a huge N is refused without forming 2^N.
@@ -222,6 +223,7 @@ class ModelInstance:
 
 
 def sk_model(n_spins: int, beta: float) -> ModelInstance:
+    n_spins = _integer("n_spins", n_spins)
     if n_spins < 2:
         raise ValueError(f"SK needs at least 2 spins, got {n_spins}")
     _check_nonnegative("beta", beta)
@@ -229,7 +231,7 @@ def sk_model(n_spins: int, beta: float) -> ModelInstance:
 
 
 def ea_model(dims, beta: float) -> ModelInstance:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integer("dims", d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"lattice dimensions must be positive, got {dims}")
     # a side of 1 adds no bond and leaves the sites' C-order numbering alone
@@ -368,11 +370,11 @@ class _PolyMoments:
     Each term with support {1..R} is the contraction of R copies of the
     weights against the fixed product of edge-overlap matrices.  Its greedy
     contraction order depends only on the number of configurations and the
-    term, so it is found once per process, on the shapes of a single sample,
-    with intermediates of at most three replica indices (the 4-cycle needs
-    two, K4 three).  The steps of all terms then compile into one program
-    over registers: the weights, the model's overlap powers, and one
-    register per distinct step.  A step whose input registers and
+    term, so it is found on the shapes of a single sample, once per compiled
+    program, with intermediates of at most three replica indices (the
+    4-cycle needs two, K4 three).  The steps of all terms then compile into
+    one program over registers: the weights, the model's overlap powers,
+    and one register per distinct step.  A step whose input registers and
     subscripts, with letters renamed in order of first appearance, match an
     earlier step's reuses that step's register, so each distinct product is
     computed once per row slice and terms share it bit for bit.  The program
@@ -475,7 +477,6 @@ def _compiled(nc, poly):
             8 * slice_rows * widest)
 
 
-@lru_cache(maxsize=None)
 def _term_plan(nc, g):
     """Contraction steps of the term ``g`` on ``nc`` configurations, in the
     form of :func:`_plan`, and the rows per slice that keep its largest
@@ -661,6 +662,7 @@ class _GaussHermite:
     fixed_tolerance = True  # identity rows pass at the caller's tol
 
     def __init__(self, model, blocks, n_nodes):
+        n_nodes = _integer("n_nodes", n_nodes)
         if n_nodes < 1:
             raise ValueError(f"quadrature needs at least 1 node per axis, got {n_nodes}")
         columns = {}
@@ -1040,6 +1042,7 @@ def fd_derivative(
     random numbers), and the stencil is applied per node so the Monte Carlo
     standard error propagates through it.
     """
+    order = _integer("order", order)
     if order not in _STENCILS:
         raise ValueError(f"derivative order must be one of {sorted(_STENCILS)}")
     _check_finite("at_lambda", at_lambda)
@@ -1168,6 +1171,7 @@ def identity_check(
     coupling node, not the convergence of either side.
     """
     _check_nonnegative("tol", tol)
+    n = _integer("n", n)
     if n not in (1, 2):
         # The stencils stop at order 4 = 2n.
         raise ValueError(f"n={n} is not supported: the identity is checked at orders n = 1 and 2")

@@ -41,6 +41,11 @@ outcome and that outcome's canonical form, and one per 2^20 squared bits
 of its long division; a listing spends one per matrix times the vertices
 squared, and a step of counting matrices one.  ``double_factorial`` spends
 one per 2^14 bit-steps of its product, before it multiplies.
+
+``delta`` and ``wick_contract`` keep no memo of the terms they map, so a
+repeated call spends its units again; a term of ``big_delta``, a component
+encoding (:mod:`graphs`) and a listing of pair-count matrices are memoized,
+and a hit on those memos spends nothing.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .graphs import (
     _budgeted,
     _canonical_form,
     _grow_leg,
+    _integer,
     _spend,
     canonicalize,
     compose,
@@ -155,7 +161,6 @@ def delta_v_minus(g: Multigraph, v: int) -> GraphPolynomial:
     return GraphPolynomial.monomial(compose(g, leg(fresh_vertex(g))), -1)
 
 
-@functools.lru_cache(maxsize=None)
 def _delta_term(g: Multigraph) -> GraphPolynomial:
     """delta of one canonical monomial: g with a leg more on each support
     vertex (:func:`graphs._grow_leg`), minus |support| times g with a leg on
@@ -334,7 +339,6 @@ def _contract(base: tuple, terms: dict) -> GraphPolynomial:
     return GraphPolynomial._sum((_canonical_form(e, ()), c) for e, c in acc.items() if c)
 
 
-@functools.lru_cache(maxsize=None)
 def _wick_term(g: Multigraph) -> GraphPolynomial:
     """Wick contraction of one canonical monomial."""
     return _contract(g.edges, {g.legs: 1})
@@ -459,6 +463,7 @@ def theorem_verify(g: Multigraph, n: int) -> TheoremReport:
     """
     if not g.is_leg_free():
         raise ValueError("theorem_verify expects a leg-free monomial")
+    n = _integer("n", n)
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
     scale = double_factorial(2 * n - 1)

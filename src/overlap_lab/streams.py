@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import BudgetError
+from .graphs import BudgetError, _integer
 from .lab import MAX_MC_SAMPLES
 
 # numpy has no 128-bit integers, so a 128-bit value is a (hi, lo) pair of
@@ -280,6 +280,7 @@ class _MonteCarlo:
     fixed_tolerance = False  # identity rows pass at 3 standard errors
 
     def __init__(self, n_samples, seed):
+        n_samples = _integer("n_samples", n_samples)
         if n_samples < 2:
             raise ValueError(
                 f"need at least two disorder samples for a standard error, got {n_samples}")
@@ -288,7 +289,7 @@ class _MonteCarlo:
                 f"{n_samples} disorder samples exceed the bound of {MAX_MC_SAMPLES} "
                 "(2^32) Monte Carlo samples per run"
             )
-        self.seed = int(seed)
+        self.seed = _integer("seed", seed)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         self.size = self.samples = n_samples

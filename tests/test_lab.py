@@ -188,6 +188,54 @@ class TestModels:
         assert lab.ModelInstance(kind="sk", beta=0.5, n_sites=14).n_configs == 2**13
 
 
+class TestIntegerCounts:
+    # Sizes, n, node and sample counts and seeds are taken through
+    # operator.index: numpy integers and bools become plain ints, and a
+    # float is refused with an error naming its argument.
+
+    def test_numpy_integer_size_runs_a_quadrature_identity(self):
+        model = sk_model(np.int64(2), 0.5)
+        report = identity_check(model, C12, 1, method="quadrature", n_nodes=8)
+        assert report.passed and type(model.n_sites) is int
+
+    def test_integral_float_size_refused(self):
+        with pytest.raises(TypeError, match="n_spins must be an integer, got 3.0"):
+            sk_model(3.0, 0.5)
+
+    def test_fractional_size_refused(self):
+        with pytest.raises(TypeError, match="n_spins must be an integer, got 2.5"):
+            sk_model(2.5, 0.5)
+
+    def test_fractional_site_count_of_a_direct_construction_refused(self):
+        with pytest.raises(TypeError, match="n_sites must be an integer, got 3.0"):
+            lab.ModelInstance(kind="sk", beta=0.5, n_sites=3.0)
+
+    def test_fractional_lattice_side_refused(self):
+        with pytest.raises(TypeError, match="dims must be an integer, got 2.7"):
+            ea_model((2.7, 2), 0.5)
+
+    def test_fractional_seed_refused(self):
+        with pytest.raises(TypeError, match="seed must be an integer, got 1.9"):
+            wick_baseline_check(sk_model(2, 0.5), 10, 1.9)
+
+    def test_bool_n_reports_the_integer(self):
+        from overlap_lab import exprio
+
+        report = identity_check(sk_model(2, 0.5), C12, True, method="quadrature", n_nodes=8)
+        assert type(report.n) is int and report.n == 1
+        assert "Delta^1" in report.rows[0].label
+        assert exprio.from_json(exprio.to_json(report)) == report
+
+    def test_fractional_node_and_sample_counts_refused(self):
+        model = sk_model(2, 0.5)
+        with pytest.raises(TypeError, match="n_nodes must be an integer, got 8.0"):
+            quadrature_expectation(model, C12, n_nodes=8.0)
+        with pytest.raises(TypeError, match="n_samples must be an integer, got 16.0"):
+            quenched_expectation(model, C12, 16.0, 0)
+        with pytest.raises(TypeError, match="order must be an integer, got 2.0"):
+            fd_derivative(model, C12, 2.0, n_samples=16)
+
+
 class TestSpinFlipQuotient:
     """The lab sums over the configurations whose last spin is +1.  These
     references sum over all 2^N spin tuples with the pointwise kernels and
@@ -422,8 +470,8 @@ class TestReplicaMoment:
             replica_moment(model, np.zeros(len(model.bonds)), 0.0, None, k4)
 
     def test_models_with_equal_configuration_counts_keep_their_overlaps(self):
-        # SK N=2 and the two-site EA chain both have 4 configurations, so they
-        # share contraction plans, but not bonds or overlap powers
+        # SK N=2 and the two-site EA chain both have 2 configurations, so they
+        # share compiled step programs, but not bonds or overlap powers
         sk, ea = sk_model(2, 0.6), ea_model((2,), 0.6)
         poly = big_delta(GraphPolynomial.monomial(C12))
         j_sk = np.random.default_rng(2).standard_normal((2, 2))
@@ -433,8 +481,10 @@ class TestReplicaMoment:
             return [replica_moment(model, j, 0.0, None, g)
                     for g, _ in poly.items() for model, j in ((sk, j_sk), (ea, j_ea))]
 
+        hits = lab._compiled.cache_info().hits
         warm = both()
-        lab._term_plan.cache_clear()
+        assert lab._compiled.cache_info().hits - hits >= len(poly)  # the chain's
+        lab._compiled.cache_clear()
         fresh = both()
         assert warm == fresh
         assert warm[0::2] != warm[1::2]

@@ -11,7 +11,8 @@ its closure, so no call leaves a reference cycle behind.  Only
 writes its output.  ``operators``
 takes none of graphs' component-encoding internals.  Every constant the
 README names in backticks is defined in a module of the package.  The
-``fresh_memos`` fixture empties every memo of the package.  Only the model
+``fresh_memos`` fixture empties every memo of the package, and the package
+holds exactly the memos listed in ``MEMOS``.  Only the model
 and its constructors read a model's ``kind`` in the lab.  No disorder
 rule's ``stats`` and no Gibbs normalization reduces through BLAS.  Only
 ``graphs._assemble`` builds a monomial past its constructor's checks, and
@@ -203,29 +204,65 @@ def test_readme_names_only_defined_constants():
     assert undefined == set()
 
 
+def memos() -> dict:
+    """Every memo of the package by qualified name: each memoized function,
+    under the module that defines it, and each module-level dict, save the
+    work counters and ALL-CAPS tables such as lab._STENCILS."""
+    found = {}
+    for module in package_modules():
+        for name, value in vars(module).items():
+            if (hasattr(value, "cache_info") and value.__module__ == module.__name__
+                    or isinstance(value, dict) and not name.startswith("__")
+                    and not name.lstrip("_").isupper() and value is not overlap_lab.graphs.work):
+                found[f"{module.__name__}.{name}"] = value
+    return found
+
+
+#: Every memo of the package and the traffic that keeps it, counted over one
+#: in-process pass of each benchmark workload at seed 0, after the pass's
+#: warm-up call.  Adding or dropping a memo is a change to this list.
+MEMOS = {
+    "overlap_lab.graphs.canonicalize":
+        "63 of 87 calls hit on an algebra pass, 68 of 72 on oracle",
+    "overlap_lab.graphs._component_memo":
+        "18,374 of 21,513 component lookups hit on an algebra pass",
+    "overlap_lab.operators._big_delta_term":
+        "143 of 272 calls hit on an algebra pass; without it the pass took about 7% longer",
+    "overlap_lab.operators._matrix_lists":
+        "4,187 of 4,292 listings reused on an algebra pass",
+    "overlap_lab.lab._compiled":
+        "53 of 56 step programs reused by an oracle pass's beta sweep",
+    "overlap_lab.lab._stencil_nodes":
+        "21 of 24 stencils reused on an oracle pass",
+    "overlap_lab.lab._hermgauss":
+        "229 of 232 Gauss-Hermite rules reused on an oracle pass",
+    "overlap_lab.streams._lcg_jumps":
+        "22 of 24 jump tables reused on a crn_small pass",
+    "overlap_lab.streams._ziggurat":
+        "all 24 table reads of a crn_small pass hit",
+    "overlap_lab.exprio._lab":
+        "all 56 calls of an oracle pass hit: the lab is imported and its codec registered once",
+    "overlap_lab.cli._build_parser":
+        "32 of 33 commands of an algebra pass reuse the parser",
+}
+
+
+def test_every_memo_is_listed():
+    assert sorted(memos()) == sorted(MEMOS)
+
+
 def test_fresh_memos_empties_every_memo(request):
     # A memo the fixture left warm would let a test of a cold path read hits.
-    # Module-level dicts are memos, save the work counters and ALL-CAPS
-    # constants such as lab._STENCILS.
-    import overlap_lab.streams  # loaded with the first Monte Carlo rule
-
     graphs, operators, lab = overlap_lab.graphs, overlap_lab.operators, overlap_lab.lab
     p4 = overlap_lab.make_multigraph([(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     assert operators.theorem_verify(p4, 2).equal
     lab.identity_check(lab.sk_model(2, 0.5), p4, 1, method="quadrature", n_nodes=4)
-    assert graphs._component_memo and operators._delta_term.cache_info().currsize
+    assert graphs._component_memo and operators._big_delta_term.cache_info().currsize
     assert lab._compiled.cache_info().currsize and lab._stencil_nodes.cache_info().currsize
     request.getfixturevalue("fresh_memos")
-    warm = [f"{module.__name__}.{name}" for module in package_modules()
-            for name, f in vars(module).items()
-            if hasattr(f, "cache_info") and f.cache_info().currsize]
+    warm = [name for name, memo in memos().items()
+            if (memo.cache_info().currsize if callable(memo) else memo)]
     assert warm == []
-    filled = [f"{module.__name__}.{name}"
-              for module in (graphs, operators, lab, overlap_lab.streams)
-              for name, value in vars(module).items()
-              if isinstance(value, dict) and not name.startswith("__")
-              and not name.lstrip("_").isupper() and value is not graphs.work and value]
-    assert filled == []
 
 
 #: The code in lab that may read a model's ``kind``: the model and its
